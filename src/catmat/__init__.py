@@ -27,7 +27,6 @@ from .partition import (
     Partition,
     build_partition,
     check_acceptable,
-    reaches,
 )
 from .reduction import ReductionMap, duplicate_relation, inflate, reduce
 from .verifier import (
@@ -90,7 +89,6 @@ __all__ = [
     "parse_matrix",
     "permute",
     "principal_submatrix",
-    "reaches",
     "reduce",
     "transpose",
     "verify_category",

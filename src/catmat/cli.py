@@ -19,7 +19,7 @@ import os
 import sys
 
 from .certificate import build_certificate, load_certificate
-from .decider import condition_report, decide, decide_by_submatrices
+from .decider import condition_report, decide, decide_by_submatrices, explain
 from .errors import CertificateError, ParseError, Rejected, ShapeError, TripleBudgetError
 from .matrix import HomMatrix, parse_matrix
 from .oracle import SearchBudget, oracle_decide
@@ -44,7 +44,13 @@ def _load_matrix(path: str) -> HomMatrix:
     return parse_matrix(_read_text(path))
 
 
-def _print_verdict(verdict, as_json: bool, explain: bool, M: HomMatrix) -> None:
+def _print_report(entries: list[dict]) -> None:
+    for entry in entries:
+        details = f"  {entry['details']}" if entry["details"] else ""
+        print(f"{entry['status'].upper():7s} {entry['condition']}{details}")
+
+
+def _print_verdict(verdict, as_json: bool, report: list[dict] | None) -> None:
     if as_json:
         payload = {
             "decision": "exists" if verdict.exists else "absent",
@@ -54,8 +60,8 @@ def _print_verdict(verdict, as_json: bool, explain: bool, M: HomMatrix) -> None:
             payload["subset"] = list(verdict.subset)
         if verdict.rmap is not None:
             payload["reduced_size"] = verdict.rmap.m
-        if explain:
-            payload["conditions"] = condition_report(M)
+        if report is not None:
+            payload["conditions"] = report
         print(json.dumps(payload, indent=2))
         return
     if verdict.exists:
@@ -64,10 +70,8 @@ def _print_verdict(verdict, as_json: bool, explain: bool, M: HomMatrix) -> None:
         print(f"ABSENT ({verdict.reason}; submatrix {list(verdict.subset)})")
     else:
         print(f"ABSENT ({verdict.reason})")
-    if explain:
-        for entry in condition_report(M):
-            details = f"  {entry['details']}" if entry["details"] else ""
-            print(f"{entry['status'].upper():7s} {entry['condition']}{details}")
+    if report is not None:
+        _print_report(report)
 
 
 def cmd_decide(args) -> int:
@@ -77,8 +81,12 @@ def cmd_decide(args) -> int:
         print("decide: a matrix file or --batch is required", file=sys.stderr)
         return EXIT_USAGE
     M = _load_matrix(args.matrix)
-    verdict = decide_by_submatrices(M) if args.via_submatrices else decide(M)
-    _print_verdict(verdict, args.json, args.explain, M)
+    if args.explain and not args.via_submatrices:
+        verdict, report = explain(M)
+    else:
+        verdict = decide_by_submatrices(M) if args.via_submatrices else decide(M)
+        report = condition_report(M) if args.explain else None
+    _print_verdict(verdict, args.json, report)
     return EXIT_EXISTS if verdict.exists else EXIT_ABSENT
 
 
@@ -126,14 +134,12 @@ def _decide_batch(args) -> int:
 
 def cmd_report(args) -> int:
     M = _load_matrix(args.matrix)
-    entries = condition_report(M)
+    verdict, report = explain(M)
     if args.json:
-        print(json.dumps(entries, indent=2))
+        print(json.dumps(report, indent=2))
     else:
-        for entry in entries:
-            details = f"  {entry['details']}" if entry["details"] else ""
-            print(f"{entry['status'].upper():7s} {entry['condition']}{details}")
-    return EXIT_EXISTS if decide(M).exists else EXIT_ABSENT
+        _print_report(report)
+    return EXIT_EXISTS if verdict.exists else EXIT_ABSENT
 
 
 def cmd_witness(args) -> int:
@@ -157,7 +163,7 @@ def cmd_witness(args) -> int:
 def cmd_verify(args) -> int:
     try:
         data = json.loads(_read_text(args.certificate))
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         print(f"certificate is not valid JSON: {exc}", file=sys.stderr)
         return EXIT_USAGE
     claimed, C = load_certificate(data)

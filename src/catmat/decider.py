@@ -1,20 +1,33 @@
 """Decision procedure: does any finite category have these hom-set sizes?
 
-The test runs on the reduced matrix.  After acceptability and basepoint
-uniqueness, realizability comes down to size floors: inside a class with
-basepoint, diagonal entries must exceed the product of the legs through the
-basepoint, off-diagonal entries must reach it; across ordered classes every
-entry must dominate its basepoint row/column floors, and when both classes
-have basepoints the two floors must be met jointly.
+The test runs on the reduced matrix and comes down to eight conditions:
+reflexivity and transitivity of the positivity relation (acceptability), a
+unique basepoint per class, and size floors.  Inside a class with basepoint,
+diagonal entries must exceed the product of the legs through the basepoint,
+off-diagonal entries must reach it; across ordered classes every entry must
+dominate its basepoint column/row floors, and when both classes have
+basepoints the two floors must be met jointly.
+
+One walk checks all eight and yields every failing instance.  Its order:
+reflexivity object by object, then transitivity chain by chain, stopping
+there if either failed (the later conditions need the partition of an
+acceptable matrix); then unique basepoints; then, U class by U class, the
+class's diagonal floors followed by its off-diagonal floors; then, for each
+ordered class pair, cell by cell, the column, row and quadrant floor of the
+cell.  `decide` takes the first instance as its Reason and stops the walk
+there.  `condition_report` runs the whole walk and groups the instances by
+condition, spelling out the first few of each.  `explain` gives both from
+one walk.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from itertools import combinations
+from typing import Iterator
 
 from .matrix import HomMatrix, principal_submatrix
-from .partition import Partition, build_partition, check_acceptable
+from .partition import Partition, transitivity_failures
 from .reduction import ReductionMap, reduce
 
 
@@ -78,136 +91,116 @@ class Verdict:
         return self.decision == "yes"
 
 
+# Reason kind -> (report condition, report details, Reason.detail), in report
+# order.  Templates see the Reason as r and its objects as the list o.
+_HOM = "hom({o[0]},{o[1]})={r.actual} needs >= {r.required}"
+_KINDS = {
+    "ZeroDiagonal": ("reflexivity", "object {o[0]} has no endomorphism", ""),
+    "NotAcceptable": (
+        "transitivity",
+        "{o[0]}->{o[1]}->{o[2]} but hom({o[0]},{o[2]}) is empty",
+        "transitivity fails along {o}",
+    ),
+    "MultipleUnits": (
+        "unique-basepoint",
+        "class {r.classes[0]} has single-endomorphism objects {o}",
+        "several objects with a single endomorphism share a class",
+    ),
+    "UDiagonalFail": ("u-diagonal", "hom({o[0]},{o[0]})={r.actual} needs >= {r.required}", ""),
+    "UOffDiagonalFail": ("u-off-diagonal", _HOM, ""),
+    "CrossColFail": ("cross-column-floor", _HOM, ""),
+    "CrossRowFail": ("cross-row-floor", _HOM, ""),
+    "CrossQuadrantFail": ("cross-quadrant", _HOM, ""),
+}
+_ACCEPTABILITY = ("ZeroDiagonal", "NotAcceptable")
+_SHOWN = 8  # failing instances the report spells out per condition
+
+
+def _reason(fields: tuple) -> Reason:
+    return Reason(*fields, detail=_KINDS[fields[0]][2].format(o=list(fields[1])))
+
+
+class _Walk:
+    """One pass over the conditions of M, run on its reduced matrix.
+
+    Iterating yields every failing instance in walk order as the positional
+    fields of its Reason (kind, objects, classes, coords, required, actual),
+    objects already in M's indices, so that callers build only the Reasons
+    they use.  Once the walk gets past acceptability, `partition` holds the
+    class structure.
+    """
+
+    def __init__(self, M: HomMatrix):
+        self.reduced, self.rmap = reduce(M)
+        self.partition: Partition | None = None
+
+    def __iter__(self) -> Iterator[tuple]:
+        N = self.reduced
+        rows = N.entries
+        rep = self.rmap.representative
+        acceptable = True
+        for a in range(N.n):
+            if rows[a][a] == 0:
+                acceptable = False
+                yield "ZeroDiagonal", (rep[a],), (), (), 1, 0
+        for chain in transitivity_failures(N):
+            acceptable = False
+            yield "NotAcceptable", tuple(rep[t] for t in chain), (), (), None, None
+        if not acceptable:
+            return
+
+        part = self.partition = Partition(N)
+        for c, units in part.multiple_units:
+            yield "MultipleUnits", tuple(rep[u] for u in units), (c,), (), None, None
+
+        for c in range(len(part.classes)):
+            if not part.is_u(c):
+                continue
+            bp = part.basepoints[c]
+            legs = [(i, x) for i, x in part.locals_of(c) if i != 0]
+            for i, x in legs:
+                need = rows[x][bp] * rows[bp][x] + 1
+                if rows[x][x] < need:
+                    yield "UDiagonalFail", (rep[x],), (c,), (i,), need, rows[x][x]
+            for i, x in legs:
+                for j, y in legs:
+                    if y == x:
+                        continue
+                    need = rows[x][bp] * rows[bp][y]
+                    if rows[x][y] < need:
+                        yield "UOffDiagonalFail", (rep[x], rep[y]), (c,), (i, j), need, rows[x][y]
+
+        for c, d in sorted(part.order):
+            cu, du = part.is_u(c), part.is_u(d)
+            if not (cu or du):
+                continue
+            bc, bd = part.basepoints[c], part.basepoints[d]
+            below = part.locals_of(d)
+            for i, x in part.locals_of(c):
+                row = rows[x]
+                for j, y in below:
+                    have = row[y]
+                    if du and j != 0 and have < row[bd]:
+                        yield "CrossColFail", (rep[x], rep[y]), (c, d), (i, j), row[bd], have
+                    if cu and i != 0 and have < rows[bc][y]:
+                        yield "CrossRowFail", (rep[x], rep[y]), (c, d), (i, j), rows[bc][y], have
+                    if cu and du and i != 0 and j != 0:
+                        need = rows[bc][y] + row[bd] - rows[bc][bd]
+                        if have < need:
+                            yield "CrossQuadrantFail", (rep[x], rep[y]), (c, d), (i, j), need, have
+
+    def verdict(self, reason: Reason | None) -> Verdict:
+        if reason is not None:
+            return Verdict("no", reason)
+        return Verdict("yes", None, self.reduced, self.rmap, self.partition)
+
+
 def decide(M: HomMatrix) -> Verdict:
     """Decide realizability; a yes verdict carries the reduced matrix,
     the reduction map and the partition used by the witness builder."""
-    N, rmap = reduce(M)
-    rep = rmap.representative
-
-    for a in range(N.n):
-        if N[a][a] == 0:
-            return Verdict("no", Reason("ZeroDiagonal", objects=(rep[a],), actual=0, required=1))
-
-    cex = check_acceptable(N)
-    if cex is not None:
-        return Verdict(
-            "no",
-            Reason(
-                "NotAcceptable",
-                objects=tuple(rep[t] for t in cex.indices),
-                detail=f"transitivity fails along {[rep[t] for t in cex.indices]}"
-                if cex.kind == "chain"
-                else "missing endomorphism",
-            ),
-        )
-
-    part = build_partition(N)
-    if part.multiple_units:
-        c, units = part.multiple_units[0]
-        return Verdict(
-            "no",
-            Reason(
-                "MultipleUnits",
-                objects=tuple(rep[u] for u in units),
-                classes=(c,),
-                detail="several objects with a single endomorphism share a class",
-            ),
-        )
-
-    for c, members in enumerate(part.classes):
-        if not part.is_u(c):
-            continue
-        bp = part.basepoints[c]
-        locs = part.locals_of(c)
-        for i, x in locs:
-            if i == 0:
-                continue
-            need = N[x][bp] * N[bp][x] + 1
-            if N[x][x] < need:
-                return Verdict(
-                    "no",
-                    Reason(
-                        "UDiagonalFail",
-                        objects=(rep[x],),
-                        classes=(c,),
-                        coords=(i,),
-                        required=need,
-                        actual=N[x][x],
-                    ),
-                )
-        for i, x in locs:
-            if i == 0:
-                continue
-            for j, y in locs:
-                if j == 0 or y == x:
-                    continue
-                need = N[x][bp] * N[bp][y]
-                if N[x][y] < need:
-                    return Verdict(
-                        "no",
-                        Reason(
-                            "UOffDiagonalFail",
-                            objects=(rep[x], rep[y]),
-                            classes=(c,),
-                            coords=(i, j),
-                            required=need,
-                            actual=N[x][y],
-                        ),
-                    )
-
-    for c, d in sorted(part.order):
-        cu = part.is_u(c)
-        du = part.is_u(d)
-        if not (cu or du):
-            continue
-        bc = part.basepoints[c]
-        bd = part.basepoints[d]
-        for i, x in part.locals_of(c):
-            for j, y in part.locals_of(d):
-                if du and j != 0:
-                    need = N[x][bd]
-                    if N[x][y] < need:
-                        return Verdict(
-                            "no",
-                            Reason(
-                                "CrossColFail",
-                                objects=(rep[x], rep[y]),
-                                classes=(c, d),
-                                coords=(i, j),
-                                required=need,
-                                actual=N[x][y],
-                            ),
-                        )
-                if cu and i != 0:
-                    need = N[bc][y]
-                    if N[x][y] < need:
-                        return Verdict(
-                            "no",
-                            Reason(
-                                "CrossRowFail",
-                                objects=(rep[x], rep[y]),
-                                classes=(c, d),
-                                coords=(i, j),
-                                required=need,
-                                actual=N[x][y],
-                            ),
-                        )
-                if cu and du and i != 0 and j != 0:
-                    need = N[bc][y] + N[x][bd] - N[bc][bd]
-                    if N[x][y] < need:
-                        return Verdict(
-                            "no",
-                            Reason(
-                                "CrossQuadrantFail",
-                                objects=(rep[x], rep[y]),
-                                classes=(c, d),
-                                coords=(i, j),
-                                required=need,
-                                actual=N[x][y],
-                            ),
-                        )
-
-    return Verdict("yes", None, N, rmap, part)
+    walk = _Walk(M)
+    first = next(iter(walk), None)
+    return walk.verdict(None if first is None else _reason(first))
 
 
 def condition_report(M: HomMatrix) -> list[dict]:
@@ -216,94 +209,35 @@ def condition_report(M: HomMatrix) -> list[dict]:
     Entries are {"condition", "status", "details"}; status is "pass", "fail"
     or "skipped" (prerequisite failed, condition not evaluable).
     """
-    N, rmap = reduce(M)
-    rep = rmap.representative
+    return explain(M)[1]
+
+
+def explain(M: HomMatrix) -> tuple[Verdict, list[dict]]:
+    """decide(M) and condition_report(M), from a single walk."""
+    walk = _Walk(M)
+    first = None
+    shown: dict[str, list[str]] = {kind: [] for kind in _KINDS}
+    failed = dict.fromkeys(_KINDS, 0)
+    for fields in walk:
+        kind = fields[0]
+        failed[kind] += 1
+        if failed[kind] <= _SHOWN:
+            reason = _reason(fields)
+            if first is None:
+                first = reason
+            shown[kind].append(_KINDS[kind][1].format(o=list(reason.objects), r=reason))
+
     report = []
-
-    def add(condition, failures, skipped=False):
-        if skipped:
-            report.append({"condition": condition, "status": "skipped", "details": "prerequisite failed"})
-        elif failures:
-            shown = "; ".join(failures[:8])
-            if len(failures) > 8:
-                shown += f"; +{len(failures) - 8} more"
-            report.append({"condition": condition, "status": "fail", "details": shown})
-        else:
-            report.append({"condition": condition, "status": "pass", "details": ""})
-
-    refl = [f"object {rep[a]} has no endomorphism" for a in range(N.n) if N[a][a] == 0]
-    add("reflexivity", refl)
-
-    trans = []
-    for i in range(N.n):
-        for j in range(N.n):
-            if N[i][j] == 0:
-                continue
-            for k in range(N.n):
-                if N[j][k] >= 1 and N[i][k] == 0:
-                    trans.append(f"{rep[i]}->{rep[j]}->{rep[k]} but hom({rep[i]},{rep[k]}) is empty")
-    add("transitivity", trans)
-
-    if refl or trans:
-        for condition in (
-            "unique-basepoint",
-            "u-diagonal",
-            "u-off-diagonal",
-            "cross-column-floor",
-            "cross-row-floor",
-            "cross-quadrant",
-        ):
-            add(condition, [], skipped=True)
-        return report
-
-    part = build_partition(N)
-    add(
-        "unique-basepoint",
-        [
-            f"class {c} has single-endomorphism objects {[rep[u] for u in units]}"
-            for c, units in part.multiple_units
-        ],
-    )
-
-    u_diag, u_off = [], []
-    for c in range(len(part.classes)):
-        if not part.is_u(c):
-            continue
-        bp = part.basepoints[c]
-        locs = part.locals_of(c)
-        for i, x in locs:
-            if i == 0:
-                continue
-            need = N[x][bp] * N[bp][x] + 1
-            if N[x][x] < need:
-                u_diag.append(f"hom({rep[x]},{rep[x]})={N[x][x]} needs >= {need}")
-            for j, y in locs:
-                if j == 0 or y == x:
-                    continue
-                need = N[x][bp] * N[bp][y]
-                if N[x][y] < need:
-                    u_off.append(f"hom({rep[x]},{rep[y]})={N[x][y]} needs >= {need}")
-    add("u-diagonal", u_diag)
-    add("u-off-diagonal", u_off)
-
-    col, row, quad = [], [], []
-    for c, d in sorted(part.order):
-        cu, du = part.is_u(c), part.is_u(d)
-        bc, bd = part.basepoints[c], part.basepoints[d]
-        for i, x in part.locals_of(c):
-            for j, y in part.locals_of(d):
-                if du and j != 0 and N[x][y] < N[x][bd]:
-                    col.append(f"hom({rep[x]},{rep[y]})={N[x][y]} needs >= {N[x][bd]}")
-                if cu and i != 0 and N[x][y] < N[bc][y]:
-                    row.append(f"hom({rep[x]},{rep[y]})={N[x][y]} needs >= {N[bc][y]}")
-                if cu and du and i != 0 and j != 0:
-                    need = N[bc][y] + N[x][bd] - N[bc][bd]
-                    if N[x][y] < need:
-                        quad.append(f"hom({rep[x]},{rep[y]})={N[x][y]} needs >= {need}")
-    add("cross-column-floor", col)
-    add("cross-row-floor", row)
-    add("cross-quadrant", quad)
-    return report
+    for kind, (condition, _, _) in _KINDS.items():
+        status, details = "pass", ""
+        if failed[kind]:
+            status, details = "fail", "; ".join(shown[kind])
+            if failed[kind] > _SHOWN:
+                details += f"; +{failed[kind] - _SHOWN} more"
+        elif walk.partition is None and kind not in _ACCEPTABILITY:
+            status, details = "skipped", "prerequisite failed"
+        report.append({"condition": condition, "status": status, "details": details})
+    return walk.verdict(first), report
 
 
 def decide_by_submatrices(M: HomMatrix) -> Verdict:

@@ -2,13 +2,11 @@
 
 Labels encode their own source and target through (class, local index)
 coordinates, so a label is globally unique within one category.  Every label
-renders to a canonical string used by the certificate format; `parse_label`
-inverts `render` for the structured variants and leaves anything else opaque.
+renders to a canonical string used by the certificate format.
 """
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from typing import Union
 
@@ -122,45 +120,3 @@ def render(label: MorphismLabel) -> str:
     if isinstance(label, Inflated):
         return f"Infl({label.src},{label.dst},{render(label.inner)})"
     raise TypeError(f"not a morphism label: {label!r}")
-
-
-_SIMPLE = re.compile(r"^(Identity|Pair|Collapsed|CrossBase|CrossRow|CrossCol|CrossExtra|Pad)\((-?\d+(?:,-?\d+)*)\)$")
-_INFL = re.compile(r"^Infl\((-?\d+),(-?\d+),(.+)\)$")
-_ARITY = {
-    "Identity": 2,
-    "Pair": 5,
-    "Collapsed": 3,
-    "CrossBase": 5,
-    "CrossRow": 5,
-    "CrossCol": 5,
-    "CrossExtra": 5,
-    "Pad": 4,
-}
-_CTOR = {
-    "Identity": Identity,
-    "Pair": Pair,
-    "Collapsed": Collapsed,
-    "CrossBase": CrossBase,
-    "CrossRow": CrossRow,
-    "CrossCol": CrossCol,
-    "CrossExtra": CrossExtra,
-    "Pad": Pad,
-}
-
-
-def parse_label(text: str) -> MorphismLabel | None:
-    """Parse a canonical label string; None when the text is not one."""
-    m = _INFL.match(text)
-    if m:
-        inner = parse_label(m.group(3))
-        if inner is None:
-            return None
-        return Inflated(int(m.group(1)), int(m.group(2)), inner)
-    m = _SIMPLE.match(text)
-    if not m:
-        return None
-    name = m.group(1)
-    args = [int(v) for v in m.group(2).split(",")]
-    if len(args) != _ARITY[name]:
-        return None
-    return _CTOR[name](*args)

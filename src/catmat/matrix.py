@@ -97,7 +97,7 @@ def parse_matrix(text: str) -> HomMatrix:
 def _parse_json(text: str) -> HomMatrix:
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise ParseError(f"invalid JSON: {exc}") from None
     if not isinstance(data, dict) or "n" not in data or "entries" not in data:
         raise ParseError('JSON matrix needs keys "n" and "entries"')

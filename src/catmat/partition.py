@@ -10,13 +10,10 @@ ordered by one-way reachability.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator
 
 from .errors import NotAcceptable
 from .matrix import HomMatrix
-
-
-def reaches(M: HomMatrix, i: int, j: int) -> bool:
-    return M[i][j] >= 1
 
 
 @dataclass(frozen=True)
@@ -27,23 +24,32 @@ class AcceptabilityCounterexample:
     indices: tuple[int, ...]
 
 
+def transitivity_failures(M: HomMatrix) -> Iterator[tuple[int, int, int]]:
+    """Every (i, j, k) with i -> j -> k but not i -> k, in lexicographic order."""
+    rows = M.entries
+    for i, row in enumerate(rows):
+        missing = [k for k, v in enumerate(row) if v == 0]
+        if not missing:
+            continue
+        for j, v in enumerate(row):
+            if v:
+                for k in missing:
+                    if rows[j][k]:
+                        yield i, j, k
+
+
 def check_acceptable(M: HomMatrix) -> AcceptabilityCounterexample | None:
     """None when the positivity relation is reflexive and transitive."""
     for i in range(M.n):
         if M[i][i] == 0:
             return AcceptabilityCounterexample("diag", (i,))
-    for i in range(M.n):
-        for j in range(M.n):
-            if M[i][j] == 0:
-                continue
-            for k in range(M.n):
-                if M[j][k] >= 1 and M[i][k] == 0:
-                    return AcceptabilityCounterexample("chain", (i, j, k))
-    return None
+    chain = next(transitivity_failures(M), None)
+    return None if chain is None else AcceptabilityCounterexample("chain", chain)
 
 
 class Partition:
-    """Class structure of an acceptable matrix.
+    """Class structure of a matrix already known to be acceptable
+    (build_partition checks that first).
 
     classes[c] lists members ascending; classes are ordered by smallest member.
     kinds[c] is "U" or "V".  Local indices: the basepoint of a U class is 0 and
@@ -56,9 +62,6 @@ class Partition:
     """
 
     def __init__(self, M: HomMatrix):
-        cex = check_acceptable(M)
-        if cex is not None:
-            raise NotAcceptable(cex)
         n = M.n
         class_of = [-1] * n
         classes: list[tuple[int, ...]] = []
@@ -134,4 +137,7 @@ class Partition:
 
 def build_partition(M: HomMatrix) -> Partition:
     """Partition an acceptable matrix; raises NotAcceptable otherwise."""
+    cex = check_acceptable(M)
+    if cex is not None:
+        raise NotAcceptable(cex)
     return Partition(M)

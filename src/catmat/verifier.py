@@ -54,7 +54,7 @@ def _resolve_budget(triple_budget: int | None) -> int:
         try:
             return int(raw)
         except ValueError:
-            pass
+            raise TripleBudgetError(f"{TRIPLE_BUDGET_ENV}={raw!r} is not an integer") from None
     return DEFAULT_TRIPLE_BUDGET
 
 

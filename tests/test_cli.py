@@ -121,6 +121,16 @@ def test_verify_truncated_certificate(tmp_path, capsys):
     assert main(["verify", cert, matrix]) == 2
 
 
+def test_deeply_nested_json_is_bad_input(tmp_path, capsys):
+    # json.loads runs out of stack on these; that must not look like a verdict.
+    cert = write(tmp_path, "cert.json", "[" * 100_000)
+    assert main(["verify", cert]) == 2
+    assert "certificate is not valid JSON" in capsys.readouterr().err
+    matrix = write(tmp_path, "m.json", '{"n": 1, "entries": ' + "[" * 100_000)
+    assert main(["decide", matrix]) == 2
+    assert "invalid JSON" in capsys.readouterr().err
+
+
 def test_verify_defaults_to_embedded_matrix(tmp_path, capsys):
     matrix = write(tmp_path, "m.txt", "2 2\n2 2\n")
     cert = str(tmp_path / "cert.json")

@@ -83,6 +83,21 @@ def test_cross_reason_sides():
     assert verdict.reason.kind == "CrossRowFail"
 
 
+def test_decide_walks_conditions_interleaved():
+    # Class {0,1,2} fails only off its diagonal, class {3,4} only on it.  The
+    # walk finishes a U class (diagonal, then off-diagonal) before the next, so
+    # decide names class {0,1,2}; the report shows both failures.
+    M = HomMatrix.from_rows(
+        [[1, 1, 2, 0, 0], [2, 3, 3, 0, 0], [1, 1, 3, 0, 0], [0, 0, 0, 1, 2], [0, 0, 0, 2, 4]]
+    )
+    assert str(decide(M).reason) == "UOffDiagonalFail objects=[1, 2] required>=4 actual=3"
+    failed = {e["condition"]: e["details"] for e in condition_report(M) if e["status"] == "fail"}
+    assert failed == {
+        "u-diagonal": "hom(4,4)=4 needs >= 5",
+        "u-off-diagonal": "hom(1,2)=3 needs >= 4",
+    }
+
+
 def test_condition_report_fixtures():
     report = condition_report(HomMatrix.from_rows([[1, 2], [3, 6]]))
     failed = [e for e in report if e["status"] == "fail"]
@@ -157,6 +172,27 @@ def test_decide_is_transpose_invariant(M):
 @given(small_matrices)
 def test_decide_commutes_with_reduction(M):
     assert decide(M).decision == decide(reduce(M)[0]).decision
+
+
+CONDITION_OF_KIND = {
+    "ZeroDiagonal": "reflexivity",
+    "NotAcceptable": "transitivity",
+    "MultipleUnits": "unique-basepoint",
+    "UDiagonalFail": "u-diagonal",
+    "UOffDiagonalFail": "u-off-diagonal",
+    "CrossColFail": "cross-column-floor",
+    "CrossRowFail": "cross-row-floor",
+    "CrossQuadrantFail": "cross-quadrant",
+}
+
+
+@given(small_matrices)
+def test_decide_agrees_with_condition_report(M):
+    verdict = decide(M)
+    failing = {e["condition"] for e in condition_report(M) if e["status"] == "fail"}
+    assert verdict.exists == (not failing)
+    if not verdict.exists:
+        assert CONDITION_OF_KIND[verdict.reason.kind] in failing
 
 
 @settings(max_examples=60)

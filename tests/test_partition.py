@@ -7,7 +7,6 @@ from catmat import (
     NotAcceptable,
     build_partition,
     check_acceptable,
-    reaches,
     reduce,
 )
 
@@ -18,13 +17,6 @@ positive_matrices = st.integers(min_value=1, max_value=4).flatmap(
         max_size=n,
     )
 ).map(HomMatrix.from_rows)
-
-
-def test_reaches():
-    M = HomMatrix.from_rows([[1, 2], [0, 7]])
-    assert reaches(M, 0, 1)
-    assert not reaches(M, 1, 0)
-    assert reaches(HomMatrix.from_rows([[1]]), 0, 0)
 
 
 def test_check_acceptable():

@@ -120,3 +120,7 @@ def test_triple_budget_guard(monkeypatch):
     # An explicit argument wins over the environment.
     monkeypatch.setenv("CATMAT_TRIPLE_BUDGET", "10")
     assert verify_category(C, HomMatrix.from_rows([[4]]), triple_budget=100).passed
+    # A value that is not an integer is an error, not a silent default.
+    monkeypatch.setenv("CATMAT_TRIPLE_BUDGET", "abc")
+    with pytest.raises(TripleBudgetError, match="CATMAT_TRIPLE_BUDGET='abc'"):
+        verify_category(C, HomMatrix.from_rows([[4]]))
