@@ -23,14 +23,13 @@ def build_certificate(C: FiniteCategory, M: HomMatrix, rmap: ReductionMap) -> di
         {"id": x, "class": C.coords[x][0], "local_index": C.coords[x][1]}
         for x in range(C.n)
     ]
+    name = {label: render(label) for label in C.hom_of}
     homs = {
-        f"{x},{y}": [render(label) for label in labels]
+        f"{x},{y}": [name[label] for label in labels]
         for (x, y), labels in sorted(C.homs.items())
     }
-    identities = {str(x): render(C.identity[x]) for x in range(C.n)}
-    table = sorted(
-        [render(g), render(f), render(h)] for (g, f), h in C.table.items()
-    )
+    identities = {str(x): name[C.identity[x]] for x in range(C.n)}
+    table = sorted([name[g], name[f], name[h]] for (g, f), h in C.table.items())
     return {
         "matrix": M.to_json(),
         "reduction": {

@@ -23,9 +23,8 @@ from .decider import condition_report, decide, decide_by_submatrices, explain
 from .errors import CertificateError, ParseError, Rejected, ShapeError, TripleBudgetError
 from .matrix import HomMatrix, parse_matrix
 from .oracle import SearchBudget, oracle_decide
-from .reduction import reduce
 from .verifier import verify_category
-from .witness import build_witness
+from .witness import _witness_and_map
 
 EXIT_EXISTS = 0
 EXIT_ABSENT = 1
@@ -145,11 +144,11 @@ def cmd_report(args) -> int:
 def cmd_witness(args) -> int:
     M = _load_matrix(args.matrix)
     try:
-        C = build_witness(M)
+        C, rmap = _witness_and_map(M)
     except Rejected as exc:
         print(f"ABSENT ({exc.verdict.reason})", file=sys.stderr)
         return EXIT_ABSENT
-    certificate = build_certificate(C, M, reduce(M)[1])
+    certificate = build_certificate(C, M, rmap)
     text = json.dumps(certificate, indent=2)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:

@@ -3,9 +3,21 @@
 Checks, in order: hom-set sizes against the matrix, identity morphisms and
 both unit laws, closure of the table (every composable pair has an entry in
 the right hom-set and the table holds nothing else), and associativity over
-every composable triple.  Nothing here trusts the construction: the table is
-treated as opaque data, so the verifier doubles as the replay half of the
-certificate format.
+every composable triple.  Nothing here trusts the construction: labels are
+opaque tokens that are only hashed and compared, so the verifier doubles as
+the replay half of the certificate format.
+
+Closure and associativity run on integers.  Each hom-set's labels are
+numbered 0..k-1 once.  Every composable block (x, y, z) then becomes one
+table: for f in hom(x,y) and g in hom(y,z), the local index of g.f in
+hom(x,z), or None when the table has no entry for (g, f) or the entry lies
+in another hom-set.  Building these tables is the closure pass.
+Associativity takes one block (x, y, z, w) at a time and, for each pair
+(g, f), compares the row of h.(g.f) over every h in hom(z,w) with the row
+of (h.g).f in one list comparison; only a row that differs is walked to
+name its failures.  A triple through a missing or wrong-hom composite is
+counted but not compared, because closure already reports that composite.
+Blocks come from per-object successor lists, so empty hom-sets cost nothing.
 """
 
 from __future__ import annotations
@@ -71,17 +83,20 @@ def verify_category(
         if len(entries) < failure_cap:
             entries.append(item)
 
-    total_triples = 0
-    sizes = {pair: len(labels) for pair, labels in C.homs.items()}
-    for (x, y), nf in sizes.items():
-        for z in range(C.n):
-            ng = sizes.get((y, z), 0)
-            if not ng:
-                continue
-            for w in range(C.n):
-                nh = sizes.get((z, w), 0)
-                if nh:
-                    total_triples += nf * ng * nh
+    homs = C.homs
+    # successors[y] lists (z, hom(y,z)) for the nonempty hom-sets out of y, by z.
+    successors: dict[int, list] = {}
+    for (y, z), labels in sorted(homs.items()):
+        successors.setdefault(y, []).append((z, labels))
+
+    # Triples h.g.f counted arithmetically: pairs[y] is the number of
+    # composable pairs (h, g) with g leaving y.
+    leaving = {y: sum(len(labels) for _, labels in out) for y, out in successors.items()}
+    pairs = {
+        y: sum(len(labels) * leaving.get(z, 0) for z, labels in out)
+        for y, out in successors.items()
+    }
+    total_triples = sum(len(fs) * pairs.get(y, 0) for (_, y), fs in homs.items())
     budget = _resolve_budget(triple_budget)
     if total_triples > budget:
         raise TripleBudgetError(
@@ -103,58 +118,68 @@ def verify_category(
         identity_ok[x] = e is not None and hom_of.get(e) == (x, x)
         if not identity_ok[x]:
             push(report.identity_failures, (x, e))
-    for (x, y) in sorted(C.homs):
-        for f in C.homs[(x, y)]:
+    for (x, y) in sorted(homs):
+        for f in homs[(x, y)]:
             if identity_ok[y] and table.get((C.identity[y], f)) != f:
                 push(report.identity_failures, (y, f))
             if identity_ok[x] and table.get((f, C.identity[x])) != f:
                 push(report.identity_failures, (x, f))
 
-    for (x, y) in sorted(C.homs):
-        for z in range(C.n):
-            gs = C.homs.get((y, z))
-            if not gs:
-                continue
-            for g in gs:
-                for f in C.homs[(x, y)]:
-                    h = table.get((g, f))
-                    if h is None:
-                        push(report.closure_failures, ("missing", g, f))
-                    elif hom_of.get(h) != (x, z):
-                        push(report.closure_failures, ("wrong-hom", g, f, h))
+    # None is what a missing table entry reads as, so it never gets an index.
+    index = {
+        pair: {label: i for i, label in enumerate(labels) if label is not None}
+        for pair, labels in homs.items()
+    }
+    get = table.get
+    # blocks[x, y, z][f][g] is the index of g.f in hom(x,z), or None.
+    blocks = {}
+    for (x, y), fs in sorted(homs.items()):
+        for z, gs in successors.get(y, ()):
+            at = index.get((x, z), {}).get
+            block = [[at(get((g, f))) for g in gs] for f in fs]
+            blocks[(x, y, z)] = block
+            if any(None in row for row in block):
+                for gi, g in enumerate(gs):
+                    for fi, f in enumerate(fs):
+                        if block[fi][gi] is None:
+                            h = get((g, f))
+                            if h is None:
+                                push(report.closure_failures, ("missing", g, f))
+                            else:
+                                push(report.closure_failures, ("wrong-hom", g, f, h))
     for (g, f) in table:
         sg = hom_of.get(g)
         sf = hom_of.get(f)
         if sg is None or sf is None or sf[1] != sg[0]:
             push(report.closure_failures, ("foreign", g, f))
 
-    checked = 0
     failures = report.associativity_failures
-    get = table.get
-    for (x, y), fs in C.homs.items():
-        for z in range(C.n):
-            gs = C.homs.get((y, z))
-            if not gs:
-                continue
-            for w in range(C.n):
-                hs = C.homs.get((z, w))
-                if not hs:
-                    continue
-                for g in gs:
-                    for f in fs:
-                        p = get((g, f))
-                        for h in hs:
-                            checked += 1
-                            q = get((h, g))
-                            if p is None or q is None:
-                                continue
-                            left = get((h, p))
-                            right = get((q, f))
-                            if left is None or right is None:
-                                continue
-                            if left != right and len(failures) < failure_cap:
-                                failures.append((h, g, f, left, right))
-    report.triples_checked = checked
+    for (x, y), fs in homs.items():
+        for z, gs in successors.get(y, ()):
+            gf = blocks[(x, y, z)]  # gf[f][g] = g.f
+            for w, hs in successors.get(z, ()):
+                hp = blocks.get((x, z, w))  # hp[p][h] = h.p
+                hg = blocks[(y, z, w)]  # hg[g][h] = h.g
+                qf = blocks.get((x, y, w))  # qf[f][q] = q.f
+                for gi, qs in enumerate(hg):
+                    holes = None in qs
+                    for fi, ps in enumerate(gf):
+                        p = ps[gi]
+                        if p is None:
+                            continue
+                        left = hp[p]
+                        row = qf[fi] if qf else None
+                        if holes:
+                            right = [None if q is None else row[q] for q in qs]
+                        else:
+                            right = [row[q] for q in qs]
+                        if left == right:
+                            continue
+                        xw = homs[(x, w)]
+                        for h, a, b in zip(hs, left, right):
+                            if a is not None and b is not None and a != b:
+                                push(failures, (h, gs[gi], fs[fi], xw[a], xw[b]))
+    report.triples_checked = total_triples
 
     report.passed = not (
         report.cardinality_mismatches

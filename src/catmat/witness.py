@@ -31,7 +31,7 @@ from .labels import (
 )
 from .matrix import HomMatrix
 from .partition import Partition
-from .reduction import inflate
+from .reduction import ReductionMap, inflate
 
 
 def a_of(N: HomMatrix, part: Partition, c: int, i: int) -> int:
@@ -225,6 +225,11 @@ def build_witness(M: HomMatrix) -> FiniteCategory:
     The category is built on the reduced matrix and inflated back through the
     reduction map when M has duplicate objects.  Construction is deterministic.
     """
+    return _witness_and_map(M)[0]
+
+
+def _witness_and_map(M: HomMatrix) -> tuple[FiniteCategory, ReductionMap]:
+    """build_witness, also returning the reduction map its decision used."""
     verdict = decide(M)
     if not verdict.exists:
         raise Rejected(verdict)
@@ -247,5 +252,5 @@ def build_witness(M: HomMatrix) -> FiniteCategory:
                     table[(g, f)] = h
     B = FiniteCategory(N.n, homs, identity, table, coords=part.local_of)
     if rmap.m == rmap.n:
-        return B
-    return inflate(B, rmap, expected=M)
+        return B, rmap
+    return inflate(B, rmap, expected=M), rmap

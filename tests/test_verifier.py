@@ -7,6 +7,7 @@ from catmat import (
     build_witness,
     verify_category,
 )
+from catmat.labels import Identity, Pair
 
 
 def small_monoid(n):
@@ -56,7 +57,38 @@ def test_broken_associativity_detected():
     broken = FiniteCategory(1, C.homs, C.identity, bad)
     report = verify_category(broken, HomMatrix.from_rows([[3]]))
     assert not report.passed
-    assert report.associativity_failures
+    # (h, g, f, h.(g.f), (h.g).f), in the walk order g, f, h.
+    assert report.associativity_failures == [
+        ("m2", "m1", "m1", "m0", "m1"),
+        ("m1", "m1", "m2", "m1", "m0"),
+        ("m2", "m2", "m1", "m2", "m1"),
+        ("m1", "m2", "m2", "m1", "m2"),
+    ]
+    assert report.closure_failures == [] and report.identity_failures == []
+
+
+def mutated_witness(rows, g, f, h):
+    """The witness of rows with its composite g.f replaced by h."""
+    M = HomMatrix.from_rows(rows)
+    C = build_witness(M)
+    table = dict(C.table)
+    assert (g, f) in table
+    table[(g, f)] = h
+    return M, FiniteCategory(C.n, C.homs, C.identity, table)
+
+
+def test_associativity_failures_keep_block_order():
+    # The composite stays in hom(1,1), so only associativity fails, in three
+    # blocks (x,y,z,w) = (0,1,1,1), (1,0,1,1), (1,1,0,1), visited in that order.
+    p11 = Pair(0, 1, 1, 1, 1)
+    M, broken = mutated_witness([[1, 2], [3, 7]], p11, p11, Identity(0, 1))
+    report = verify_category(broken, M, failure_cap=3)
+    assert report.closure_failures == [] and report.identity_failures == []
+    assert report.associativity_failures == [
+        (p11, p11, Pair(0, 0, 1, 1, 2), Pair(0, 0, 1, 1, 1), Pair(0, 0, 1, 1, 2)),
+        (p11, Pair(0, 0, 1, 1, 1), Pair(0, 1, 0, 1, 1), Identity(0, 1), p11),
+        (Pair(0, 0, 1, 1, 1), Pair(0, 1, 0, 1, 1), p11, p11, Identity(0, 1)),
+    ]
 
 
 def test_broken_identity_detected():
@@ -84,6 +116,20 @@ def test_missing_and_foreign_entries_detected():
     assert ("foreign", "m1", "ghost") in report.closure_failures
 
 
+def test_none_entry_reads_as_missing():
+    # None is a valid label here, but a table value of None cannot be told
+    # apart from a missing entry, so it is reported as one.
+    table = {("e", "e"): "e", ("e", None): None, (None, "e"): None, (None, None): None}
+    C = FiniteCategory(1, {(0, 0): ("e", None)}, {0: "e"}, table)
+    report = verify_category(C, HomMatrix.from_rows([[2]]))
+    assert not report.passed
+    assert report.closure_failures == [
+        ("missing", "e", None),
+        ("missing", None, "e"),
+        ("missing", None, None),
+    ]
+
+
 def test_escaping_composite_detected():
     M = HomMatrix.from_rows([[1, 1], [0, 1]])
     C = build_witness(M)
@@ -92,7 +138,30 @@ def test_escaping_composite_detected():
     bad[(arrow, C.identity[0])] = C.identity[0]  # lands in hom(0,0), not hom(0,1)
     broken = FiniteCategory(C.n, C.homs, C.identity, bad, coords=C.coords)
     report = verify_category(broken, M)
-    assert any(f[0] == "wrong-hom" for f in report.closure_failures)
+    assert report.closure_failures == [("wrong-hom", arrow, C.identity[0], C.identity[0])]
+
+
+def relabel(C, name):
+    """C with every label replaced by name(position in hom_of order)."""
+    new = {label: name(i) for i, label in enumerate(C.hom_of)}
+    return FiniteCategory(
+        C.n,
+        {pair: [new[l] for l in labels] for pair, labels in C.homs.items()},
+        {x: new[e] for x, e in C.identity.items()},
+        {(new[g], new[f]): new[h] for (g, f), h in C.table.items()},
+    )
+
+
+@pytest.mark.parametrize("name", [lambda i: i, lambda i: (i, "a")])
+def test_labels_are_opaque(name):
+    M = HomMatrix.from_rows([[1, 2], [3, 7]])
+    C = relabel(build_witness(M), name)
+    assert verify_category(C, M).passed
+    p11 = Pair(0, 1, 1, 1, 1)
+    M, broken = mutated_witness([[1, 2], [3, 7]], p11, p11, Identity(0, 1))
+    report = verify_category(relabel(broken, name), M)
+    assert not report.passed
+    assert report.closure_failures == [] and report.associativity_failures
 
 
 def test_failure_cap():
@@ -124,3 +193,16 @@ def test_triple_budget_guard(monkeypatch):
     monkeypatch.setenv("CATMAT_TRIPLE_BUDGET", "abc")
     with pytest.raises(TripleBudgetError, match="CATMAT_TRIPLE_BUDGET='abc'"):
         verify_category(C, HomMatrix.from_rows([[4]]))
+
+
+def test_triple_budget_comes_before_closure():
+    # Over 50,000 triples and no table at all: the budget refuses the work
+    # instead of reporting missing composites.
+    homs = {
+        (0, 0): [f"e{i}" for i in range(2)],
+        (0, 1): [f"a{i}" for i in range(30)],
+        (1, 1): [f"b{i}" for i in range(30)],
+    }
+    C = FiniteCategory(2, homs, {0: "e0", 1: "b0"}, {})
+    with pytest.raises(TripleBudgetError, match="exceed the budget of 10"):
+        verify_category(C, HomMatrix.from_rows([[2, 30], [0, 30]]), triple_budget=10)
