@@ -12,84 +12,45 @@ from .decider import Reason, Verdict, condition_report, decide, decide_by_submat
 from .errors import (
     CardinalityError,
     CertificateError,
-    CountError,
     NotAcceptable,
-    NotComposable,
     ParseError,
     Rejected,
     ShapeError,
     TripleBudgetError,
 )
-from .matrix import HomMatrix, parse_matrix, permute, principal_submatrix, transpose
-from .oracle import OracleResult, SearchBudget, oracle_decide
-from .partition import (
-    AcceptabilityCounterexample,
-    Partition,
-    build_partition,
-    check_acceptable,
-)
-from .reduction import ReductionMap, duplicate_relation, inflate, reduce
-from .verifier import (
-    DEFAULT_FAILURE_CAP,
-    DEFAULT_TRIPLE_BUDGET,
-    VerificationReport,
-    verify_category,
-)
-from .witness import (
-    WitnessContext,
-    a_of,
-    b_of,
-    build_hom_labels,
-    build_witness,
-    compose,
-    cross_part_sizes,
-)
-from . import labels
+from .matrix import HomMatrix, parse_matrix
+from .oracle import OracleResult, oracle_decide
+from .partition import Partition, build_partition
+from .reduction import ReductionMap, inflate, reduce
+from .verifier import VerificationReport, verify_category
+from .witness import build_witness
 
 __all__ = [
-    "AcceptabilityCounterexample",
     "CardinalityError",
     "CertificateError",
-    "CountError",
-    "DEFAULT_FAILURE_CAP",
-    "DEFAULT_TRIPLE_BUDGET",
     "FiniteCategory",
     "HomMatrix",
     "NotAcceptable",
-    "NotComposable",
     "OracleResult",
     "ParseError",
     "Partition",
     "Reason",
     "ReductionMap",
     "Rejected",
-    "SearchBudget",
     "ShapeError",
     "TripleBudgetError",
     "VerificationReport",
     "Verdict",
-    "WitnessContext",
-    "a_of",
-    "b_of",
     "build_certificate",
-    "build_hom_labels",
     "build_partition",
     "build_witness",
-    "check_acceptable",
-    "compose",
     "condition_report",
-    "cross_part_sizes",
     "decide",
     "decide_by_submatrices",
-    "duplicate_relation",
     "inflate",
-    "labels",
     "load_certificate",
     "oracle_decide",
     "parse_matrix",
-    "permute",
-    "principal_submatrix",
     "reduce",
-    "transpose",
     "verify_category",
 ]

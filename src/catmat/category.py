@@ -27,6 +27,8 @@ class FiniteCategory:
         self.coords = tuple(coords) if coords is not None else None
         self.hom_of: dict[Hashable, tuple[int, int]] = {}
         for (x, y), labels in sorted(self.homs.items()):
+            if not (0 <= x < n and 0 <= y < n):
+                raise ValueError(f"hom key {(x, y)!r} is outside objects 0..{n - 1}")
             for label in labels:
                 if label in self.hom_of:
                     raise ValueError(f"label appears in two hom-sets: {label!r}")
@@ -40,10 +42,6 @@ class FiniteCategory:
 
     def target(self, label) -> int:
         return self.hom_of[label][1]
-
-    def compose(self, g, f):
-        """Table lookup g after f; KeyError if the table has no entry."""
-        return self.table[(g, f)]
 
     def morphism_count(self) -> int:
         return len(self.hom_of)

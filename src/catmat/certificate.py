@@ -13,7 +13,7 @@ from .category import FiniteCategory
 from .errors import CertificateError
 from .labels import render
 from .matrix import HomMatrix
-from .reduction import ReductionMap
+from .reduction import ReductionMap, reduce
 
 
 def build_certificate(C: FiniteCategory, M: HomMatrix, rmap: ReductionMap) -> dict:
@@ -32,15 +32,16 @@ def build_certificate(C: FiniteCategory, M: HomMatrix, rmap: ReductionMap) -> di
     table = sorted([name[g], name[f], name[h]] for (g, f), h in C.table.items())
     return {
         "matrix": M.to_json(),
-        "reduction": {
-            "class_of": list(rmap.class_of),
-            "representative": list(rmap.representative),
-        },
+        "reduction": _reduction_json(rmap),
         "objects": objects,
         "homs": homs,
         "identities": identities,
         "table": table,
     }
+
+
+def _reduction_json(rmap: ReductionMap) -> dict:
+    return {"class_of": list(rmap.class_of), "representative": list(rmap.representative)}
 
 
 def _require(cond: bool, message: str) -> None:
@@ -67,6 +68,13 @@ def load_certificate(data: dict) -> tuple[HomMatrix, FiniteCategory]:
         M = HomMatrix(mat["n"], tuple(tuple(row) for row in mat["entries"]))
     except (ValueError, TypeError) as exc:
         raise CertificateError(f"bad matrix in certificate: {exc}") from None
+
+    reduction = data["reduction"]
+    _require(
+        reduction == _reduction_json(reduce(M)[1])
+        and all(type(v) is int for values in reduction.values() for v in values),
+        '"reduction" does not match the reduction of "matrix"',
+    )
 
     objects = data["objects"]
     _require(isinstance(objects, list), '"objects" must be a list')

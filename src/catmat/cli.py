@@ -169,18 +169,11 @@ def cmd_verify(args) -> int:
     M = _load_matrix(args.matrix) if args.matrix else claimed
     report = verify_category(C, M)
     if args.json:
-        print(
-            json.dumps(
-                {
-                    "passed": report.passed,
-                    "cardinality_mismatches": [list(map(str, e)) for e in report.cardinality_mismatches],
-                    "identity_failures": [list(map(str, e)) for e in report.identity_failures],
-                    "closure_failures": [list(map(str, e)) for e in report.closure_failures],
-                    "associativity_failures": [list(map(str, e)) for e in report.associativity_failures],
-                    "triples_checked": report.triples_checked,
-                }
-            )
-        )
+        payload = {"passed": report.passed}
+        for _, name, entries in report.failures():
+            payload[name] = [list(map(str, e)) for e in entries]
+        payload["triples_checked"] = report.triples_checked
+        print(json.dumps(payload))
     elif report.passed:
         print(
             f"VERIFIED ({C.n} objects, {C.morphism_count()} morphisms, "
@@ -188,12 +181,7 @@ def cmd_verify(args) -> int:
         )
     else:
         print(f"FAILED {report.summary()}")
-        for kind, entries in (
-            ("cardinality", report.cardinality_mismatches),
-            ("identity", report.identity_failures),
-            ("closure", report.closure_failures),
-            ("associativity", report.associativity_failures),
-        ):
+        for kind, _, entries in report.failures():
             for entry in entries[:4]:
                 print(f"  {kind}: {entry}")
     return EXIT_EXISTS if report.passed else EXIT_ABSENT
@@ -266,13 +254,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (ParseError, ShapeError, CertificateError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except TripleBudgetError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except OSError as exc:
+    except (ParseError, ShapeError, CertificateError, TripleBudgetError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -40,34 +40,10 @@ class Collapsed:
 
 
 @dataclass(frozen=True)
-class CrossBase:
-    src_cls: int
-    i: int
-    dst_cls: int
-    j: int
-    k: int
+class Cross:
+    """Morphism between ordered classes; part is "Base", "Row", "Col" or "Extra"."""
 
-
-@dataclass(frozen=True)
-class CrossRow:
-    src_cls: int
-    i: int
-    dst_cls: int
-    j: int
-    k: int
-
-
-@dataclass(frozen=True)
-class CrossCol:
-    src_cls: int
-    i: int
-    dst_cls: int
-    j: int
-    k: int
-
-
-@dataclass(frozen=True)
-class CrossExtra:
+    part: str
     src_cls: int
     i: int
     dst_cls: int
@@ -94,15 +70,7 @@ class Inflated:
     inner: "MorphismLabel"
 
 
-MorphismLabel = Union[
-    Identity, Pair, Collapsed, CrossBase, CrossRow, CrossCol, CrossExtra, Pad, Inflated
-]
-
-_CROSS_TYPES = (CrossBase, CrossRow, CrossCol, CrossExtra)
-
-
-def is_cross(label: MorphismLabel) -> bool:
-    return isinstance(label, _CROSS_TYPES)
+MorphismLabel = Union[Identity, Pair, Collapsed, Cross, Pad, Inflated]
 
 
 def render(label: MorphismLabel) -> str:
@@ -112,9 +80,8 @@ def render(label: MorphismLabel) -> str:
         return f"Pair({label.cls},{label.i},{label.j},{label.u},{label.v})"
     if isinstance(label, Collapsed):
         return f"Collapsed({label.cls},{label.i},{label.j})"
-    if isinstance(label, _CROSS_TYPES):
-        name = type(label).__name__
-        return f"{name}({label.src_cls},{label.i},{label.dst_cls},{label.j},{label.k})"
+    if isinstance(label, Cross):
+        return f"Cross{label.part}({label.src_cls},{label.i},{label.dst_cls},{label.j},{label.k})"
     if isinstance(label, Pad):
         return f"Pad({label.cls},{label.i},{label.j},{label.k})"
     if isinstance(label, Inflated):

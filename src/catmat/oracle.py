@@ -79,19 +79,11 @@ def oracle_decide(M: HomMatrix, budget: SearchBudget | int | None = None) -> Ora
             cells.append(slot)
             cand[slot] = options
 
-    triples = []
-    by_cell: dict[int, list[int]] = {slot: [] for slot in cells}
-    for g in range(T):
-        for f in range(T):
-            if src[g] != tgt[f]:
-                continue
-            for h in range(T):
-                if src[h] != tgt[g]:
-                    continue
-                idx = len(triples)
-                triples.append((h, g, f))
-                by_cell[g * T + f].append(idx)
-                by_cell[h * T + g].append(idx)
+    leaving: list[list[int]] = [[] for _ in range(n)]
+    entering: list[list[int]] = [[] for _ in range(n)]
+    for m in range(T):
+        leaving[src[m]].append(m)
+        entering[tgt[m]].append(m)
 
     table: list[int | None] = [None] * (T * T)
     assigned_to: list[list[int]] = [[] for _ in range(T)]
@@ -114,11 +106,13 @@ def oracle_decide(M: HomMatrix, budget: SearchBudget | int | None = None) -> Ora
         """Place val and re-check every triple this could have completed."""
         table[slot] = val
         assigned_to[val].append(slot)
-        for idx in by_cell[slot]:
-            h, g, f = triples[idx]
-            if not triple_ok(h, g, f):
-                return False
         a, b = divmod(slot, T)
+        for h in leaving[tgt[a]]:
+            if not triple_ok(h, a, b):
+                return False
+        for f in entering[src[b]]:
+            if not triple_ok(a, b, f):
+                return False
         for s2 in assigned_to[b]:
             g2, f2 = divmod(s2, T)
             if not triple_ok(a, g2, f2):

@@ -32,6 +32,13 @@ from .matrix import HomMatrix
 DEFAULT_FAILURE_CAP = 32
 DEFAULT_TRIPLE_BUDGET = 10**8
 TRIPLE_BUDGET_ENV = "CATMAT_TRIPLE_BUDGET"
+# (kind, report field) for each failure list, in the order the checks run.
+FAILURE_KINDS = (
+    ("cardinality", "cardinality_mismatches"),
+    ("identity", "identity_failures"),
+    ("closure", "closure_failures"),
+    ("associativity", "associativity_failures"),
+)
 
 
 @dataclass
@@ -43,18 +50,14 @@ class VerificationReport:
     closure_failures: list = field(default_factory=list)
     triples_checked: int = 0
 
+    def failures(self) -> list[tuple[str, str, list]]:
+        """(kind, field name, entries) for each failure list, in check order."""
+        return [(kind, name, getattr(self, name)) for kind, name in FAILURE_KINDS]
+
     def summary(self) -> str:
         if self.passed:
             return f"passed ({self.triples_checked} triples checked)"
-        bits = []
-        for name, entries in (
-            ("cardinality", self.cardinality_mismatches),
-            ("identity", self.identity_failures),
-            ("closure", self.closure_failures),
-            ("associativity", self.associativity_failures),
-        ):
-            if entries:
-                bits.append(f"{len(entries)} {name}")
+        bits = [f"{len(entries)} {kind}" for kind, _, entries in self.failures() if entries]
         return f"failed: {', '.join(bits)} ({self.triples_checked} triples checked)"
 
 
@@ -181,10 +184,5 @@ def verify_category(
                                 push(failures, (h, gs[gi], fs[fi], xw[a], xw[b]))
     report.triples_checked = total_triples
 
-    report.passed = not (
-        report.cardinality_mismatches
-        or report.identity_failures
-        or report.associativity_failures
-        or report.closure_failures
-    )
+    report.passed = not any(entries for _, _, entries in report.failures())
     return report

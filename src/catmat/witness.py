@@ -5,11 +5,11 @@ either one of the a(x)*b(y) composites of a leg into the basepoint and a leg
 out of it (a Pair), or a Pad absorbing the surplus.  Classes without a
 basepoint need only one structural morphism shape (Collapsed) plus Pads.
 A hom-set between ordered classes splits into four parts anchored on the
-basepoints: CrossBase (the floor shared by the whole block), CrossRow and
-CrossCol (the surplus attached to the source row or target column), and
-CrossExtra (the rest).  Composition never leaves the floor parts, which is
-what makes the table associative; the rules below say exactly which part
-indices survive a composition.
+basepoints, named by the part of a Cross label: Base (the floor shared by
+the whole block), Row and Col (the surplus attached to the source row or
+target column), and Extra (the rest).  Composition never leaves the floor
+parts, which is what makes the table associative; the rules below say
+exactly which part indices survive a composition.
 """
 
 from __future__ import annotations
@@ -17,18 +17,7 @@ from __future__ import annotations
 from .category import FiniteCategory
 from .decider import decide
 from .errors import CountError, NotComposable, Rejected
-from .labels import (
-    Collapsed,
-    CrossBase,
-    CrossCol,
-    CrossExtra,
-    CrossRow,
-    Identity,
-    MorphismLabel,
-    Pad,
-    Pair,
-    is_cross,
-)
+from .labels import Collapsed, Cross, Identity, MorphismLabel, Pad, Pair
 from .matrix import HomMatrix
 from .partition import Partition
 from .reduction import ReductionMap, inflate
@@ -119,10 +108,8 @@ def build_hom_labels(N: HomMatrix, part: Partition) -> dict[tuple[int, int], tup
                 labels.extend(Pad(cx, i, j, k) for k in range(1, pad + 1))
             elif part.above(cx, cy):
                 base, row, col, extra = cross_part_sizes(N, part, x, y)
-                labels.extend(CrossBase(cx, i, cy, j, k) for k in range(1, base + 1))
-                labels.extend(CrossRow(cx, i, cy, j, k) for k in range(1, row + 1))
-                labels.extend(CrossCol(cx, i, cy, j, k) for k in range(1, col + 1))
-                labels.extend(CrossExtra(cx, i, cy, j, k) for k in range(1, extra + 1))
+                for kind, size in (("Base", base), ("Row", row), ("Col", col), ("Extra", extra)):
+                    labels.extend(Cross(kind, cx, i, cy, j, k) for k in range(1, size + 1))
             elif m != 0:
                 raise CountError(f"hom({x},{y})={m} between unordered classes {cx},{cy}")
             if labels:
@@ -130,23 +117,15 @@ def build_hom_labels(N: HomMatrix, part: Partition) -> dict[tuple[int, int], tup
     return homs
 
 
-class WitnessContext:
-    """Reduced matrix and partition bundled for compose()."""
-
-    def __init__(self, N: HomMatrix, part: Partition):
-        self.N = N
-        self.part = part
-
-    def endpoints(self, label: MorphismLabel) -> tuple[int, int]:
-        part = self.part
-        if isinstance(label, Identity):
-            x = part.obj(label.cls, label.i)
-            return x, x
-        if isinstance(label, (Pair, Collapsed, Pad)):
-            return part.obj(label.cls, label.i), part.obj(label.cls, label.j)
-        if is_cross(label):
-            return part.obj(label.src_cls, label.i), part.obj(label.dst_cls, label.j)
-        raise TypeError(f"not a morphism label: {label!r}")
+def _endpoints(label: MorphismLabel, part: Partition) -> tuple[int, int]:
+    if isinstance(label, Identity):
+        x = part.obj(label.cls, label.i)
+        return x, x
+    if isinstance(label, (Pair, Collapsed, Pad)):
+        return part.obj(label.cls, label.i), part.obj(label.cls, label.j)
+    if isinstance(label, Cross):
+        return part.obj(label.src_cls, label.i), part.obj(label.dst_cls, label.j)
+    raise TypeError(f"not a morphism label: {label!r}")
 
 
 def _pair_like(part: Partition, c: int, i: int, j: int, u: int, v: int) -> MorphismLabel:
@@ -157,39 +136,38 @@ def _pair_like(part: Partition, c: int, i: int, j: int, u: int, v: int) -> Morph
     return Pair(c, i, j, u, v)
 
 
-def _as_inner(f: MorphismLabel, ctx: WitnessContext) -> MorphismLabel:
+def _as_inner(f: MorphismLabel, N: HomMatrix, part: Partition) -> MorphismLabel:
     """Right factor a Pad stands for: the maximal Pair of its hom-set."""
     if isinstance(f, Pad):
-        if not ctx.part.is_u(f.cls):
+        if not part.is_u(f.cls):
             return Collapsed(f.cls, f.i, f.j)
-        a = a_of(ctx.N, ctx.part, f.cls, f.i)
-        b = b_of(ctx.N, ctx.part, f.cls, f.j)
+        a = a_of(N, part, f.cls, f.i)
+        b = b_of(N, part, f.cls, f.j)
         return Pair(f.cls, f.i, f.j, a, b)
     return f
 
 
-def _as_outer(g: MorphismLabel, ctx: WitnessContext) -> MorphismLabel:
+def _as_outer(g: MorphismLabel, part: Partition) -> MorphismLabel:
     """Left factor a Pad stands for: the minimal Pair of its hom-set."""
     if isinstance(g, Pad):
-        if not ctx.part.is_u(g.cls):
+        if not part.is_u(g.cls):
             return Collapsed(g.cls, g.i, g.j)
         return Pair(g.cls, g.i, g.j, 1, 1)
     return g
 
 
-def compose(g: MorphismLabel, f: MorphismLabel, ctx: WitnessContext) -> MorphismLabel:
+def compose(g: MorphismLabel, f: MorphismLabel, N: HomMatrix, part: Partition) -> MorphismLabel:
     """Composite g after f.
 
     Within a class the composite keeps f's inbound coordinate and g's outbound
     one.  A composite that crosses between classes keeps its part index only
     when the within-class factor acts on the basepoint side of a class that
-    has one (CrossBase and CrossRow survive post-composition, CrossBase and
-    CrossCol survive pre-composition); everything else lands on the first
-    CrossBase morphism, and crossing two ordered gaps always does.
+    has one (Base and Row survive post-composition, Base and Col survive
+    pre-composition); everything else lands on the first Base morphism, and
+    crossing two ordered gaps always does.
     """
-    part = ctx.part
-    fs, ft = ctx.endpoints(f)
-    gs, gt = ctx.endpoints(g)
+    fs, ft = _endpoints(f, part)
+    gs, gt = _endpoints(g, part)
     if ft != gs:
         raise NotComposable(f"target of {f} is {ft}, source of {g} is {gs}")
     if isinstance(f, Identity):
@@ -198,25 +176,25 @@ def compose(g: MorphismLabel, f: MorphismLabel, ctx: WitnessContext) -> Morphism
         return f
     if isinstance(f, Pad) and f == g:
         return f
-    fd = _as_inner(f, ctx)
-    gd = _as_outer(g, ctx)
-    fc = is_cross(fd)
-    gc = is_cross(gd)
+    fd = _as_inner(f, N, part)
+    gd = _as_outer(g, part)
+    fc = isinstance(fd, Cross)
+    gc = isinstance(gd, Cross)
     if not fc and not gc:
         u = fd.u if isinstance(fd, Pair) else 1
         v = gd.v if isinstance(gd, Pair) else 1
         return _pair_like(part, fd.cls, fd.i, gd.j, u, v)
     if fc and gc:
-        return CrossBase(fd.src_cls, fd.i, gd.dst_cls, gd.j, 1)
+        return Cross("Base", fd.src_cls, fd.i, gd.dst_cls, gd.j, 1)
     if fc:
         c = fd.dst_cls
-        if part.is_u(c) and isinstance(fd, (CrossBase, CrossRow)):
-            return type(fd)(fd.src_cls, fd.i, c, gd.j, fd.k)
-        return CrossBase(fd.src_cls, fd.i, c, gd.j, 1)
+        if part.is_u(c) and fd.part in ("Base", "Row"):
+            return Cross(fd.part, fd.src_cls, fd.i, c, gd.j, fd.k)
+        return Cross("Base", fd.src_cls, fd.i, c, gd.j, 1)
     c = gd.src_cls
-    if part.is_u(c) and isinstance(gd, (CrossBase, CrossCol)):
-        return type(gd)(c, fd.i, gd.dst_cls, gd.j, gd.k)
-    return CrossBase(c, fd.i, gd.dst_cls, gd.j, 1)
+    if part.is_u(c) and gd.part in ("Base", "Col"):
+        return Cross(gd.part, c, fd.i, gd.dst_cls, gd.j, gd.k)
+    return Cross("Base", c, fd.i, gd.dst_cls, gd.j, 1)
 
 
 def build_witness(M: HomMatrix) -> FiniteCategory:
@@ -235,7 +213,6 @@ def _witness_and_map(M: HomMatrix) -> tuple[FiniteCategory, ReductionMap]:
         raise Rejected(verdict)
     N, rmap, part = verdict.reduced, verdict.rmap, verdict.partition
     homs = build_hom_labels(N, part)
-    ctx = WitnessContext(N, part)
     identity = {x: Identity(*part.local_of[x]) for x in range(N.n)}
     table = {}
     for (x, y), fs in homs.items():
@@ -246,7 +223,7 @@ def _witness_and_map(M: HomMatrix) -> tuple[FiniteCategory, ReductionMap]:
             allowed = set(homs.get((x, z), ()))
             for g in gs:
                 for f in fs:
-                    h = compose(g, f, ctx)
+                    h = compose(g, f, N, part)
                     if h not in allowed:
                         raise CountError(f"composite {h} escapes hom({x},{z})")
                     table[(g, f)] = h

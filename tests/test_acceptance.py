@@ -17,11 +17,10 @@ from catmat import (
     decide_by_submatrices,
     inflate,
     oracle_decide,
-    permute,
     reduce,
-    transpose,
     verify_category,
 )
+from catmat.matrix import permute, transpose
 
 CROSS_CHECK_MATRICES = [
     [[1, 2], [3, 7]],

@@ -1,4 +1,6 @@
+import hashlib
 import json
+import re
 
 import pytest
 
@@ -68,6 +70,9 @@ def test_malformed_certificates_rejected():
         lambda d: d["identities"].clear(),
         lambda d: d["table"].append(["a", "b"]),
         lambda d: d.update(matrix={"n": 1}),
+        lambda d: d.update(reduction={}),
+        lambda d: d.update(reduction={"class_of": [5, 5, 5], "representative": "x"}),
+        lambda d: d.update(reduction={"class_of": [False], "representative": [False]}),
     ):
         broken = json.loads(json.dumps(data))
         mutate(broken)
@@ -82,3 +87,31 @@ def test_labels_are_opaque_strings_on_load():
     _, C = load_certificate(data)
     assert all(isinstance(l, str) for ls in C.homs.values() for l in ls)
     assert verify_category(C, M).passed
+
+
+# Certificates must stay byte-identical for a fixed input, whatever the label
+# classes look like inside the builder; together these two matrices use
+# every label kind.
+GOLDEN = [
+    (
+        [[1, 1, 1, 2], [1, 3, 2, 4], [0, 0, 1, 1], [0, 0, 1, 2]],
+        "97fd7c8fa15fcb26f71a31cf8bf40fa0ffcdcc2e2175fc202905f396afcd56f9",
+    ),
+    (
+        [[2, 2, 2], [2, 2, 2], [0, 0, 3]],
+        "20946dc8a189adb59503fd96dddd25fbaa2956e76363dadc085a64dcfff7701e",
+    ),
+]
+
+
+def test_golden_certificates():
+    kinds = set()
+    for rows, digest in GOLDEN:
+        data, _ = make_certificate(rows)
+        text = json.dumps(data, indent=2)
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+        kinds.update(re.findall(r"([A-Za-z]+)\(", text))
+    assert kinds == {
+        "Identity", "Pair", "Collapsed", "Pad", "Infl",
+        "CrossBase", "CrossRow", "CrossCol", "CrossExtra",
+    }

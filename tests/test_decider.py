@@ -7,10 +7,9 @@ from catmat import (
     condition_report,
     decide,
     decide_by_submatrices,
-    permute,
     reduce,
-    transpose,
 )
+from catmat.matrix import permute, transpose
 
 FIXTURES = [
     ([[1, 2], [3, 7]], "yes", None),

@@ -2,15 +2,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from catmat import (
-    HomMatrix,
-    ParseError,
-    ShapeError,
-    parse_matrix,
-    permute,
-    principal_submatrix,
-    transpose,
-)
+from catmat import HomMatrix, ParseError, ShapeError, parse_matrix
+from catmat.matrix import permute, principal_submatrix, transpose
 
 matrices = st.integers(min_value=1, max_value=5).flatmap(
     lambda n: st.lists(

@@ -1,6 +1,7 @@
 import pytest
 
-from catmat import HomMatrix, SearchBudget, decide, oracle_decide, verify_category
+from catmat import HomMatrix, decide, oracle_decide, verify_category
+from catmat.oracle import SearchBudget
 
 
 @pytest.mark.parametrize(

@@ -2,13 +2,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from catmat import (
-    HomMatrix,
-    NotAcceptable,
-    build_partition,
-    check_acceptable,
-    reduce,
-)
+from catmat import HomMatrix, NotAcceptable, build_partition, reduce
+from catmat.partition import check_acceptable
 
 positive_matrices = st.integers(min_value=1, max_value=4).flatmap(
     lambda n: st.lists(

@@ -7,11 +7,11 @@ from catmat import (
     FiniteCategory,
     HomMatrix,
     build_witness,
-    duplicate_relation,
     inflate,
     reduce,
     verify_category,
 )
+from catmat.reduction import duplicate_relation
 
 matrices = st.integers(min_value=0, max_value=5).flatmap(
     lambda n: st.lists(

@@ -116,6 +116,13 @@ def test_missing_and_foreign_entries_detected():
     assert ("foreign", "m1", "ghost") in report.closure_failures
 
 
+def test_hom_key_outside_objects_rejected():
+    # Caught at construction, before verify_category could index object 3.
+    for key in ((0, 3), (-1, 0)):
+        with pytest.raises(ValueError, match="outside objects"):
+            FiniteCategory(1, {(0, 0): ("e",), key: ("a",)}, {0: "e"}, {("e", "e"): "e"})
+
+
 def test_none_entry_reads_as_missing():
     # None is a valid label here, but a table value of None cannot be told
     # apart from a missing entry, so it is reported as one.

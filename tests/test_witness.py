@@ -3,33 +3,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import helpers
-from catmat import (
-    CountError,
-    HomMatrix,
-    NotComposable,
-    Rejected,
-    WitnessContext,
-    a_of,
-    b_of,
-    build_hom_labels,
-    build_partition,
-    build_witness,
-    compose,
-    cross_part_sizes,
-    decide,
-    verify_category,
-)
-from catmat.labels import (
-    Collapsed,
-    CrossBase,
-    CrossCol,
-    CrossExtra,
-    CrossRow,
-    Identity,
-    Pad,
-    Pair,
-    render,
-)
+from catmat import HomMatrix, Rejected, build_witness, decide, verify_category
+from catmat.errors import NotComposable
+from catmat.labels import Collapsed, Cross, Identity, Pad, Pair, render
+from catmat.witness import a_of, b_of, build_hom_labels, compose, cross_part_sizes
 
 
 def setup_for(rows):
@@ -69,10 +46,10 @@ def test_hom_labels_cross_parts():
     N, part = setup_for(M)
     labels = build_hom_labels(N, part)[(1, 3)]  # upper non-basepoint to lower non-basepoint
     counts = {
-        kind: sum(isinstance(l, kind) for l in labels)
-        for kind in (CrossBase, CrossRow, CrossCol, CrossExtra)
+        kind: sum(isinstance(l, Cross) and l.part == kind for l in labels)
+        for kind in ("Base", "Row", "Col", "Extra")
     }
-    assert counts == {CrossBase: 1, CrossRow: 1, CrossCol: 1, CrossExtra: 0}
+    assert counts == {"Base": 1, "Row": 1, "Col": 1, "Extra": 0}
     assert len(labels) == 3
     assert cross_part_sizes(N, part, 1, 3) == (1, 1, 1, 0)
 
@@ -88,59 +65,54 @@ def test_hom_labels_sizes_always_match():
 
 def test_compose_basepoint_and_pad_cases():
     N, part = setup_for([[1, 2], [3, 7]])
-    ctx = WitnessContext(N, part)
     # Down to the basepoint and back up lands on the (u, v) pair.
     down = Pair(0, 1, 0, 2, 1)
     up = Pair(0, 0, 1, 1, 2)
-    assert compose(up, down, ctx) == Pair(0, 1, 1, 2, 2)
+    assert compose(up, down, N, part) == Pair(0, 1, 1, 2, 2)
     # Up then down passes through the basepoint's identity.
-    assert compose(down, up, ctx) == Identity(0, 0)
+    assert compose(down, up, N, part) == Identity(0, 0)
     # Pads delegate: left factor minimal, right factor maximal, equal idempotent.
     N9, part9 = setup_for([[1, 2], [3, 9]])
-    ctx9 = WitnessContext(N9, part9)
     k1, k2 = Pad(0, 1, 1, 1), Pad(0, 1, 1, 2)
-    assert compose(k1, k1, ctx9) == k1
-    assert compose(k2, k1, ctx9) == Pair(0, 1, 1, 3, 1)
-    assert compose(k1, Pair(0, 1, 1, 2, 2), ctx9) == Pair(0, 1, 1, 2, 1)
+    assert compose(k1, k1, N9, part9) == k1
+    assert compose(k2, k1, N9, part9) == Pair(0, 1, 1, 3, 1)
+    assert compose(k1, Pair(0, 1, 1, 2, 2), N9, part9) == Pair(0, 1, 1, 2, 1)
 
 
 def test_compose_pair_chain_associates():
     # Three-step pair chain keeps the outermost coordinates either way.
     M = [[1, 2, 2], [2, 5, 4], [2, 4, 5]]
     N, part = setup_for(M)
-    ctx = WitnessContext(N, part)
     f = Pair(0, 1, 2, 1, 2)
     g = Pair(0, 2, 1, 2, 1)
     h = Pair(0, 1, 2, 2, 2)
-    left = compose(h, compose(g, f, ctx), ctx)
-    right = compose(compose(h, g, ctx), f, ctx)
+    left = compose(h, compose(g, f, N, part), N, part)
+    right = compose(compose(h, g, N, part), f, N, part)
     assert left == right == Pair(0, 1, 2, 1, 2)
 
 
 def test_compose_rejects_noncomposable():
     N, part = setup_for([[1, 2], [3, 7]])
-    ctx = WitnessContext(N, part)
     with pytest.raises(NotComposable):
-        compose(Pair(0, 1, 0, 1, 1), Pair(0, 1, 0, 1, 1), ctx)
+        compose(Pair(0, 1, 0, 1, 1), Pair(0, 1, 0, 1, 1), N, part)
 
 
 def test_cross_composition_keeps_base_and_row():
     M = [[1, 1, 1, 2], [1, 2, 2, 3], [0, 0, 1, 1], [0, 0, 1, 2]]
     N, part = setup_for(M)
-    ctx = WitnessContext(N, part)
     # Post-compose a cross morphism with a within-class pair of the lower class.
-    cross_row = CrossRow(0, 1, 1, 0, 1)
+    cross_row = Cross("Row", 0, 1, 1, 0, 1)
     lower_pair = Pair(1, 0, 1, 1, 1)
-    out = compose(lower_pair, cross_row, ctx)
-    assert out == CrossRow(0, 1, 1, 1, 1)
+    out = compose(lower_pair, cross_row, N, part)
+    assert out == Cross("Row", 0, 1, 1, 1, 1)
     # A CrossCol label collapses instead.
-    cross_col = CrossCol(0, 0, 1, 1, 1)
+    cross_col = Cross("Col", 0, 0, 1, 1, 1)
     down = Pair(1, 1, 0, 1, 1)
-    assert compose(down, cross_col, ctx) == CrossBase(0, 0, 1, 0, 1)
+    assert compose(down, cross_col, N, part) == Cross("Base", 0, 0, 1, 0, 1)
     # Pre-compose: CrossCol keeps its index, CrossRow collapses.
     upper_pair = Pair(0, 0, 1, 1, 1)
-    assert compose(CrossCol(0, 1, 1, 1, 1), upper_pair, ctx) == CrossCol(0, 0, 1, 1, 1)
-    assert compose(CrossRow(0, 1, 1, 1, 1), Pair(0, 1, 1, 1, 1), ctx) == CrossBase(0, 1, 1, 1, 1)
+    assert compose(Cross("Col", 0, 1, 1, 1, 1), upper_pair, N, part) == Cross("Col", 0, 0, 1, 1, 1)
+    assert compose(Cross("Row", 0, 1, 1, 1, 1), Pair(0, 1, 1, 1, 1), N, part) == Cross("Base", 0, 1, 1, 1, 1)
 
 
 def test_witness_fixtures():
