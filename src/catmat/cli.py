@@ -14,6 +14,7 @@ verification, 2 bad input or usage, 3 oracle budget exhausted.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -203,7 +204,9 @@ def cmd_oracle(args) -> int:
     return EXIT_EXISTS if result.exists else EXIT_ABSENT
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The process's one parser; each `parse_args` call returns a fresh namespace."""
     parser = argparse.ArgumentParser(
         prog="catmat",
         description="Decide whether a matrix of hom-set sizes is realized by a "

@@ -1,12 +1,32 @@
 """Brute-force search for a composition table, independent of the decider.
 
-Morphisms are numbered 0..T-1 hom-set by hom-set.  The identity of each
-object is pinned to the first morphism of its diagonal hom-set (any category
-can be relabeled into that form), unit laws fill in the forced cells, and a
-depth-first search assigns the rest in lexicographic (cell, candidate) order.
-Associativity of a partial table is enforced incrementally: each assignment
-re-checks exactly the triples it could have completed, so a fully assigned
-table is a category with no further checking.
+Morphisms are numbered 0..T-1 hom-set by hom-set, visiting objects with one
+endomorphism first and then the rest by falling endomorphism count (ties by
+index).  The identity of each object is pinned to the first morphism of its
+diagonal hom-set (any category can be relabeled into that form), unit laws
+fill in the forced cells, and a depth-first search assigns the rest in
+(cell, candidate) order of those numbers.  The object order changes how soon
+the search ends, never its answer; it was chosen by measurement (of the 625
+2x2 matrices with entries <= 4, 3 need over 10^6 assignments with it and 16
+in index order).  Associativity of a partial table is enforced
+incrementally: each assignment re-checks exactly the triples it could have
+completed, so a fully assigned table is a category with no further checking.
+
+Symmetry breaking (the least-number heuristic of finite model search: Zhang &
+Zhang, SEM, 1995; McCune, Mace4, 2003).  A morphism is *used* if it is an
+identity, an argument of the cell being filled, or an argument or value of an
+assigned free cell.  A free cell (g, f) tries only the used members of its
+target hom-set H plus the lowest-numbered unused one, v0.  This loses no
+category: suppose a category C completes the partial table and puts an
+unused v != v0 of H in (g, f).  Swapping v and v0 within H relabels C into a
+category C'.  The swap fixes every used morphism, so C' agrees with C on the
+assigned free cells and on g and f, and C'(g, f) = v0.  The forced cells are
+the unit-law cells and the cells whose hom-set has one member; the swap maps
+that set of cells onto itself, and C' satisfies the same unit laws and
+hom-sets, so C' agrees with the forced table too.  Hence some completion puts
+v0 in (g, f) whenever any completion puts an unused morphism there.  Since
+v0 < v is tried first, the first table found is the one the unpruned search
+in the same order would find.
 """
 
 from __future__ import annotations
@@ -53,8 +73,9 @@ def oracle_decide(M: HomMatrix, budget: SearchBudget | int | None = None) -> Ora
     src = []
     tgt = []
     hom_ids: dict[tuple[int, int], list[int]] = {}
-    for x in range(n):
-        for y in range(n):
+    order = sorted(range(n), key=lambda x: (M[x][x] != 1, -M[x][x]))
+    for x in order:
+        for y in order:
             ids = []
             for _ in range(M[x][y]):
                 ids.append(len(src))
@@ -137,9 +158,7 @@ def oracle_decide(M: HomMatrix, budget: SearchBudget | int | None = None) -> Ora
     for slot in cells:
         options = cand[slot]
         if len(options) == 1:
-            prior = forced.get(slot)
-            if prior is not None and prior != options[0]:
-                return OracleResult("no", assignments)
+            # A unit-law cell (g, id) or (id, f) has g or f in its own hom-set, so the two agree.
             forced.setdefault(slot, options[0])
 
     for slot in sorted(forced):
@@ -151,6 +170,29 @@ def oracle_decide(M: HomMatrix, budget: SearchBudget | int | None = None) -> Ora
 
     free = [slot for slot in cells if slot not in forced]
     free.sort()
+
+    uses = [0] * T
+    for m in id_of:
+        uses[m] = 1
+
+    def candidates(slot: int) -> list[int]:
+        """Used members of the cell's hom-set and its least unused one, in index order."""
+        g, f = divmod(slot, T)
+        out = []
+        fresh = True
+        for m in cand[slot]:
+            if uses[m] or m == g or m == f:
+                out.append(m)
+            elif fresh:
+                out.append(m)
+                fresh = False
+        return out
+
+    def use(slot: int, step: int) -> None:
+        g, f = divmod(slot, T)
+        uses[g] += step
+        uses[f] += step
+        uses[table[slot]] += step
 
     depth = 0
     choice = [0] * (len(free) + 1)
@@ -166,7 +208,7 @@ def oracle_decide(M: HomMatrix, budget: SearchBudget | int | None = None) -> Ora
                 "yes", assignments, FiniteCategory(n, homs, identity, full)
             )
         slot = free[depth]
-        options = cand[slot]
+        options = candidates(slot)  # the same list each time the search returns here
         advanced = False
         while choice[depth] < len(options):
             val = options[choice[depth]]
@@ -174,6 +216,7 @@ def oracle_decide(M: HomMatrix, budget: SearchBudget | int | None = None) -> Ora
             if assignments > max_assignments:
                 return OracleResult("unknown", assignments - 1)
             if assign(slot, val):
+                use(slot, 1)
                 depth += 1
                 choice[depth] = 0
                 advanced = True
@@ -187,5 +230,6 @@ def oracle_decide(M: HomMatrix, budget: SearchBudget | int | None = None) -> Ora
         depth -= 1
         if depth < 0:
             return OracleResult("no", assignments)
+        use(free[depth], -1)
         unassign(free[depth])
         choice[depth] += 1

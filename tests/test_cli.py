@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from catmat.cli import main
+from catmat.cli import build_parser, main
 
 
 def write(tmp_path, name, text):
@@ -150,6 +150,21 @@ def test_oracle_command(tmp_path, capsys):
     path = write(tmp_path, "hard.txt", "1 2\n3 6\n")
     assert main(["oracle", "--budget", "50", path]) == 3
     assert capsys.readouterr().out.startswith("ABSENT")  # the no.txt output
+
+
+def test_parser_reused_without_leaking_flags(tmp_path, capsys):
+    assert build_parser() is build_parser()
+    path = write(tmp_path, "m.txt", "1 2\n3 6\n")
+    assert main(["decide", "--explain", path]) == 1
+    assert "FAIL" in capsys.readouterr().out
+    assert main(["decide", path]) == 1
+    out = capsys.readouterr().out
+    assert out.startswith("ABSENT") and out.count("\n") == 1
+
+    assert main(["oracle", "--budget", "50", path]) == 3
+    capsys.readouterr()
+    assert main(["oracle", path]) in (0, 1)
+    assert not capsys.readouterr().out.startswith("UNKNOWN")
 
 
 def test_oracle_json(tmp_path, capsys):
