@@ -2,13 +2,14 @@
 
 Objects are 0..n-1.  Labels can be anything hashable but must be globally
 unique across hom-sets, because the composition table is keyed by label pairs
-alone.  Instances are immutable by convention: nothing in the package mutates
-a category after construction.
+alone; witnesses use strings, which the certificate carries as they are.
+Instances are immutable by convention: nothing in the package mutates a
+category after construction.
 """
 
 from __future__ import annotations
 
-from typing import Hashable, Mapping, Optional, Sequence
+from typing import Callable, Hashable, Mapping, Sequence
 
 
 class FiniteCategory:
@@ -18,13 +19,11 @@ class FiniteCategory:
         homs: Mapping[tuple[int, int], Sequence[Hashable]],
         identity: Mapping[int, Hashable],
         table: Mapping[tuple[Hashable, Hashable], Hashable],
-        coords: Optional[Sequence[tuple[int, int]]] = None,
     ):
         self.n = n
         self.homs = {pair: tuple(labels) for pair, labels in homs.items() if labels}
         self.identity = dict(identity)
         self.table = dict(table)
-        self.coords = tuple(coords) if coords is not None else None
         self.hom_of: dict[Hashable, tuple[int, int]] = {}
         for (x, y), labels in sorted(self.homs.items()):
             if not (0 <= x < n and 0 <= y < n):
@@ -48,3 +47,26 @@ class FiniteCategory:
 
     def __repr__(self) -> str:
         return f"FiniteCategory(n={self.n}, morphisms={self.morphism_count()})"
+
+
+def table_from_blocks(
+    n: int,
+    homs: Mapping[tuple[int, int], Sequence[Hashable]],
+    block: Callable[[int, int, int], list[list[int]]],
+) -> dict:
+    """The label-keyed composition table of composites given by position.
+
+    block(x, y, z)[g][f] is the index in hom(x,z) of hom(y,z)[g] after
+    hom(x,y)[f]; it is asked for every composable block once.
+    """
+    table = {}
+    for (x, y), fs in homs.items():
+        for z in range(n):
+            gs = homs.get((y, z))
+            if gs:
+                rows = block(x, y, z)
+                hs = homs[(x, z)]
+                for g, row in zip(gs, rows):
+                    for f, h in zip(fs, row):
+                        table[(g, f)] = hs[h]
+    return table

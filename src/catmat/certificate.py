@@ -10,38 +10,39 @@ as opaque tokens on load, so a verifier never needs the label structure.
 from __future__ import annotations
 
 from .category import FiniteCategory
-from .errors import CertificateError
-from .labels import render
+from .errors import CertificateError, NotAcceptable
 from .matrix import HomMatrix
+from .partition import build_partition
 from .reduction import ReductionMap, reduce
 
 
 def build_certificate(C: FiniteCategory, M: HomMatrix, rmap: ReductionMap) -> dict:
-    if C.coords is None:
-        raise CertificateError("category carries no class coordinates")
-    objects = [
-        {"id": x, "class": C.coords[x][0], "local_index": C.coords[x][1]}
-        for x in range(C.n)
-    ]
-    name = {label: render(label) for label in C.hom_of}
-    homs = {
-        f"{x},{y}": [name[label] for label in labels]
-        for (x, y), labels in sorted(C.homs.items())
-    }
-    identities = {str(x): name[C.identity[x]] for x in range(C.n)}
-    table = sorted([name[g], name[f], name[h]] for (g, f), h in C.table.items())
+    """The certificate of a category whose labels are strings, such as a witness."""
     return {
         "matrix": M.to_json(),
         "reduction": _reduction_json(rmap),
-        "objects": objects,
-        "homs": homs,
-        "identities": identities,
-        "table": table,
+        "objects": _objects_json(M),
+        "homs": {f"{x},{y}": list(labels) for (x, y), labels in sorted(C.homs.items())},
+        "identities": {str(x): C.identity[x] for x in range(C.n)},
+        "table": sorted([g, f, h] for (g, f), h in C.table.items()),
     }
 
 
 def _reduction_json(rmap: ReductionMap) -> dict:
     return {"class_of": list(rmap.class_of), "representative": list(rmap.representative)}
+
+
+def _objects_json(M: HomMatrix) -> list[dict]:
+    """Each object's class and local index in the partition of the reduced matrix."""
+    N, rmap = reduce(M)
+    try:
+        local_of = build_partition(N).local_of
+    except NotAcceptable:
+        raise CertificateError('"matrix" is not acceptable, so it has no classes') from None
+    return [
+        {"id": x, "class": local_of[a][0], "local_index": local_of[a][1]}
+        for x, a in enumerate(rmap.class_of)
+    ]
 
 
 def _require(cond: bool, message: str) -> None:
@@ -77,22 +78,12 @@ def load_certificate(data: dict) -> tuple[HomMatrix, FiniteCategory]:
     )
 
     objects = data["objects"]
-    _require(isinstance(objects, list), '"objects" must be a list')
-    n = len(objects)
-    coords: list[tuple[int, int]] = [(-1, -1)] * n
-    seen = set()
-    for entry in objects:
-        _require(
-            isinstance(entry, dict)
-            and isinstance(entry.get("id"), int)
-            and isinstance(entry.get("class"), int)
-            and isinstance(entry.get("local_index"), int),
-            'every object needs integer "id", "class" and "local_index"',
-        )
-        x = entry["id"]
-        _require(0 <= x < n and x not in seen, f"object ids must cover 0..{n - 1} once")
-        seen.add(x)
-        coords[x] = (entry["class"], entry["local_index"])
+    _require(
+        objects == _objects_json(M)
+        and all(type(v) is int for entry in objects for v in entry.values()),
+        '"objects" does not match the classes of the reduced "matrix"',
+    )
+    n = M.n
 
     homs: dict[tuple[int, int], tuple[str, ...]] = {}
     _require(isinstance(data["homs"], dict), '"homs" must be an object')
@@ -133,7 +124,7 @@ def load_certificate(data: dict) -> tuple[HomMatrix, FiniteCategory]:
         table[(g, f)] = h
 
     try:
-        C = FiniteCategory(n, homs, identities, table, coords=coords)
+        C = FiniteCategory(n, homs, identities, table)
     except ValueError as exc:
         raise CertificateError(str(exc)) from None
     return M, C

@@ -234,7 +234,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("witness", help="build a category and emit its certificate")
     p.add_argument("matrix", help="matrix file, - for stdin")
     p.add_argument("--out", metavar="FILE", help="write the certificate here instead of stdout")
-    p.add_argument("--json", action="store_true", help="certificates are always JSON; accepted for symmetry")
     p.set_defaults(fn=cmd_witness)
 
     p = sub.add_parser("verify", help="replay a certificate with the exhaustive verifier")

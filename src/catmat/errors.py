@@ -14,11 +14,8 @@ class CardinalityError(ValueError):
 
 
 class CountError(RuntimeError):
-    """Internal label bookkeeping produced a hom-set of the wrong size."""
-
-
-class NotComposable(ValueError):
-    """compose(g, f) was called with target(f) != source(g)."""
+    """Witness construction produced a hom-set of the wrong size or a
+    composite outside its hom-set."""
 
 
 class NotAcceptable(ValueError):

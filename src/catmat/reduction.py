@@ -10,9 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .category import FiniteCategory
+from .category import FiniteCategory, table_from_blocks
 from .errors import CardinalityError
-from .labels import Inflated
 from .matrix import HomMatrix
 
 
@@ -59,10 +58,10 @@ def inflate(
 ) -> FiniteCategory:
     """Clone B's objects along rmap, producing a category on rmap.n objects.
 
-    hom(i, j) carries one Inflated copy of each morphism of
-    B.hom(class_of[i], class_of[j]); composition is inherited from B.
-    When `expected` is given the resulting hom-set sizes are checked
-    against it.
+    hom(i, j) carries one copy Infl(i,j,<beta>) of each morphism beta of
+    B.hom(class_of[i], class_of[j]), and composition is B's, copied by
+    position within each hom-set.  When `expected` is given the resulting
+    hom-set sizes are checked against it.
     """
     if B.n != rmap.m:
         raise CardinalityError(f"category has {B.n} objects, map expects {rmap.m}")
@@ -78,18 +77,16 @@ def inflate(
                     f"hom({i},{j}) would have {len(inner)} morphisms, expected {expected[i][j]}"
                 )
             if inner:
-                homs[(i, j)] = tuple(Inflated(i, j, beta) for beta in inner)
-    identity = {i: Inflated(i, i, B.identity[c[i]]) for i in range(rmap.n)}
-    table = {}
-    for (x, y), fs in homs.items():
-        for z in range(rmap.n):
-            gs = homs.get((y, z))
-            if not gs:
-                continue
-            for g in gs:
-                for f in fs:
-                    table[(g, f)] = Inflated(x, z, B.table[(g.inner, f.inner)])
-    coords = None
-    if B.coords is not None:
-        coords = tuple(B.coords[c[i]] for i in range(rmap.n))
-    return FiniteCategory(rmap.n, homs, identity, table, coords=coords)
+                homs[(i, j)] = tuple(f"Infl({i},{j},{beta})" for beta in inner)
+    identity = {i: f"Infl({i},{i},{B.identity[c[i]]})" for i in range(rmap.n)}
+    position = {beta: k for inner in B.homs.values() for k, beta in enumerate(inner)}
+    blocks: dict[tuple[int, int, int], list[list[int]]] = {}
+
+    def block(x: int, y: int, z: int) -> list[list[int]]:
+        key = (c[x], c[y], c[z])
+        if key not in blocks:
+            fs, gs = B.hom(key[0], key[1]), B.hom(key[1], key[2])
+            blocks[key] = [[position[B.table[(g, f)]] for f in fs] for g in gs]
+        return blocks[key]
+
+    return FiniteCategory(rmap.n, homs, identity, table_from_blocks(rmap.n, homs, block))

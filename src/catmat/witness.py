@@ -8,16 +8,19 @@ A hom-set between ordered classes splits into four parts anchored on the
 basepoints, named by the part of a Cross label: Base (the floor shared by
 the whole block), Row and Col (the surplus attached to the source row or
 target column), and Extra (the rest).  Composition never leaves the floor
-parts, which is what makes the table associative; the rules below say
-exactly which part indices survive a composition.
+parts, which is what makes the table associative.
+
+Labels are the certificate's strings, rendered once by build_hom_labels,
+which numbers each hom-set 0..k-1.  Composition is a fixed index map per
+block (x, y, z), computed by _block from the matrix alone; its docstring
+says exactly which part indices survive a composition.
 """
 
 from __future__ import annotations
 
-from .category import FiniteCategory
+from .category import FiniteCategory, table_from_blocks
 from .decider import decide
-from .errors import CountError, NotComposable, Rejected
-from .labels import Collapsed, Cross, Identity, MorphismLabel, Pad, Pair
+from .errors import CountError, Rejected
 from .matrix import HomMatrix
 from .partition import Partition
 from .reduction import ReductionMap, inflate
@@ -71,45 +74,41 @@ def cross_part_sizes(N: HomMatrix, part: Partition, x: int, y: int) -> tuple[int
     return base, row, col, extra
 
 
-def build_hom_labels(N: HomMatrix, part: Partition) -> dict[tuple[int, int], tuple[MorphismLabel, ...]]:
+def _pairs(N: HomMatrix, part: Partition, c: int, i: int, j: int) -> int:
+    """Number of Pairs in the hom-set between local objects i and j of U class c."""
+    return 0 if i == j == 0 else a_of(N, part, c, i) * b_of(N, part, c, j)
+
+
+def build_hom_labels(N: HomMatrix, part: Partition) -> dict[tuple[int, int], tuple[str, ...]]:
     """Label every hom-set of the reduced matrix; sizes match N exactly."""
-    homs: dict[tuple[int, int], tuple[MorphismLabel, ...]] = {}
+    homs: dict[tuple[int, int], tuple[str, ...]] = {}
     for x in range(N.n):
         cx, i = part.local_of[x]
         for y in range(N.n):
             cy, j = part.local_of[y]
             m = N[x][y]
-            labels: list[MorphismLabel] = []
+            labels: list[str] = []
             if cx == cy:
+                if i == j:
+                    labels.append(f"Identity({cx},{i})")
                 if part.is_u(cx):
-                    if i == 0 and j == 0:
-                        if m != 1:
-                            raise CountError(f"basepoint of class {cx} has {m} endomorphisms")
-                        labels.append(Identity(cx, 0))
-                    else:
-                        if i == j:
-                            labels.append(Identity(cx, i))
-                        a = a_of(N, part, cx, i)
-                        b = b_of(N, part, cx, j)
-                        labels.extend(
-                            Pair(cx, i, j, u, v)
-                            for u in range(1, a + 1)
-                            for v in range(1, b + 1)
-                        )
+                    b = b_of(N, part, cx, j)
+                    labels += [
+                        f"Pair({cx},{i},{j},{p // b + 1},{p % b + 1})"
+                        for p in range(_pairs(N, part, cx, i, j))
+                    ]
                 else:
-                    if i == j:
-                        labels.append(Identity(cx, i))
-                    labels.append(Collapsed(cx, i, j))
+                    labels.append(f"Collapsed({cx},{i},{j})")
                 pad = m - len(labels)
                 if pad < 0:
                     raise CountError(
                         f"hom({x},{y})={m} is smaller than its {len(labels)} structural labels"
                     )
-                labels.extend(Pad(cx, i, j, k) for k in range(1, pad + 1))
+                labels += [f"Pad({cx},{i},{j},{k})" for k in range(1, pad + 1)]
             elif part.above(cx, cy):
-                base, row, col, extra = cross_part_sizes(N, part, x, y)
-                for kind, size in (("Base", base), ("Row", row), ("Col", col), ("Extra", extra)):
-                    labels.extend(Cross(kind, cx, i, cy, j, k) for k in range(1, size + 1))
+                sizes = cross_part_sizes(N, part, x, y)
+                for kind, size in zip(("Base", "Row", "Col", "Extra"), sizes):
+                    labels += [f"Cross{kind}({cx},{i},{cy},{j},{k})" for k in range(1, size + 1)]
             elif m != 0:
                 raise CountError(f"hom({x},{y})={m} between unordered classes {cx},{cy}")
             if labels:
@@ -117,84 +116,67 @@ def build_hom_labels(N: HomMatrix, part: Partition) -> dict[tuple[int, int], tup
     return homs
 
 
-def _endpoints(label: MorphismLabel, part: Partition) -> tuple[int, int]:
-    if isinstance(label, Identity):
-        x = part.obj(label.cls, label.i)
-        return x, x
-    if isinstance(label, (Pair, Collapsed, Pad)):
-        return part.obj(label.cls, label.i), part.obj(label.cls, label.j)
-    if isinstance(label, Cross):
-        return part.obj(label.src_cls, label.i), part.obj(label.dst_cls, label.j)
-    raise TypeError(f"not a morphism label: {label!r}")
+def _block(N: HomMatrix, part: Partition, x: int, y: int, z: int) -> list[list[int]]:
+    """rows[g][f]: the index in hom(x,z) of g after f, for f indexing hom(x,y)
+    and g indexing hom(y,z) in build_hom_labels' order.
 
-
-def _pair_like(part: Partition, c: int, i: int, j: int, u: int, v: int) -> MorphismLabel:
-    if not part.is_u(c):
-        return Collapsed(c, i, j)
-    if i == 0 and j == 0:
-        return Identity(c, 0)
-    return Pair(c, i, j, u, v)
-
-
-def _as_inner(f: MorphismLabel, N: HomMatrix, part: Partition) -> MorphismLabel:
-    """Right factor a Pad stands for: the maximal Pair of its hom-set."""
-    if isinstance(f, Pad):
-        if not part.is_u(f.cls):
-            return Collapsed(f.cls, f.i, f.j)
-        a = a_of(N, part, f.cls, f.i)
-        b = b_of(N, part, f.cls, f.j)
-        return Pair(f.cls, f.i, f.j, a, b)
-    return f
-
-
-def _as_outer(g: MorphismLabel, part: Partition) -> MorphismLabel:
-    """Left factor a Pad stands for: the minimal Pair of its hom-set."""
-    if isinstance(g, Pad):
-        if not part.is_u(g.cls):
-            return Collapsed(g.cls, g.i, g.j)
-        return Pair(g.cls, g.i, g.j, 1, 1)
-    return g
-
-
-def compose(g: MorphismLabel, f: MorphismLabel, N: HomMatrix, part: Partition) -> MorphismLabel:
-    """Composite g after f.
-
-    Within a class the composite keeps f's inbound coordinate and g's outbound
-    one.  A composite that crosses between classes keeps its part index only
-    when the within-class factor acts on the basepoint side of a class that
-    has one (Base and Row survive post-composition, Base and Col survive
+    Within a class the composite keeps f's inbound coordinate u and g's
+    outbound one v; a Pad stands for the maximal Pair as the right factor and
+    the minimal Pair as the left one, and composed with itself stays put.
+    A composite that crosses between classes keeps its part index only when
+    the within-class factor acts on the basepoint side of a class that has
+    one (Base and Row survive post-composition, Base and Col survive
     pre-composition); everything else lands on the first Base morphism, and
-    crossing two ordered gaps always does.
+    crossing two ordered gaps always does.  An identity on either side passes
+    the other factor through.  Every index is checked against hom(x,z).
     """
-    fs, ft = _endpoints(f, part)
-    gs, gt = _endpoints(g, part)
-    if ft != gs:
-        raise NotComposable(f"target of {f} is {ft}, source of {g} is {gs}")
-    if isinstance(f, Identity):
-        return g
-    if isinstance(g, Identity):
-        return f
-    if isinstance(f, Pad) and f == g:
-        return f
-    fd = _as_inner(f, N, part)
-    gd = _as_outer(g, part)
-    fc = isinstance(fd, Cross)
-    gc = isinstance(gd, Cross)
-    if not fc and not gc:
-        u = fd.u if isinstance(fd, Pair) else 1
-        v = gd.v if isinstance(gd, Pair) else 1
-        return _pair_like(part, fd.cls, fd.i, gd.j, u, v)
-    if fc and gc:
-        return Cross("Base", fd.src_cls, fd.i, gd.dst_cls, gd.j, 1)
-    if fc:
-        c = fd.dst_cls
-        if part.is_u(c) and fd.part in ("Base", "Row"):
-            return Cross(fd.part, fd.src_cls, fd.i, c, gd.j, fd.k)
-        return Cross("Base", fd.src_cls, fd.i, c, gd.j, 1)
-    c = gd.src_cls
-    if part.is_u(c) and gd.part in ("Base", "Col"):
-        return Cross(gd.part, c, fd.i, gd.dst_cls, gd.j, gd.k)
-    return Cross("Base", c, fd.i, gd.dst_cls, gd.j, 1)
+    (c, i), (d, j), (e, k) = part.local_of[x], part.local_of[y], part.local_of[z]
+    mf, mg = N[x][y], N[y][z]
+    first_pad = mf  # of hom(x,y), when x = y = z
+    if c != d and d != e:
+        rows = [[0] * mf] * mg
+    elif c != d:  # f crosses into class d, g stays inside it
+        keep = sum(cross_part_sizes(N, part, x, y)[:2]) if part.is_u(d) else 0
+        rows = [[f if f < keep else 0 for f in range(mf)]] * mg
+    elif d != e:  # f stays inside class c, g crosses out of it
+        kept = [0] * mg
+        if part.is_u(c):
+            base, row, col, _ = cross_part_sizes(N, part, y, z)
+            shift = cross_part_sizes(N, part, x, z)[1] - row
+            kept = [
+                g if g < base else g + shift if base + row <= g < base + row + col else 0
+                for g in range(mg)
+            ]
+        rows = [[h] * mf for h in kept]
+    elif not part.is_u(c):
+        rows = [[int(i == k)] * mf for _ in range(mg)]
+        first_pad = 1 + (i == j)
+    elif i == k == 0:
+        rows = [[0] * mf for _ in range(mg)]
+    else:
+        a, bk = a_of(N, part, c, i), b_of(N, part, c, k)
+        bj = b_of(N, part, c, j)
+        idf, idg = int(i == j), int(j == k)
+        pf, pg = _pairs(N, part, c, i, j), _pairs(N, part, c, j, k)
+        first_pad = idf + pf
+        us = [0] * idf + [p // bj * bk for p in range(pf)] + [(a - 1) * bk] * (mf - first_pad)
+        vs = [0] * idg + [q % bk for q in range(pg)] + [0] * (mg - idg - pg)
+        off = int(i == k)
+        # Pair (u, v) of hom(x,z) sits at off + (u-1)*b(k) + (v-1); us holds
+        # (u-1)*b(k) for each f and vs holds v-1 for each g.
+        rows = [[off + u + v for u in us] for v in vs]
+    if x == y:
+        for g, r in enumerate(rows):
+            r[0] = g
+    if y == z:
+        rows[0] = list(range(mf))
+    if x == y == z:
+        for p in range(first_pad, mf):
+            rows[p][p] = p
+    m = N[x][z]
+    if any(min(r) < 0 or max(r) >= m for r in rows):
+        raise CountError(f"a composite of block {(x, y, z)} falls outside hom({x},{z})={m}")
+    return rows
 
 
 def build_witness(M: HomMatrix) -> FiniteCategory:
@@ -213,21 +195,9 @@ def _witness_and_map(M: HomMatrix) -> tuple[FiniteCategory, ReductionMap]:
         raise Rejected(verdict)
     N, rmap, part = verdict.reduced, verdict.rmap, verdict.partition
     homs = build_hom_labels(N, part)
-    identity = {x: Identity(*part.local_of[x]) for x in range(N.n)}
-    table = {}
-    for (x, y), fs in homs.items():
-        for z in range(N.n):
-            gs = homs.get((y, z))
-            if not gs:
-                continue
-            allowed = set(homs.get((x, z), ()))
-            for g in gs:
-                for f in fs:
-                    h = compose(g, f, N, part)
-                    if h not in allowed:
-                        raise CountError(f"composite {h} escapes hom({x},{z})")
-                    table[(g, f)] = h
-    B = FiniteCategory(N.n, homs, identity, table, coords=part.local_of)
+    identity = {x: homs[(x, x)][0] for x in range(N.n)}
+    table = table_from_blocks(N.n, homs, lambda x, y, z: _block(N, part, x, y, z))
+    B = FiniteCategory(N.n, homs, identity, table)
     if rmap.m == rmap.n:
         return B, rmap
     return inflate(B, rmap, expected=M), rmap

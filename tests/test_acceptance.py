@@ -224,7 +224,7 @@ def test_criterion_9_mutation_soundness():
                     continue
                 mutated = dict(C.table)
                 mutated[(g, f)] = other
-                D = FiniteCategory(C.n, C.homs, C.identity, mutated, C.coords)
+                D = FiniteCategory(C.n, C.homs, C.identity, mutated)
                 mutants += 1
                 verdict = verify_category(D, M).passed
                 independent = helpers.check_category_axioms(D, M)

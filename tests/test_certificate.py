@@ -80,6 +80,12 @@ def test_malformed_certificates_rejected():
             load_certificate(broken)
     with pytest.raises(CertificateError):
         load_certificate(["not", "an", "object"])
+    # Object 1 of [[1, 2], [3, 7]] is local index 1 of class 0, not the reverse.
+    data, _ = make_certificate([[1, 2], [3, 7]])
+    entry = data["objects"][1]
+    entry["class"], entry["local_index"] = entry["local_index"], entry["class"]
+    with pytest.raises(CertificateError):
+        load_certificate(data)
 
 
 def test_labels_are_opaque_strings_on_load():

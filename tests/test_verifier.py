@@ -7,7 +7,6 @@ from catmat import (
     build_witness,
     verify_category,
 )
-from catmat.labels import Identity, Pair
 
 
 def small_monoid(n):
@@ -80,14 +79,14 @@ def mutated_witness(rows, g, f, h):
 def test_associativity_failures_keep_block_order():
     # The composite stays in hom(1,1), so only associativity fails, in three
     # blocks (x,y,z,w) = (0,1,1,1), (1,0,1,1), (1,1,0,1), visited in that order.
-    p11 = Pair(0, 1, 1, 1, 1)
-    M, broken = mutated_witness([[1, 2], [3, 7]], p11, p11, Identity(0, 1))
+    p11 = "Pair(0,1,1,1,1)"
+    M, broken = mutated_witness([[1, 2], [3, 7]], p11, p11, "Identity(0,1)")
     report = verify_category(broken, M, failure_cap=3)
     assert report.closure_failures == [] and report.identity_failures == []
     assert report.associativity_failures == [
-        (p11, p11, Pair(0, 0, 1, 1, 2), Pair(0, 0, 1, 1, 1), Pair(0, 0, 1, 1, 2)),
-        (p11, Pair(0, 0, 1, 1, 1), Pair(0, 1, 0, 1, 1), Identity(0, 1), p11),
-        (Pair(0, 0, 1, 1, 1), Pair(0, 1, 0, 1, 1), p11, p11, Identity(0, 1)),
+        (p11, p11, "Pair(0,0,1,1,2)", "Pair(0,0,1,1,1)", "Pair(0,0,1,1,2)"),
+        (p11, "Pair(0,0,1,1,1)", "Pair(0,1,0,1,1)", "Identity(0,1)", p11),
+        ("Pair(0,0,1,1,1)", "Pair(0,1,0,1,1)", p11, p11, "Identity(0,1)"),
     ]
 
 
@@ -143,7 +142,7 @@ def test_escaping_composite_detected():
     bad = dict(C.table)
     arrow = C.hom(0, 1)[0]
     bad[(arrow, C.identity[0])] = C.identity[0]  # lands in hom(0,0), not hom(0,1)
-    broken = FiniteCategory(C.n, C.homs, C.identity, bad, coords=C.coords)
+    broken = FiniteCategory(C.n, C.homs, C.identity, bad)
     report = verify_category(broken, M)
     assert report.closure_failures == [("wrong-hom", arrow, C.identity[0], C.identity[0])]
 
@@ -164,8 +163,8 @@ def test_labels_are_opaque(name):
     M = HomMatrix.from_rows([[1, 2], [3, 7]])
     C = relabel(build_witness(M), name)
     assert verify_category(C, M).passed
-    p11 = Pair(0, 1, 1, 1, 1)
-    M, broken = mutated_witness([[1, 2], [3, 7]], p11, p11, Identity(0, 1))
+    p11 = "Pair(0,1,1,1,1)"
+    M, broken = mutated_witness([[1, 2], [3, 7]], p11, p11, "Identity(0,1)")
     report = verify_category(relabel(broken, name), M)
     assert not report.passed
     assert report.closure_failures == [] and report.associativity_failures

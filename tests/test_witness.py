@@ -4,15 +4,23 @@ from hypothesis import strategies as st
 
 import helpers
 from catmat import HomMatrix, Rejected, build_witness, decide, verify_category
-from catmat.errors import NotComposable
-from catmat.labels import Collapsed, Cross, Identity, Pad, Pair, render
-from catmat.witness import a_of, b_of, build_hom_labels, compose, cross_part_sizes
+from catmat.witness import a_of, b_of, build_hom_labels, cross_part_sizes
 
 
 def setup_for(rows):
     verdict = decide(HomMatrix.from_rows(rows))
     assert verdict.exists
     return verdict.reduced, verdict.partition
+
+
+def composer(rows):
+    """g after f in the witness of rows, which has no duplicate objects."""
+    table = build_witness(HomMatrix.from_rows(rows)).table
+    return lambda g, f: table[(g, f)]
+
+
+def count(labels, kind):
+    return sum(l.startswith(kind + "(") for l in labels)
 
 
 def test_a_of_b_of():
@@ -27,28 +35,25 @@ def test_a_of_b_of():
 def test_hom_labels_u_class():
     N, part = setup_for([[1, 2], [3, 7]])
     homs = build_hom_labels(N, part)
-    assert [render(l) for l in homs[(0, 0)]] == ["Identity(0,0)"]
+    assert list(homs[(0, 0)]) == ["Identity(0,0)"]
     assert len(homs[(0, 1)]) == 2 and len(homs[(1, 0)]) == 3
     diag = homs[(1, 1)]
-    assert sum(isinstance(l, Identity) for l in diag) == 1
-    assert sum(isinstance(l, Pair) for l in diag) == 6
-    assert sum(isinstance(l, Pad) for l in diag) == 0
+    assert count(diag, "Identity") == 1
+    assert count(diag, "Pair") == 6
+    assert count(diag, "Pad") == 0
 
     N, part = setup_for([[1, 2], [3, 9]])
     diag = build_hom_labels(N, part)[(1, 1)]
-    assert sum(isinstance(l, Identity) for l in diag) == 1
-    assert sum(isinstance(l, Pair) for l in diag) == 6
-    assert sum(isinstance(l, Pad) for l in diag) == 2
+    assert count(diag, "Identity") == 1
+    assert count(diag, "Pair") == 6
+    assert count(diag, "Pad") == 2
 
 
 def test_hom_labels_cross_parts():
     M = [[1, 1, 1, 2], [1, 2, 2, 3], [0, 0, 1, 1], [0, 0, 1, 2]]
     N, part = setup_for(M)
     labels = build_hom_labels(N, part)[(1, 3)]  # upper non-basepoint to lower non-basepoint
-    counts = {
-        kind: sum(isinstance(l, Cross) and l.part == kind for l in labels)
-        for kind in ("Base", "Row", "Col", "Extra")
-    }
+    counts = {kind: count(labels, "Cross" + kind) for kind in ("Base", "Row", "Col", "Extra")}
     assert counts == {"Base": 1, "Row": 1, "Col": 1, "Extra": 0}
     assert len(labels) == 3
     assert cross_part_sizes(N, part, 1, 3) == (1, 1, 1, 0)
@@ -64,55 +69,47 @@ def test_hom_labels_sizes_always_match():
 
 
 def test_compose_basepoint_and_pad_cases():
-    N, part = setup_for([[1, 2], [3, 7]])
+    compose = composer([[1, 2], [3, 7]])
     # Down to the basepoint and back up lands on the (u, v) pair.
-    down = Pair(0, 1, 0, 2, 1)
-    up = Pair(0, 0, 1, 1, 2)
-    assert compose(up, down, N, part) == Pair(0, 1, 1, 2, 2)
+    down = "Pair(0,1,0,2,1)"
+    up = "Pair(0,0,1,1,2)"
+    assert compose(up, down) == "Pair(0,1,1,2,2)"
     # Up then down passes through the basepoint's identity.
-    assert compose(down, up, N, part) == Identity(0, 0)
+    assert compose(down, up) == "Identity(0,0)"
     # Pads delegate: left factor minimal, right factor maximal, equal idempotent.
-    N9, part9 = setup_for([[1, 2], [3, 9]])
-    k1, k2 = Pad(0, 1, 1, 1), Pad(0, 1, 1, 2)
-    assert compose(k1, k1, N9, part9) == k1
-    assert compose(k2, k1, N9, part9) == Pair(0, 1, 1, 3, 1)
-    assert compose(k1, Pair(0, 1, 1, 2, 2), N9, part9) == Pair(0, 1, 1, 2, 1)
+    compose = composer([[1, 2], [3, 9]])
+    k1, k2 = "Pad(0,1,1,1)", "Pad(0,1,1,2)"
+    assert compose(k1, k1) == k1
+    assert compose(k2, k1) == "Pair(0,1,1,3,1)"
+    assert compose(k1, "Pair(0,1,1,2,2)") == "Pair(0,1,1,2,1)"
 
 
 def test_compose_pair_chain_associates():
     # Three-step pair chain keeps the outermost coordinates either way.
-    M = [[1, 2, 2], [2, 5, 4], [2, 4, 5]]
-    N, part = setup_for(M)
-    f = Pair(0, 1, 2, 1, 2)
-    g = Pair(0, 2, 1, 2, 1)
-    h = Pair(0, 1, 2, 2, 2)
-    left = compose(h, compose(g, f, N, part), N, part)
-    right = compose(compose(h, g, N, part), f, N, part)
-    assert left == right == Pair(0, 1, 2, 1, 2)
-
-
-def test_compose_rejects_noncomposable():
-    N, part = setup_for([[1, 2], [3, 7]])
-    with pytest.raises(NotComposable):
-        compose(Pair(0, 1, 0, 1, 1), Pair(0, 1, 0, 1, 1), N, part)
+    compose = composer([[1, 2, 2], [2, 5, 4], [2, 4, 5]])
+    f = "Pair(0,1,2,1,2)"
+    g = "Pair(0,2,1,2,1)"
+    h = "Pair(0,1,2,2,2)"
+    left = compose(h, compose(g, f))
+    right = compose(compose(h, g), f)
+    assert left == right == "Pair(0,1,2,1,2)"
 
 
 def test_cross_composition_keeps_base_and_row():
-    M = [[1, 1, 1, 2], [1, 2, 2, 3], [0, 0, 1, 1], [0, 0, 1, 2]]
-    N, part = setup_for(M)
+    compose = composer([[1, 1, 1, 2], [1, 2, 2, 3], [0, 0, 1, 1], [0, 0, 1, 2]])
     # Post-compose a cross morphism with a within-class pair of the lower class.
-    cross_row = Cross("Row", 0, 1, 1, 0, 1)
-    lower_pair = Pair(1, 0, 1, 1, 1)
-    out = compose(lower_pair, cross_row, N, part)
-    assert out == Cross("Row", 0, 1, 1, 1, 1)
+    cross_row = "CrossRow(0,1,1,0,1)"
+    lower_pair = "Pair(1,0,1,1,1)"
+    out = compose(lower_pair, cross_row)
+    assert out == "CrossRow(0,1,1,1,1)"
     # A CrossCol label collapses instead.
-    cross_col = Cross("Col", 0, 0, 1, 1, 1)
-    down = Pair(1, 1, 0, 1, 1)
-    assert compose(down, cross_col, N, part) == Cross("Base", 0, 0, 1, 0, 1)
+    cross_col = "CrossCol(0,0,1,1,1)"
+    down = "Pair(1,1,0,1,1)"
+    assert compose(down, cross_col) == "CrossBase(0,0,1,0,1)"
     # Pre-compose: CrossCol keeps its index, CrossRow collapses.
-    upper_pair = Pair(0, 0, 1, 1, 1)
-    assert compose(Cross("Col", 0, 1, 1, 1, 1), upper_pair, N, part) == Cross("Col", 0, 0, 1, 1, 1)
-    assert compose(Cross("Row", 0, 1, 1, 1, 1), Pair(0, 1, 1, 1, 1), N, part) == Cross("Base", 0, 1, 1, 1, 1)
+    upper_pair = "Pair(0,0,1,1,1)"
+    assert compose("CrossCol(0,1,1,1,1)", upper_pair) == "CrossCol(0,0,1,1,1)"
+    assert compose("CrossRow(0,1,1,1,1)", "Pair(0,1,1,1,1)") == "CrossBase(0,1,1,1,1)"
 
 
 def test_witness_fixtures():
@@ -127,7 +124,11 @@ def test_witness_fixtures():
 
     M = HomMatrix.from_rows([[2, 2], [2, 2]])
     C = build_witness(M)
-    assert all(isinstance(l.inner, (Identity, Collapsed)) for ls in C.homs.values() for l in ls)
+    assert all(
+        l.startswith("Infl(") and l.split(",", 2)[2].startswith(("Identity(", "Collapsed("))
+        for ls in C.homs.values()
+        for l in ls
+    )
     assert verify_category(C, M).passed
 
 
