@@ -8,7 +8,8 @@ Commands
     oracle   brute-force search, independent of the decision procedure
 
 Exit codes: 0 category exists / certificate verified, 1 no category / failed
-verification, 2 bad input or usage, 3 oracle budget exhausted.
+verification, 2 bad input or usage, 3 oracle budget exhausted, 4 internal
+error (any other exception, reported on stderr and never read as a verdict).
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ EXIT_EXISTS = 0
 EXIT_ABSENT = 1
 EXIT_USAGE = 2
 EXIT_UNKNOWN = 3
+EXIT_INTERNAL = 4
 
 
 def _read_text(path: str) -> str:
@@ -259,6 +261,9 @@ def main(argv=None) -> int:
     except (ParseError, ShapeError, CertificateError, TripleBudgetError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except Exception as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -26,7 +26,7 @@ from dataclasses import dataclass, replace
 from itertools import combinations
 from typing import Iterator
 
-from .matrix import HomMatrix, principal_submatrix
+from .matrix import HomMatrix
 from .partition import Partition, transitivity_failures
 from .reduction import ReductionMap, reduce
 
@@ -245,15 +245,20 @@ def decide_by_submatrices(M: HomMatrix) -> Verdict:
 
     Realizability is equivalent to realizability of every principal submatrix
     of size <= 4.  Subsets are scanned in ascending size, lexicographically;
-    the first rejected window is reported with its indices in `subset` and the
-    inner reason's objects remapped to the enclosing matrix (class and local
-    coordinates stay relative to the window's own partition).  A yes verdict
-    carries no witness payload: the decision came from the windows alone.
+    each window is cut straight from M's rows and goes through the same
+    condition walk as `decide`.  The first rejected window is reported with
+    its indices in `subset` and the inner reason's objects remapped to the
+    enclosing matrix (classes, local coordinates and the detail text stay
+    relative to the window).  A yes verdict carries no witness payload: the
+    decision came from the windows alone.
     """
+    rows = M.entries
     for size in range(1, min(4, M.n) + 1):
         for keep in combinations(range(M.n), size):
-            inner = decide(principal_submatrix(M, keep))
-            if not inner.exists:
-                reason = replace(inner.reason, objects=tuple(keep[o] for o in inner.reason.objects))
+            window = tuple(tuple([rows[i][j] for j in keep]) for i in keep)
+            first = next(iter(_Walk(HomMatrix(size, window))), None)
+            if first is not None:
+                reason = _reason(first)
+                reason = replace(reason, objects=tuple(keep[o] for o in reason.objects))
                 return Verdict("no", reason, subset=keep)
     return Verdict("yes")

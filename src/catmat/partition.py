@@ -62,55 +62,50 @@ class Partition:
     """
 
     def __init__(self, M: HomMatrix):
-        n = M.n
+        n, rows = M.n, M.entries
         class_of = [-1] * n
         classes: list[tuple[int, ...]] = []
         for i in range(n):
-            if class_of[i] >= 0:
-                continue
-            members = [j for j in range(n) if M[i][j] >= 1 and M[j][i] >= 1]
-            for j in members:
-                class_of[j] = len(classes)
-            classes.append(tuple(members))
+            if class_of[i] < 0:  # i is its class's smallest member
+                row = rows[i]
+                members = tuple([j for j in range(i, n) if row[j] and rows[j][i]])
+                for j in members:
+                    class_of[j] = len(classes)
+                classes.append(members)
 
-        kinds = []
-        basepoints = []
-        multiple_units = []
+        kinds, basepoints, multiple_units, locals_by_class = [], [], [], []
         local_of: list[tuple[int, int]] = [(-1, -1)] * n
         for c, members in enumerate(classes):
-            units = tuple(x for x in members if M[x][x] == 1)
+            units = [x for x in members if rows[x][x] == 1]
             if units:
-                kinds.append("U")
                 bp = units[0]
-                basepoints.append(bp)
                 if len(units) > 1:
-                    multiple_units.append((c, units))
-                local_of[bp] = (c, 0)
-                nxt = 1
-                for x in members:
-                    if x != bp:
-                        local_of[x] = (c, nxt)
-                        nxt += 1
+                    multiple_units.append((c, tuple(units)))
+                pairs = ((0, bp), *enumerate([x for x in members if x != bp], 1))
+                kinds.append("U")
             else:
+                bp = None
+                pairs = tuple(enumerate(members, 1))
                 kinds.append("V")
-                basepoints.append(None)
-                for t, x in enumerate(members):
-                    local_of[x] = (c, t + 1)
+            basepoints.append(bp)
+            locals_by_class.append(pairs)
+            for i, x in pairs:
+                local_of[x] = (c, i)
 
         order = set()
         for c, cm in enumerate(classes):
+            row = rows[cm[0]]
             for d, dm in enumerate(classes):
-                if c != d and M[cm[0]][dm[0]] >= 1:
+                if c != d and row[dm[0]]:
                     order.add((c, d))
 
-        self.matrix = M
         self.classes = tuple(classes)
         self.kinds = tuple(kinds)
         self.basepoints = tuple(basepoints)
-        self.class_of = tuple(class_of)
         self.local_of = tuple(local_of)
         self.order = frozenset(order)
         self.multiple_units = tuple(multiple_units)
+        self._locals = tuple(locals_by_class)
         self._obj = {coord: x for x, coord in enumerate(local_of)}
 
     def obj(self, c: int, i: int) -> int:
@@ -123,10 +118,9 @@ class Partition:
     def above(self, c: int, d: int) -> bool:
         return (c, d) in self.order
 
-    def locals_of(self, c: int) -> list[tuple[int, int]]:
+    def locals_of(self, c: int) -> tuple[tuple[int, int], ...]:
         """Pairs (local index, object) of class c, ascending in local index."""
-        pairs = [(self.local_of[x][1], x) for x in self.classes[c]]
-        return sorted(pairs)
+        return self._locals[c]
 
     def __repr__(self) -> str:
         parts = [

@@ -18,10 +18,9 @@ from .matrix import HomMatrix
 def duplicate_relation(M: HomMatrix) -> list[tuple[int, ...]]:
     """Partition object indices into duplicate groups, ordered by smallest member."""
     groups: dict[tuple, list[int]] = {}
-    for i in range(M.n):
-        key = (M.row(i), M.col(i))
+    for i, key in enumerate(zip(M.entries, zip(*M.entries))):
         groups.setdefault(key, []).append(i)
-    return sorted((tuple(g) for g in groups.values()), key=lambda g: g[0])
+    return [tuple(g) for g in groups.values()]  # a group enters at its smallest member
 
 
 @dataclass(frozen=True)
@@ -39,8 +38,14 @@ class ReductionMap:
 
 
 def reduce(M: HomMatrix) -> tuple[HomMatrix, ReductionMap]:
-    """Collapse duplicate objects; the reduced matrix has no duplicate pair."""
+    """Collapse duplicate objects; the reduced matrix has no duplicate pair.
+
+    Without duplicates the reduced matrix is M itself, under the identity map.
+    """
     groups = duplicate_relation(M)
+    if len(groups) == M.n:
+        identity = tuple(range(M.n))
+        return M, ReductionMap(M.n, M.n, identity, identity)
     class_of = [0] * M.n
     representative = []
     for a, group in enumerate(groups):

@@ -180,3 +180,15 @@ def test_stdin_matrix(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr("sys.stdin", io.StringIO("1 1\n0 1\n"))
     assert main(["decide", "-"]) == 0
     assert capsys.readouterr().out.strip() == "EXISTS"
+
+
+def test_internal_error_is_not_a_verdict(tmp_path, capsys, monkeypatch):
+    def crash(M):
+        raise KeyError("lost")
+
+    monkeypatch.setattr("catmat.cli.decide", crash)
+    path = write(tmp_path, "m.txt", "1 2\n3 7\n")
+    assert main(["decide", path]) == 4
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.strip() == "internal error: KeyError: 'lost'"

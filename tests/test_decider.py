@@ -1,3 +1,7 @@
+import random
+from dataclasses import replace
+from itertools import combinations
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -9,7 +13,8 @@ from catmat import (
     decide_by_submatrices,
     reduce,
 )
-from catmat.matrix import permute, transpose
+from catmat.matrix import permute, principal_submatrix, transpose
+from helpers import duplicate_objects, random_matrix, random_unit_first
 
 FIXTURES = [
     ([[1, 2], [3, 7]], "yes", None),
@@ -198,3 +203,84 @@ def test_decide_agrees_with_condition_report(M):
 @given(small_matrices)
 def test_decide_by_submatrices_agrees(M):
     assert decide_by_submatrices(M).decision == decide(M).decision
+
+
+def reference_scan(M):
+    """The window scan written out plainly: build each principal submatrix,
+    decide it, and remap the first failing window's objects."""
+    for size in range(1, min(4, M.n) + 1):
+        for keep in combinations(range(M.n), size):
+            inner = decide(principal_submatrix(M, keep))
+            if not inner.exists:
+                objects = tuple(keep[o] for o in inner.reason.objects)
+                return "no", keep, replace(inner.reason, objects=objects)
+    return "yes", None, None
+
+
+def near_floors(rng, n):
+    """Two classes, the first above the second, with every entry set at or
+    next to the floor the conditions put on it: a class entry misses its
+    floor by one now and then, a cross entry two times in five."""
+    k = rng.randint(1, n - 1)
+
+    def near(floor, miss):
+        return max(1, floor - (rng.random() < miss) + (rng.random() < 0.3))
+
+    rows = [[0] * n for _ in range(n)]
+    for lo, hi in ((0, k), (k, n)):
+        if rng.random() < 0.3:  # no basepoint
+            for i in range(lo, hi):
+                rows[i][lo:hi] = [rng.randint(2, 4) for _ in range(lo, hi)]
+            continue
+        legs = {i: (rng.randint(1, 3), rng.randint(1, 3)) for i in range(lo + 1, hi)}
+        rows[lo][lo] = 1
+        for i, (into, out) in legs.items():
+            rows[i][lo], rows[lo][i] = into, out
+            for j, (_, out_j) in legs.items():
+                rows[i][j] = near(into * out_j + (i == j), 0.1)
+    corner = rng.randint(1, 3)
+    rows[0][k] = corner
+    for y in range(k + 1, n):
+        rows[0][y] = corner + rng.randint(-1, 2)
+    for x in range(1, k):
+        rows[x][k] = corner + rng.randint(-1, 2)
+        for y in range(k + 1, n):
+            rows[x][y] = near(rows[0][y] + rows[x][k] - corner, 0.4)
+    return HomMatrix.from_rows(rows)
+
+
+def window_cases():
+    rng = random.Random(2010)
+    for t in range(400):
+        n = rng.randint(1, 6)
+        shape = t % 5
+        if shape == 0:
+            M = random_matrix(rng, n, 3)
+        elif shape == 1:
+            M = random_matrix(rng, n, 4, min_entry=1)
+        elif shape == 2:
+            M = random_unit_first(rng, n, 6)
+        else:
+            M = near_floors(rng, max(n, 2))
+        yield duplicate_objects(rng, M, rng.randint(0, 8 - M.n))
+
+
+def test_decide_by_submatrices_matches_reference_scan():
+    kinds = set()
+    duplicated = yes = 0
+    for M in window_cases():
+        assert M.n <= 8
+        decision, subset, reason = reference_scan(M)
+        verdict = decide_by_submatrices(M)
+        assert (verdict.decision, verdict.subset) == (decision, subset), M
+        assert verdict.reason == reason, M
+        if reason is None:
+            yes += 1
+            assert (verdict.reduced, verdict.rmap, verdict.partition) == (None, None, None)
+        else:
+            kinds.add(reason.kind)
+            assert str(verdict.reason) == str(reason)
+            assert verdict.reason.to_json() == reason.to_json()
+        duplicated += reduce(M)[1].m < M.n
+    assert kinds == set(CONDITION_OF_KIND)
+    assert yes >= 20 and duplicated >= 100

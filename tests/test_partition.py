@@ -50,6 +50,14 @@ def test_partition_block_matrix():
     assert part.obj(1, 1) == 3
 
 
+def test_partition_locals_count_up_past_the_basepoint():
+    part = build_partition(HomMatrix.from_rows([[2, 1, 1], [1, 1, 1], [1, 1, 2]]))
+    assert part.basepoints == (1,)
+    assert part.local_of == ((0, 1), (0, 0), (0, 2))
+    assert part.locals_of(0) == ((0, 1), (1, 0), (2, 2))
+    assert part.obj(0, 2) == 2
+
+
 def test_partition_rejects_unacceptable():
     with pytest.raises(NotAcceptable):
         build_partition(HomMatrix.from_rows([[1, 1, 0], [0, 1, 1], [0, 0, 1]]))
@@ -69,6 +77,7 @@ def test_local_coordinates_are_a_bijection(M):
         assert part.obj(c, i) == x
         assert (c, i) not in seen
         seen.add((c, i))
+    assert part.locals_of(0) == tuple(sorted((i, x) for x, (_, i) in enumerate(part.local_of)))
     if part.is_u(0):
         assert part.local_of[part.basepoints[0]] == (0, 0)
         locals_ = sorted(i for _, i in part.local_of)

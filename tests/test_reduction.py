@@ -42,13 +42,29 @@ def test_reduce_fixtures():
     assert rmap.class_of == (0, 0, 1)
     assert rmap.representative == (0, 2)
 
+    # Duplicate groups interleave: 0 and 3 match, 1 and 4 match, 2 is alone.
+    N, rmap = reduce(HomMatrix.from_rows(
+        [[2, 1, 0, 2, 1], [3, 4, 1, 3, 4], [0, 0, 5, 0, 0], [2, 1, 0, 2, 1], [3, 4, 1, 3, 4]]
+    ))
+    assert N == HomMatrix.from_rows([[2, 1, 0], [3, 4, 1], [0, 0, 5]])
+    assert rmap.class_of == (0, 1, 2, 0, 1)
+    assert rmap.representative == (0, 1, 2)
+
+
+def test_reduce_without_duplicates_keeps_the_matrix():
+    M = HomMatrix.from_rows([[1, 2, 0], [3, 7, 0], [1, 1, 2]])
+    N, rmap = reduce(M)
+    assert N == M
+    assert rmap.class_of == rmap.representative == (0, 1, 2)
+    assert (rmap.n, rmap.m) == (3, 3)
+
 
 @given(matrices)
 def test_reduce_is_idempotent(M):
     N, rmap = reduce(M)
     again, identity_map = reduce(N)
     assert again == N
-    assert identity_map.class_of == tuple(range(N.n))
+    assert identity_map.class_of == identity_map.representative == tuple(range(N.n))
     assert rmap.representative == tuple(sorted(rmap.representative))
     for a in range(N.n):
         assert rmap.class_of[rmap.representative[a]] == a
