@@ -50,6 +50,16 @@ def _require(cond: bool, message: str) -> None:
         raise CertificateError(message)
 
 
+def _key_objects(key: str, width: int) -> list[int] | None:
+    """The objects of a key spelt as build_certificate spells it ("x" or
+    "x,y"), or None for any other spelling, such as "01", "-0" or "²"."""
+    try:
+        objects = [int(p) for p in key.split(",")]
+    except ValueError:
+        return None
+    return objects if len(objects) == width and ",".join(map(str, objects)) == key else None
+
+
 def load_certificate(data: dict) -> tuple[HomMatrix, FiniteCategory]:
     """Rebuild the claimed matrix and the category with opaque string labels.
 
@@ -88,12 +98,9 @@ def load_certificate(data: dict) -> tuple[HomMatrix, FiniteCategory]:
     homs: dict[tuple[int, int], tuple[str, ...]] = {}
     _require(isinstance(data["homs"], dict), '"homs" must be an object')
     for key, labels in data["homs"].items():
-        parts = key.split(",")
-        _require(
-            len(parts) == 2 and all(p.lstrip("-").isdigit() for p in parts),
-            f'bad hom key {key!r}, expected "i,j"',
-        )
-        x, y = int(parts[0]), int(parts[1])
+        xy = _key_objects(key, 2)
+        _require(xy is not None, f'bad hom key {key!r}, expected "i,j"')
+        x, y = xy
         _require(0 <= x < n and 0 <= y < n, f"hom key {key!r} out of range")
         _require(
             isinstance(labels, list) and all(isinstance(l, str) for l in labels),
@@ -105,9 +112,10 @@ def load_certificate(data: dict) -> tuple[HomMatrix, FiniteCategory]:
     identities: dict[int, str] = {}
     _require(isinstance(data["identities"], dict), '"identities" must be an object')
     for key, label in data["identities"].items():
-        _require(key.isdigit() and 0 <= int(key) < n, f"bad identity key {key!r}")
+        x = _key_objects(key, 1)
+        _require(x is not None and 0 <= x[0] < n, f"bad identity key {key!r}")
         _require(isinstance(label, str), f"identity {key!r} must be a label string")
-        identities[int(key)] = label
+        identities[x[0]] = label
     _require(len(identities) == n, "one identity per object required")
 
     table: dict[tuple[str, str], str] = {}

@@ -7,23 +7,25 @@ every composable triple.  Nothing here trusts the construction: labels are
 opaque tokens that are only hashed and compared, so the verifier doubles as
 the replay half of the certificate format.
 
-Closure and associativity run on integers.  Each hom-set's labels are
-numbered 0..k-1 once.  Every composable block (x, y, z) then becomes one
-table: for f in hom(x,y) and g in hom(y,z), the local index of g.f in
-hom(x,z), or None when the table has no entry for (g, f) or the entry lies
-in another hom-set.  Building these tables is the closure pass.
-Associativity takes one block (x, y, z, w) at a time and, for each pair
-(g, f), compares the row of h.(g.f) over every h in hom(z,w) with the row
-of (h.g).f in one list comparison; only a row that differs is walked to
-name its failures.  A triple through a missing or wrong-hom composite is
-counted but not compared, because closure already reports that composite.
-Blocks come from per-object successor lists, so empty hom-sets cost nothing.
+Closure and associativity run on one integer row per morphism.  Out(x) lists
+the morphisms leaving x: the nonempty hom(x, z) in order of z.  For f: x -> y
+the row post[f] holds, for each q in Out(y), the position of q.f in Out(x),
+or None when the table has no entry for (q, f) or the entry lies in another
+hom-set; building the rows is the closure pass.  For each composable pair
+(g, f) with p = g.f, associativity checks h.p == (h.g).f for every h leaving
+z in one comparison of post[p] with post[f] gathered at post[g], a gather
+that operator.itemgetter runs in C.  Closure names failures by (x, y)
+sorted, then z, g, f.  Associativity goes by block (x, y, z) in the order of
+C.homs and walks a block's differing pairs triple by triple, by w, g, f, h;
+a triple through a missing or wrong-hom composite is counted but not
+compared, because closure already reports that composite.
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
+from operator import itemgetter
 
 from .category import FiniteCategory
 from .errors import TripleBudgetError
@@ -73,6 +75,16 @@ def _resolve_budget(triple_budget: int | None) -> int:
     return DEFAULT_TRIPLE_BUDGET
 
 
+def _gather(row: tuple):
+    """A function taking r to tuple(r[i] for i in row), or None if row has a hole."""
+    if None in row:
+        return None
+    if len(row) > 1:
+        return itemgetter(*row)
+    # itemgetter of one index returns the item, not a 1-tuple.
+    return itemgetter(slice(row[0], row[0] + 1) if row else slice(0))
+
+
 def verify_category(
     C: FiniteCategory,
     M: HomMatrix,
@@ -87,17 +99,25 @@ def verify_category(
             entries.append(item)
 
     homs = C.homs
-    # successors[y] lists (z, hom(y,z)) for the nonempty hom-sets out of y, by z.
+    # successors[y] lists (z, hom(y,z)) for the nonempty hom-sets out of y, by
+    # z.  out[x] is Out(x), where hom(x, z) starts at offset[x, z]; at[x, z]
+    # maps its labels to their positions, but never None, a missing entry.
     successors: dict[int, list] = {}
-    for (y, z), labels in sorted(homs.items()):
-        successors.setdefault(y, []).append((z, labels))
+    out: dict[int, list] = {}
+    offset = {}
+    at = {}
+    for (x, z), labels in sorted(homs.items()):
+        successors.setdefault(x, []).append((z, labels))
+        out_x = out.setdefault(x, [])
+        offset[(x, z)] = o = len(out_x)
+        at[(x, z)] = {label: o + i for i, label in enumerate(labels) if label is not None}
+        out_x.extend(labels)
 
     # Triples h.g.f counted arithmetically: pairs[y] is the number of
     # composable pairs (h, g) with g leaving y.
-    leaving = {y: sum(len(labels) for _, labels in out) for y, out in successors.items()}
     pairs = {
-        y: sum(len(labels) * leaving.get(z, 0) for z, labels in out)
-        for y, out in successors.items()
+        y: sum(len(labels) * len(out.get(z, ())) for z, labels in succ)
+        for y, succ in successors.items()
     }
     total_triples = sum(len(fs) * pairs.get(y, 0) for (_, y), fs in homs.items())
     budget = _resolve_budget(triple_budget)
@@ -128,60 +148,57 @@ def verify_category(
             if identity_ok[x] and table.get((f, C.identity[x])) != f:
                 push(report.identity_failures, (x, f))
 
-    # None is what a missing table entry reads as, so it never gets an index.
-    index = {
-        pair: {label: i for i, label in enumerate(labels) if label is not None}
-        for pair, labels in homs.items()
-    }
+    # post[x][i] is the row of the i-th morphism of Out(x).
     get = table.get
-    # blocks[x, y, z][f][g] is the index of g.f in hom(x,z), or None.
-    blocks = {}
+    closure = report.closure_failures
+    post: dict[int, list] = {x: [] for x in out}
     for (x, y), fs in sorted(homs.items()):
-        for z, gs in successors.get(y, ()):
-            at = index.get((x, z), {}).get
-            block = [[at(get((g, f))) for g in gs] for f in fs]
-            blocks[(x, y, z)] = block
-            if any(None in row for row in block):
-                for gi, g in enumerate(gs):
-                    for fi, f in enumerate(fs):
-                        if block[fi][gi] is None:
-                            h = get((g, f))
-                            if h is None:
-                                push(report.closure_failures, ("missing", g, f))
-                            else:
-                                push(report.closure_failures, ("wrong-hom", g, f, h))
+        cols = [(at.get((x, z), {}).get, g) for z, gs in successors.get(y, ()) for g in gs]
+        rows = [tuple([pos(get((g, f))) for pos, g in cols]) for f in fs]
+        post[x].extend(rows)
+        if any(None in row for row in rows):
+            for c, (_, g) in enumerate(cols):
+                for f, row in zip(fs, rows):
+                    if row[c] is None:
+                        h = get((g, f))
+                        push(closure, ("missing", g, f) if h is None else ("wrong-hom", g, f, h))
     for (g, f) in table:
         sg = hom_of.get(g)
         sf = hom_of.get(f)
         if sg is None or sf is None or sf[1] != sg[0]:
-            push(report.closure_failures, ("foreign", g, f))
+            push(closure, ("foreign", g, f))
 
+    # gather[y][j] maps post[f] to the row of (h.g).f, g the j-th of Out(y).
+    # A row with a hole gets None, so every pair through it is walked.
+    gather = {y: [_gather(row) for row in rows] for y, rows in post.items()}
+
+    # For g.f = p, h.p == (h.g).f for every h leaving z is one comparison.
     failures = report.associativity_failures
     for (x, y), fs in homs.items():
+        px = post[x]
+        first = offset[(x, y)]
+        rows = px[first : first + len(fs)]
         for z, gs in successors.get(y, ()):
-            gf = blocks[(x, y, z)]  # gf[f][g] = g.f
+            o = offset[(y, z)]
+            bad = []
+            for c in range(o, o + len(gs)):
+                g_of = gather[y][c]
+                for i, row in enumerate(rows):
+                    p = row[c]
+                    if p is not None and (g_of is None or px[p] != g_of(row)):
+                        bad.append((c, i))
+            if not bad:
+                continue
+            # Name this block's failures in the order w, g, f, h.
             for w, hs in successors.get(z, ()):
-                hp = blocks.get((x, z, w))  # hp[p][h] = h.p
-                hg = blocks[(y, z, w)]  # hg[g][h] = h.g
-                qf = blocks.get((x, y, w))  # qf[f][q] = q.f
-                for gi, qs in enumerate(hg):
-                    holes = None in qs
-                    for fi, ps in enumerate(gf):
-                        p = ps[gi]
-                        if p is None:
-                            continue
-                        left = hp[p]
-                        row = qf[fi] if qf else None
-                        if holes:
-                            right = [None if q is None else row[q] for q in qs]
-                        else:
-                            right = [row[q] for q in qs]
-                        if left == right:
-                            continue
-                        xw = homs[(x, w)]
-                        for h, a, b in zip(hs, left, right):
-                            if a is not None and b is not None and a != b:
-                                push(failures, (h, gs[gi], fs[fi], xw[a], xw[b]))
+                for c, i in bad:
+                    row = rows[i]
+                    left, qs = px[row[c]], post[y][c]
+                    for k, h in enumerate(hs, offset[(z, w)]):
+                        a, q = left[k], qs[k]
+                        b = None if q is None else row[q]
+                        if a is not None and b is not None and a != b:
+                            push(failures, (h, gs[c - o], fs[i], out[x][a], out[x][b]))
     report.triples_checked = total_triples
 
     report.passed = not any(entries for _, _, entries in report.failures())

@@ -131,6 +131,30 @@ def test_deeply_nested_json_is_bad_input(tmp_path, capsys):
     assert "invalid JSON" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "field, key, bad, keep",
+    [
+        ("homs", "1,0", "²,0", False),
+        ("identities", "1", "²", False),
+        ("homs", "1,0", "01,0", True),
+        ("identities", "1", "01", True),
+        ("homs", "0,0", "-0,0", False),
+    ],
+)
+def test_non_canonical_certificate_keys_are_bad_input(tmp_path, capsys, field, key, bad, keep):
+    # Only the spelling build_certificate writes is accepted, so no key can
+    # crash int() or stand in for another under a second spelling.
+    matrix = write(tmp_path, "m.txt", "1 2\n3 7\n")
+    cert = tmp_path / "cert.json"
+    main(["witness", matrix, "--out", str(cert)])
+    data = json.loads(cert.read_text())
+    data[field][bad] = data[field][key] if keep else data[field].pop(key)
+    cert.write_text(json.dumps(data))
+    capsys.readouterr()
+    assert main(["verify", str(cert)]) == 2
+    assert f"key {bad!r}" in capsys.readouterr().err
+
+
 def test_verify_defaults_to_embedded_matrix(tmp_path, capsys):
     matrix = write(tmp_path, "m.txt", "2 2\n2 2\n")
     cert = str(tmp_path / "cert.json")

@@ -1,9 +1,13 @@
+import random
+
+import helpers
 import pytest
 
 from catmat import (
     FiniteCategory,
     HomMatrix,
     TripleBudgetError,
+    VerificationReport,
     build_witness,
     verify_category,
 )
@@ -88,6 +92,113 @@ def test_associativity_failures_keep_block_order():
         (p11, "Pair(0,0,1,1,1)", "Pair(0,1,0,1,1)", "Identity(0,1)", p11),
         ("Pair(0,0,1,1,1)", "Pair(0,1,0,1,1)", p11, p11, "Identity(0,1)"),
     ]
+
+
+def reference_report(C, M, cap):
+    """verify_category's report, by a plain walk over every triple.
+
+    Closure visits (x, y) sorted, then z, g, f; associativity visits (x, y)
+    in homs order, then z, w, g, f, h, and skips a triple through a missing
+    or wrong-hom composite, which closure already names.
+    """
+    report = VerificationReport()
+
+    def push(entries, item):
+        if len(entries) < cap:
+            entries.append(item)
+
+    size = max(C.n, M.n)
+    for i in range(size):
+        for j in range(size):
+            want = M[i][j] if i < M.n and j < M.n else 0
+            have = len(C.hom(i, j)) if i < C.n and j < C.n else 0
+            if want != have:
+                push(report.cardinality_mismatches, (i, j, want, have))
+
+    where = C.hom_of
+    ok = {}
+    for x in range(C.n):
+        e = C.identity.get(x)
+        ok[x] = e is not None and where.get(e) == (x, x)
+        if not ok[x]:
+            push(report.identity_failures, (x, e))
+    for x, y in sorted(C.homs):
+        for f in C.homs[(x, y)]:
+            if ok[y] and C.table.get((C.identity[y], f)) != f:
+                push(report.identity_failures, (y, f))
+            if ok[x] and C.table.get((f, C.identity[x])) != f:
+                push(report.identity_failures, (x, f))
+
+    def composite(g, f):
+        """g.f when the table holds it in hom(source f, target g), else None."""
+        h = C.table.get((g, f))
+        if h is not None and where.get(h) == (where[f][0], where[g][1]):
+            return h
+        return None
+
+    for x, y in sorted(C.homs):
+        for z in range(C.n):
+            for g in C.hom(y, z):
+                for f in C.homs[(x, y)]:
+                    if composite(g, f) is None:
+                        h = C.table.get((g, f))
+                        push(
+                            report.closure_failures,
+                            ("missing", g, f) if h is None else ("wrong-hom", g, f, h),
+                        )
+    for g, f in C.table:
+        if g not in where or f not in where or where[f][1] != where[g][0]:
+            push(report.closure_failures, ("foreign", g, f))
+
+    for (x, y), fs in C.homs.items():
+        for z in range(C.n):
+            for w in range(C.n):
+                gs, hs = C.hom(y, z), C.hom(z, w)
+                report.triples_checked += len(fs) * len(gs) * len(hs)
+                for g in gs:
+                    for f in fs:
+                        for h in hs:
+                            p, q = composite(g, f), composite(h, g)
+                            if p is None or q is None:
+                                continue
+                            a, b = composite(h, p), composite(q, f)
+                            if a is not None and b is not None and a != b:
+                                push(report.associativity_failures, (h, g, f, a, b))
+
+    report.passed = not any(entries for _, _, entries in report.failures())
+    return report
+
+
+def random_mutants(seed, count):
+    """Witnesses, some over duplicated objects, with 1-3 table entries changed
+    to another member of the same hom-set, deleted, moved to another hom-set
+    or added under a foreign key."""
+    rng = random.Random(seed)
+    bases = ([[1, 2], [3, 7]], [[2, 2], [2, 2]], [[1, 1], [0, 3]], [[1, 1, 2], [1, 1, 2], [0, 0, 3]])
+    for _ in range(count):
+        M = HomMatrix.from_rows(rng.choice(bases))
+        M = helpers.duplicate_objects(rng, M, rng.randint(0, 2))
+        C = build_witness(M)
+        labels = list(C.hom_of)
+        table = dict(C.table)
+        for _ in range(rng.randint(1, 3)):
+            key = rng.choice(sorted(table))
+            kind = rng.randrange(4)
+            if kind == 0:
+                table[key] = rng.choice(C.hom(*C.hom_of[table[key]]))
+            elif kind == 1:
+                del table[key]
+            elif kind == 2:
+                table[key] = rng.choice(labels)
+            else:
+                table[(rng.choice(labels), rng.choice(labels + ["ghost"]))] = rng.choice(labels)
+        yield M, FiniteCategory(C.n, C.homs, C.identity, table)
+
+
+@pytest.mark.parametrize("cap", [3, 10**6])
+def test_report_matches_reference_walk(cap):
+    for M, C in random_mutants(seed=cap, count=60):
+        assert verify_category(C, M, failure_cap=cap) == reference_report(C, M, cap)
 
 
 def test_broken_identity_detected():
