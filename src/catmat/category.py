@@ -36,17 +36,8 @@ class FiniteCategory:
     def hom(self, x: int, y: int) -> tuple:
         return self.homs.get((x, y), ())
 
-    def source(self, label) -> int:
-        return self.hom_of[label][0]
-
-    def target(self, label) -> int:
-        return self.hom_of[label][1]
-
     def morphism_count(self) -> int:
         return len(self.hom_of)
-
-    def __repr__(self) -> str:
-        return f"FiniteCategory(n={self.n}, morphisms={self.morphism_count()})"
 
 
 def table_from_blocks(

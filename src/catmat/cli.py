@@ -36,10 +36,21 @@ EXIT_INTERNAL = 4
 
 
 def _read_text(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
-    with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
+    try:
+        if path == "-":
+            return sys.stdin.buffer.read().decode("utf-8")
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path!r} is not UTF-8 text: {exc}") from None
+
+
+def _budget(text: str) -> int:
+    """The oracle's --budget: a nonnegative integer."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be nonnegative, got {value}")
+    return value
 
 
 def _load_matrix(path: str) -> HomMatrix:
@@ -77,6 +88,10 @@ def _print_verdict(verdict, as_json: bool, report: list[dict] | None) -> None:
 
 
 def cmd_decide(args) -> int:
+    if args.batch and (args.explain or args.matrix is not None):
+        clash = "--explain" if args.explain else "a matrix file"
+        print(f"decide: --batch cannot be combined with {clash}", file=sys.stderr)
+        return EXIT_USAGE
     if args.batch:
         return _decide_batch(args)
     if args.matrix is None:
@@ -246,7 +261,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("oracle", help="brute-force search independent of the decider")
     p.add_argument("matrix", help="matrix file, - for stdin")
-    p.add_argument("--budget", type=int, default=SearchBudget().max_assignments,
+    p.add_argument("--budget", type=_budget, default=SearchBudget().max_assignments,
                    help="assignment budget before giving up (default %(default)s)")
     p.add_argument("--json", action="store_true")
     p.set_defaults(fn=cmd_oracle)

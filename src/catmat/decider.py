@@ -27,7 +27,7 @@ from itertools import combinations
 from typing import Iterator
 
 from .matrix import HomMatrix
-from .partition import Partition, transitivity_failures
+from .partition import Partition, acceptability_failures
 from .reduction import ReductionMap, reduce
 
 
@@ -139,13 +139,13 @@ class _Walk:
         rows = N.entries
         rep = self.rmap.representative
         acceptable = True
-        for a in range(N.n):
-            if rows[a][a] == 0:
-                acceptable = False
-                yield "ZeroDiagonal", (rep[a],), (), (), 1, 0
-        for chain in transitivity_failures(N):
+        for kind, indices in acceptability_failures(N):
             acceptable = False
-            yield "NotAcceptable", tuple(rep[t] for t in chain), (), (), None, None
+            objects = tuple(rep[t] for t in indices)
+            if kind == "diag":
+                yield "ZeroDiagonal", objects, (), (), 1, 0
+            else:
+                yield "NotAcceptable", objects, (), (), None, None
         if not acceptable:
             return
 

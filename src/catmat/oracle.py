@@ -85,26 +85,24 @@ def oracle_decide(M: HomMatrix, budget: SearchBudget | int | None = None) -> Ora
     T = len(src)
     id_of = [hom_ids[(x, x)][0] for x in range(n)]
 
-    # Composable cells and their candidate sets; an empty candidate set is an
-    # immediate rejection (a composite would have nowhere to go).
+    leaving: list[list[int]] = [[] for _ in range(n)]
+    entering: list[list[int]] = [[] for _ in range(n)]
+    for m in range(T):
+        leaving[src[m]].append(m)
+        entering[tgt[m]].append(m)
+
+    # Composable cells, in slot order, and their candidate sets; an empty
+    # candidate set is an immediate rejection (a composite has nowhere to go).
     cells = []
     cand: dict[int, list[int]] = {}
     for g in range(T):
-        for f in range(T):
-            if src[g] != tgt[f]:
-                continue
+        for f in entering[src[g]]:
             options = hom_ids[(src[f], tgt[g])]
             if not options:
                 return OracleResult("no", 0)
             slot = g * T + f
             cells.append(slot)
             cand[slot] = options
-
-    leaving: list[list[int]] = [[] for _ in range(n)]
-    entering: list[list[int]] = [[] for _ in range(n)]
-    for m in range(T):
-        leaving[src[m]].append(m)
-        entering[tgt[m]].append(m)
 
     table: list[int | None] = [None] * (T * T)
     assigned_to: list[list[int]] = [[] for _ in range(T)]
@@ -169,7 +167,6 @@ def oracle_decide(M: HomMatrix, budget: SearchBudget | int | None = None) -> Ora
             return OracleResult("no", assignments)
 
     free = [slot for slot in cells if slot not in forced]
-    free.sort()
 
     uses = [0] * T
     for m in id_of:

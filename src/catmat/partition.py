@@ -24,9 +24,13 @@ class AcceptabilityCounterexample:
     indices: tuple[int, ...]
 
 
-def transitivity_failures(M: HomMatrix) -> Iterator[tuple[int, int, int]]:
-    """Every (i, j, k) with i -> j -> k but not i -> k, in lexicographic order."""
+def acceptability_failures(M: HomMatrix) -> Iterator[tuple[str, tuple[int, ...]]]:
+    """Every failing (kind, indices): ("diag", (i,)) for each M[i][i] == 0, then
+    ("chain", (i, j, k)) for each i -> j -> k but not i -> k, lexicographically."""
     rows = M.entries
+    for i, row in enumerate(rows):
+        if row[i] == 0:
+            yield "diag", (i,)
     for i, row in enumerate(rows):
         missing = [k for k, v in enumerate(row) if v == 0]
         if not missing:
@@ -35,16 +39,13 @@ def transitivity_failures(M: HomMatrix) -> Iterator[tuple[int, int, int]]:
             if v:
                 for k in missing:
                     if rows[j][k]:
-                        yield i, j, k
+                        yield "chain", (i, j, k)
 
 
 def check_acceptable(M: HomMatrix) -> AcceptabilityCounterexample | None:
     """None when the positivity relation is reflexive and transitive."""
-    for i in range(M.n):
-        if M[i][i] == 0:
-            return AcceptabilityCounterexample("diag", (i,))
-    chain = next(transitivity_failures(M), None)
-    return None if chain is None else AcceptabilityCounterexample("chain", chain)
+    first = next(acceptability_failures(M), None)
+    return None if first is None else AcceptabilityCounterexample(*first)
 
 
 class Partition:
@@ -52,8 +53,9 @@ class Partition:
     (build_partition checks that first).
 
     classes[c] lists members ascending; classes are ordered by smallest member.
-    kinds[c] is "U" or "V".  Local indices: the basepoint of a U class is 0 and
-    the remaining members count up from 1; V class members count up from 1.
+    basepoints[c] is the basepoint of a U class and None for a V class.  Local
+    indices: the basepoint of a U class is 0 and the remaining members count up
+    from 1; V class members count up from 1.
     order holds the pairs (c, d) with class c strictly above class d, meaning
     morphisms flow from c's objects to d's and never back.
     multiple_units lists (class, members-with-one-endomorphism) for classes
@@ -73,7 +75,7 @@ class Partition:
                     class_of[j] = len(classes)
                 classes.append(members)
 
-        kinds, basepoints, multiple_units, locals_by_class = [], [], [], []
+        basepoints, multiple_units, locals_by_class = [], [], []
         local_of: list[tuple[int, int]] = [(-1, -1)] * n
         for c, members in enumerate(classes):
             units = [x for x in members if rows[x][x] == 1]
@@ -82,11 +84,9 @@ class Partition:
                 if len(units) > 1:
                     multiple_units.append((c, tuple(units)))
                 pairs = ((0, bp), *enumerate([x for x in members if x != bp], 1))
-                kinds.append("U")
             else:
                 bp = None
                 pairs = tuple(enumerate(members, 1))
-                kinds.append("V")
             basepoints.append(bp)
             locals_by_class.append(pairs)
             for i, x in pairs:
@@ -100,33 +100,18 @@ class Partition:
                     order.add((c, d))
 
         self.classes = tuple(classes)
-        self.kinds = tuple(kinds)
         self.basepoints = tuple(basepoints)
         self.local_of = tuple(local_of)
         self.order = frozenset(order)
         self.multiple_units = tuple(multiple_units)
         self._locals = tuple(locals_by_class)
-        self._obj = {coord: x for x, coord in enumerate(local_of)}
-
-    def obj(self, c: int, i: int) -> int:
-        """Object index with local coordinates (class c, local index i)."""
-        return self._obj[(c, i)]
 
     def is_u(self, c: int) -> bool:
-        return self.kinds[c] == "U"
-
-    def above(self, c: int, d: int) -> bool:
-        return (c, d) in self.order
+        return self.basepoints[c] is not None
 
     def locals_of(self, c: int) -> tuple[tuple[int, int], ...]:
         """Pairs (local index, object) of class c, ascending in local index."""
         return self._locals[c]
-
-    def __repr__(self) -> str:
-        parts = [
-            f"{c}:{self.kinds[c]}{list(members)}" for c, members in enumerate(self.classes)
-        ]
-        return f"Partition({'; '.join(parts)})"
 
 
 def build_partition(M: HomMatrix) -> Partition:

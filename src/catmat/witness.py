@@ -26,18 +26,14 @@ from .partition import Partition
 from .reduction import ReductionMap, inflate
 
 
-def a_of(N: HomMatrix, part: Partition, c: int, i: int) -> int:
-    """Number of legs from local object i of class c into the class basepoint."""
-    if not part.is_u(c) or i == 0:
-        return 1
-    return N[part.obj(c, i)][part.basepoints[c]]
+def a_of(N: HomMatrix, part: Partition, x: int) -> int:
+    """Number of legs from object x of a U class into the class basepoint."""
+    return N[x][part.basepoints[part.local_of[x][0]]]
 
 
-def b_of(N: HomMatrix, part: Partition, c: int, j: int) -> int:
-    """Number of legs from the class basepoint to local object j."""
-    if not part.is_u(c) or j == 0:
-        return 1
-    return N[part.basepoints[c]][part.obj(c, j)]
+def b_of(N: HomMatrix, part: Partition, y: int) -> int:
+    """Number of legs from the basepoint of y's U class to object y."""
+    return N[part.basepoints[part.local_of[y][0]]][y]
 
 
 def cross_part_sizes(N: HomMatrix, part: Partition, x: int, y: int) -> tuple[int, int, int, int]:
@@ -74,9 +70,10 @@ def cross_part_sizes(N: HomMatrix, part: Partition, x: int, y: int) -> tuple[int
     return base, row, col, extra
 
 
-def _pairs(N: HomMatrix, part: Partition, c: int, i: int, j: int) -> int:
-    """Number of Pairs in the hom-set between local objects i and j of U class c."""
-    return 0 if i == j == 0 else a_of(N, part, c, i) * b_of(N, part, c, j)
+def _pairs(N: HomMatrix, part: Partition, x: int, y: int) -> int:
+    """Number of Pairs in the hom-set between objects x and y of one U class."""
+    bp = part.basepoints[part.local_of[x][0]]
+    return 0 if x == y == bp else N[x][bp] * N[bp][y]
 
 
 def build_hom_labels(N: HomMatrix, part: Partition) -> dict[tuple[int, int], tuple[str, ...]]:
@@ -92,10 +89,10 @@ def build_hom_labels(N: HomMatrix, part: Partition) -> dict[tuple[int, int], tup
                 if i == j:
                     labels.append(f"Identity({cx},{i})")
                 if part.is_u(cx):
-                    b = b_of(N, part, cx, j)
+                    b = b_of(N, part, y)
                     labels += [
                         f"Pair({cx},{i},{j},{p // b + 1},{p % b + 1})"
-                        for p in range(_pairs(N, part, cx, i, j))
+                        for p in range(_pairs(N, part, x, y))
                     ]
                 else:
                     labels.append(f"Collapsed({cx},{i},{j})")
@@ -105,7 +102,7 @@ def build_hom_labels(N: HomMatrix, part: Partition) -> dict[tuple[int, int], tup
                         f"hom({x},{y})={m} is smaller than its {len(labels)} structural labels"
                     )
                 labels += [f"Pad({cx},{i},{j},{k})" for k in range(1, pad + 1)]
-            elif part.above(cx, cy):
+            elif (cx, cy) in part.order:
                 sizes = cross_part_sizes(N, part, x, y)
                 for kind, size in zip(("Base", "Row", "Col", "Extra"), sizes):
                     labels += [f"Cross{kind}({cx},{i},{cy},{j},{k})" for k in range(1, size + 1)]
@@ -154,10 +151,9 @@ def _block(N: HomMatrix, part: Partition, x: int, y: int, z: int) -> list[list[i
     elif i == k == 0:
         rows = [[0] * mf for _ in range(mg)]
     else:
-        a, bk = a_of(N, part, c, i), b_of(N, part, c, k)
-        bj = b_of(N, part, c, j)
+        a, bj, bk = a_of(N, part, x), b_of(N, part, y), b_of(N, part, z)
         idf, idg = int(i == j), int(j == k)
-        pf, pg = _pairs(N, part, c, i, j), _pairs(N, part, c, j, k)
+        pf, pg = _pairs(N, part, x, y), _pairs(N, part, y, z)
         first_pad = idf + pf
         us = [0] * idf + [p // bj * bk for p in range(pf)] + [(a - 1) * bk] * (mf - first_pad)
         vs = [0] * idg + [q % bk for q in range(pg)] + [0] * (mg - idg - pg)

@@ -203,7 +203,7 @@ def witness_stream(count: int):
         M = queue.pop(0) if queue else helpers.random_matrix(
             rng, rng.randint(1, 3), 3, min_entry=rng.choice((0, 1))
         )
-        if M.total() > 13 or M.entries in seen or not decide(M).exists:
+        if sum(map(sum, M.entries)) > 13 or M.entries in seen or not decide(M).exists:
             continue
         seen.add(M.entries)
         C = build_witness(M)
@@ -217,8 +217,8 @@ def test_criterion_9_mutation_soundness():
     mutants = 0
     for M, C in witness_stream(50):
         for (g, f), h in C.table.items():
-            x = C.source(f)
-            y = C.target(g)
+            x = C.hom_of[f][0]
+            y = C.hom_of[g][1]
             for other in C.hom(x, y):
                 if other == h:
                     continue

@@ -201,9 +201,68 @@ def test_oracle_json(tmp_path, capsys):
 def test_stdin_matrix(tmp_path, capsys, monkeypatch):
     import io
 
-    monkeypatch.setattr("sys.stdin", io.StringIO("1 1\n0 1\n"))
+    monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(b"1 1\n0 1\n")))
     assert main(["decide", "-"]) == 0
     assert capsys.readouterr().out.strip() == "EXISTS"
+
+
+def undecodable_stdin(data):
+    """stdin as Python sets it up under a C, POSIX or C.UTF-8 locale: bytes
+    that are not UTF-8 arrive as lone surrogates instead of raising."""
+    import io
+
+    return io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", errors="surrogateescape")
+
+
+def test_undecodable_matrix_is_bad_input(tmp_path, capsys, monkeypatch):
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b"1 2\n3 7\xff\n")
+    assert main(["decide", str(bad)]) == 2
+    assert "is not UTF-8 text" in capsys.readouterr().err
+    monkeypatch.setattr("sys.stdin", undecodable_stdin(b"1 2\n3 7\xff\n"))
+    assert main(["decide", "-"]) == 2
+    assert "is not UTF-8 text" in capsys.readouterr().err
+
+
+def test_undecodable_certificate_is_bad_input(tmp_path, capsys, monkeypatch):
+    cert = tmp_path / "cert.json"
+    assert main(["witness", write(tmp_path, "m.txt", "1\n"), "--out", str(cert)]) == 0
+    data = cert.read_bytes().replace(b"Identity(0,0)", b"Identity(0,0)\xff")
+    cert.write_bytes(data)
+    assert main(["verify", str(cert)]) == 2
+    assert "is not UTF-8 text" in capsys.readouterr().err
+    monkeypatch.setattr("sys.stdin", undecodable_stdin(data))
+    assert main(["verify", "-"]) == 2
+    assert "is not UTF-8 text" in capsys.readouterr().err
+
+
+def test_undecodable_file_in_batch_is_its_own_error(tmp_path, capsys):
+    write(tmp_path, "a.txt", "1 2\n3 7\n")
+    (tmp_path / "b.txt").write_bytes(b"\xff\xfe\n")
+    write(tmp_path, "c.txt", "1 2\n3 6\n")
+    assert main(["decide", "--batch", str(tmp_path)]) == 2
+    out = capsys.readouterr().out.splitlines()
+    assert out[0] == "a.txt: EXISTS"
+    assert out[1].startswith("b.txt: ERROR") and "is not UTF-8 text" in out[1]
+    assert out[2].startswith("c.txt: ABSENT")
+
+
+def test_batch_clashes_are_usage_errors(tmp_path, capsys):
+    path = write(tmp_path, "m.txt", "1\n")
+    assert main(["decide", "--batch", str(tmp_path), "--explain"]) == 2
+    assert "--batch cannot be combined with --explain" in capsys.readouterr().err
+    assert main(["decide", "--batch", str(tmp_path), path]) == 2
+    assert "--batch cannot be combined with a matrix file" in capsys.readouterr().err
+    assert main(["decide", "--batch", str(tmp_path), "--via-submatrices"]) == 0
+
+
+def test_negative_oracle_budget_is_a_usage_error(tmp_path, capsys):
+    path = write(tmp_path, "m.txt", "1 2\n3 6\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["oracle", "--budget", "-5", path])
+    assert exc.value.code == 2
+    assert "must be nonnegative, got -5" in capsys.readouterr().err
+    assert main(["oracle", "--budget", "0", path]) == 3
 
 
 def test_internal_error_is_not_a_verdict(tmp_path, capsys, monkeypatch):

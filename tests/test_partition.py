@@ -25,17 +25,16 @@ def test_check_acceptable():
 def test_partition_kinds_and_order():
     part = build_partition(HomMatrix.from_rows([[2, 1], [0, 2]]))
     assert part.classes == ((0,), (1,))
-    assert part.kinds == ("V", "V")
+    assert part.basepoints == (None, None)  # both classes are V
+    assert not part.is_u(0) and not part.is_u(1)
     assert part.order == frozenset({(0, 1)})
-    assert part.basepoints == (None, None)
     assert part.local_of == ((0, 1), (1, 1))  # V-class locals start at 1
 
 
 def test_partition_multiple_units_flagged():
     part = build_partition(HomMatrix.from_rows([[1, 2], [2, 1]]))
     assert part.classes == ((0, 1),)
-    assert part.kinds == ("U",)
-    assert part.basepoints == (0,)
+    assert part.basepoints == (0,) and part.is_u(0)
     assert part.multiple_units == ((0, (0, 1)),)
 
 
@@ -43,11 +42,10 @@ def test_partition_block_matrix():
     M = HomMatrix.from_rows([[1, 1, 1, 2], [1, 2, 2, 3], [0, 0, 1, 1], [0, 0, 1, 2]])
     part = build_partition(M)
     assert part.classes == ((0, 1), (2, 3))
-    assert part.kinds == ("U", "U")
-    assert part.basepoints == (0, 2)
+    assert part.basepoints == (0, 2) and part.is_u(0) and part.is_u(1)
     assert part.order == frozenset({(0, 1)})
     assert part.local_of == ((0, 0), (0, 1), (1, 0), (1, 1))
-    assert part.obj(1, 1) == 3
+    assert part.locals_of(1) == ((0, 2), (1, 3))
 
 
 def test_partition_locals_count_up_past_the_basepoint():
@@ -55,7 +53,6 @@ def test_partition_locals_count_up_past_the_basepoint():
     assert part.basepoints == (1,)
     assert part.local_of == ((0, 1), (0, 0), (0, 2))
     assert part.locals_of(0) == ((0, 1), (1, 0), (2, 2))
-    assert part.obj(0, 2) == 2
 
 
 def test_partition_rejects_unacceptable():
@@ -74,7 +71,7 @@ def test_local_coordinates_are_a_bijection(M):
     seen = set()
     for x in range(N.n):
         c, i = part.local_of[x]
-        assert part.obj(c, i) == x
+        assert (i, x) in part.locals_of(c)
         assert (c, i) not in seen
         seen.add((c, i))
     assert part.locals_of(0) == tuple(sorted((i, x) for x, (_, i) in enumerate(part.local_of)))
@@ -113,7 +110,7 @@ def test_blocks_are_uniformly_positive(rng):
     for c, cm in enumerate(part.classes):
         for d, dm in enumerate(part.classes):
             entries = [M[x][y] for x in cm for y in dm]
-            if c == d or part.above(c, d):
+            if c == d or (c, d) in part.order:
                 assert all(v >= 1 for v in entries)
-            elif not part.above(d, c):
+            elif (d, c) not in part.order:
                 assert all(v == 0 for v in entries)

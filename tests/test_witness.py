@@ -25,11 +25,9 @@ def count(labels, kind):
 
 def test_a_of_b_of():
     N, part = setup_for([[1, 2], [3, 7]])
-    assert a_of(N, part, 0, 1) == 3
-    assert b_of(N, part, 0, 1) == 2
-    assert a_of(N, part, 0, 0) == 1 and b_of(N, part, 0, 0) == 1
-    N, part = setup_for([[2]])  # V class: both counts are 1 by convention
-    assert a_of(N, part, 0, 1) == 1 and b_of(N, part, 0, 1) == 1
+    assert a_of(N, part, 1) == 3
+    assert b_of(N, part, 1) == 2
+    assert a_of(N, part, 0) == 1 and b_of(N, part, 0) == 1  # the basepoint itself
 
 
 def test_hom_labels_u_class():
