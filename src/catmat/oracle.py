@@ -4,29 +4,42 @@ Morphisms are numbered 0..T-1 hom-set by hom-set, visiting objects with one
 endomorphism first and then the rest by falling endomorphism count (ties by
 index).  The identity of each object is pinned to the first morphism of its
 diagonal hom-set (any category can be relabeled into that form), unit laws
-fill in the forced cells, and a depth-first search assigns the rest in
+fill in the forced cells, and a depth-first search decides the rest in
 (cell, candidate) order of those numbers.  The object order changes how soon
-the search ends, never its answer; it was chosen by measurement (of the 625
-2x2 matrices with entries <= 4, 3 need over 10^6 assignments with it and 16
-in index order).  Associativity of a partial table is enforced
-incrementally: each assignment re-checks exactly the triples it could have
-completed, so a fully assigned table is a category with no further checking.
+the search ends, never its answer; it was chosen by measurement before
+propagation (of the 625 2x2 matrices with entries <= 4, 3 needed over 10^6
+assignments with it and 16 in index order).
+
+Propagation (as in SEM and Mace4, cited below).  Each placed cell is checked
+in the four roles a cell plays in a triple h.(g.f) = (h.g).f with g.f = p and
+h.g = q: as (g, f), (h, g), (h, p) and (q, f).  Once p and q are known, the
+cells (h, p) and (q, f) must hold the same morphism: two different values
+are a clash and the search backtracks, and one known value is placed in the
+other cell.  A fully placed table is therefore a category with no further
+checking, and a propagated value is one that every category agreeing with
+the cells placed before it has.  Placements go on one trail and are undone
+to the mark of the decision that made them; free cells already filled are
+skipped.  `assignments` counts the forced cells and the decisions tried, not
+the cells placed by propagation.
 
 Symmetry breaking (the least-number heuristic of finite model search: Zhang &
 Zhang, SEM, 1995; McCune, Mace4, 2003).  A morphism is *used* if it is an
-identity, an argument of the cell being filled, or an argument or value of an
-assigned free cell.  A free cell (g, f) tries only the used members of its
-target hom-set H plus the lowest-numbered unused one, v0.  This loses no
-category: suppose a category C completes the partial table and puts an
-unused v != v0 of H in (g, f).  Swapping v and v0 within H relabels C into a
-category C'.  The swap fixes every used morphism, so C' agrees with C on the
-assigned free cells and on g and f, and C'(g, f) = v0.  The forced cells are
-the unit-law cells and the cells whose hom-set has one member; the swap maps
-that set of cells onto itself, and C' satisfies the same unit laws and
-hom-sets, so C' agrees with the forced table too.  Hence some completion puts
-v0 in (g, f) whenever any completion puts an unused morphism there.  Since
-v0 < v is tried first, the first table found is the one the unpruned search
-in the same order would find.
+identity, an argument of the cell being filled, or an argument or value of a
+cell placed after the up-front phase, by decision or by propagation.  A free
+cell (g, f) tries only the used members of its target hom-set H plus the
+lowest-numbered unused one, v0.  This loses no category: suppose a category
+C completes the partial table and puts an unused v != v0 of H in (g, f).
+Swapping v and v0 within H relabels C into a category C'.  The swap fixes
+every used morphism, so C' agrees with C on every cell placed after the
+up-front phase, propagated ones included, and on g and f, and C'(g, f) = v0.
+The forced cells are the unit-law cells and the cells whose hom-set has one
+member; the swap maps that set of cells onto itself, and C' satisfies the
+same unit laws and hom-sets, so C' agrees with the forced table too, and so
+with the cells propagated from it.  Hence some completion puts v0 in (g, f)
+whenever any completion puts an unused morphism there.  Since v0 < v is
+tried first, and propagation only cuts subtrees without a completion, the
+first table found is the one the unpruned search in the same order would
+find.
 """
 
 from __future__ import annotations
@@ -106,46 +119,74 @@ def oracle_decide(M: HomMatrix, budget: SearchBudget | int | None = None) -> Ora
 
     table: list[int | None] = [None] * (T * T)
     assigned_to: list[list[int]] = [[] for _ in range(T)]
+    uses = [0] * T
+    trail: list[int] = []  # every placed cell, in placement order
     assignments = 0
 
-    def triple_ok(h: int, g: int, f: int) -> bool:
-        p = table[g * T + f]
-        if p is None:
-            return True
-        q = table[h * T + g]
-        if q is None:
-            return True
-        left = table[h * T + p]
-        if left is None:
-            return True
-        right = table[q * T + f]
-        return right is None or left == right
-
-    def assign(slot: int, val: int) -> bool:
-        """Place val and re-check every triple this could have completed."""
+    def put(slot: int, val: int) -> None:
         table[slot] = val
+        trail.append(slot)
         assigned_to[val].append(slot)
-        a, b = divmod(slot, T)
-        for h in leaving[tgt[a]]:
-            if not triple_ok(h, a, b):
-                return False
-        for f in entering[src[b]]:
-            if not triple_ok(a, b, f):
-                return False
-        for s2 in assigned_to[b]:
-            g2, f2 = divmod(s2, T)
-            if not triple_ok(a, g2, f2):
-                return False
-        for s2 in assigned_to[a]:
-            h2, g2 = divmod(s2, T)
-            if not triple_ok(h2, g2, b):
-                return False
+        g, f = divmod(slot, T)
+        uses[g] += 1
+        uses[f] += 1
+        uses[val] += 1
+
+    def settle(left: int, right: int) -> bool:
+        """Two cells that must be equal: copy a known one into an empty one."""
+        u = table[left]
+        v = table[right]
+        if u is None:
+            if v is not None:
+                put(left, v)
+        elif v is None:
+            put(right, u)
+        return u is None or v is None or u == v
+
+    def place(slot: int, val: int) -> bool:
+        """Place val and every composite it forces; False on a clash.
+
+        The four loops take the new cell as (g, f), (h, g), (h, p) and
+        (q, f) of h.p = q.f.  Placements stay on the trail for the caller
+        to undo.
+        """
+        k = len(trail)
+        put(slot, val)
+        while k < len(trail):
+            s = trail[k]
+            k += 1
+            a, b = divmod(s, T)
+            c = table[s]
+            for h in leaving[tgt[a]]:
+                q = table[h * T + a]
+                if q is not None and not settle(h * T + c, q * T + b):
+                    return False
+            for f in entering[src[b]]:
+                p = table[b * T + f]
+                if p is not None and not settle(a * T + p, c * T + f):
+                    return False
+            for s2 in assigned_to[b]:
+                g, f = divmod(s2, T)
+                q = table[a * T + g]
+                if q is not None and not settle(s, q * T + f):
+                    return False
+            for s2 in assigned_to[a]:
+                h, g = divmod(s2, T)
+                p = table[g * T + b]
+                if p is not None and not settle(h * T + p, s):
+                    return False
         return True
 
-    def unassign(slot: int) -> None:
-        val = table[slot]
-        table[slot] = None
-        assigned_to[val].pop()
+    def undo(mark: int) -> None:
+        while len(trail) > mark:
+            s = trail.pop()
+            val = table[s]
+            table[s] = None
+            assigned_to[val].pop()
+            g, f = divmod(s, T)
+            uses[g] -= 1
+            uses[f] -= 1
+            uses[val] -= 1
 
     # Unit laws and single-candidate hom-sets force part of the table up front.
     forced: dict[int, int] = {}
@@ -163,12 +204,12 @@ def oracle_decide(M: HomMatrix, budget: SearchBudget | int | None = None) -> Ora
         assignments += 1
         if assignments > max_assignments:
             return OracleResult("unknown", assignments - 1)
-        if not assign(slot, forced[slot]):
+        val = forced[slot]
+        if not (place(slot, val) if table[slot] is None else table[slot] == val):
             return OracleResult("no", assignments)
 
-    free = [slot for slot in cells if slot not in forced]
-
-    uses = [0] * T
+    # The forced cells and what they force are never undone, and do not count as used.
+    uses[:] = [0] * T
     for m in id_of:
         uses[m] = 1
 
@@ -185,48 +226,36 @@ def oracle_decide(M: HomMatrix, budget: SearchBudget | int | None = None) -> Ora
                 fresh = False
         return out
 
-    def use(slot: int, step: int) -> None:
-        g, f = divmod(slot, T)
-        uses[g] += step
-        uses[f] += step
-        uses[table[slot]] += step
-
-    depth = 0
-    choice = [0] * (len(free) + 1)
+    free = [slot for slot in cells if slot not in forced]
+    frames: list[list] = []  # per decision: [index in free, options, next option, trail mark]
+    i = 0
+    advance = True
     while True:
-        if depth == len(free):
-            homs = {pair: tuple(ids) for pair, ids in hom_ids.items() if ids}
-            identity = {x: id_of[x] for x in range(n)}
-            full = {}
-            for slot in cells:
-                g, f = divmod(slot, T)
-                full[(g, f)] = table[slot]
-            return OracleResult(
-                "yes", assignments, FiniteCategory(n, homs, identity, full)
-            )
-        slot = free[depth]
-        options = candidates(slot)  # the same list each time the search returns here
-        advanced = False
-        while choice[depth] < len(options):
-            val = options[choice[depth]]
-            assignments += 1
-            if assignments > max_assignments:
-                return OracleResult("unknown", assignments - 1)
-            if assign(slot, val):
-                use(slot, 1)
-                depth += 1
-                choice[depth] = 0
-                advanced = True
-                break
-            unassign(slot)
-            choice[depth] += 1
-        if advanced:
+        if advance:
+            while i < len(free) and table[free[i]] is not None:
+                i += 1
+            if i == len(free):
+                homs = {pair: tuple(ids) for pair, ids in hom_ids.items() if ids}
+                identity = {x: id_of[x] for x in range(n)}
+                full = {}
+                for slot in cells:
+                    g, f = divmod(slot, T)
+                    full[(g, f)] = table[slot]
+                return OracleResult(
+                    "yes", assignments, FiniteCategory(n, homs, identity, full)
+                )
+            frames.append([i, candidates(free[i]), 0, len(trail)])
+        frame = frames[-1]
+        i, options, k, mark = frame
+        undo(mark)
+        if k == len(options):
+            frames.pop()
+            if not frames:
+                return OracleResult("no", assignments)
+            advance = False
             continue
-        # Exhausted this cell: backtrack to the previous free cell.
-        choice[depth] = 0
-        depth -= 1
-        if depth < 0:
-            return OracleResult("no", assignments)
-        use(free[depth], -1)
-        unassign(free[depth])
-        choice[depth] += 1
+        frame[2] = k + 1
+        assignments += 1
+        if assignments > max_assignments:
+            return OracleResult("unknown", assignments - 1)
+        advance = place(free[i], options[k])

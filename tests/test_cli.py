@@ -171,7 +171,7 @@ def test_oracle_command(tmp_path, capsys):
     path = write(tmp_path, "no.txt", "1 2\n1 1\n")
     assert main(["oracle", path]) == 1
 
-    path = write(tmp_path, "hard.txt", "1 2\n3 6\n")
+    path = write(tmp_path, "hard.txt", "4 4\n4 4\n")
     assert main(["oracle", "--budget", "50", path]) == 3
     assert capsys.readouterr().out.startswith("ABSENT")  # the no.txt output
 
@@ -185,7 +185,8 @@ def test_parser_reused_without_leaking_flags(tmp_path, capsys):
     out = capsys.readouterr().out
     assert out.startswith("ABSENT") and out.count("\n") == 1
 
-    assert main(["oracle", "--budget", "50", path]) == 3
+    hard = write(tmp_path, "hard.txt", "4 4\n4 4\n")
+    assert main(["oracle", "--budget", "50", hard]) == 3
     capsys.readouterr()
     assert main(["oracle", path]) in (0, 1)
     assert not capsys.readouterr().out.startswith("UNKNOWN")
