@@ -10,25 +10,30 @@ basepoints the two floors must be met jointly.
 
 One walk checks all eight and yields every failing instance.  Its order:
 reflexivity object by object, then transitivity chain by chain, stopping
-there if either failed (the later conditions need the partition of an
-acceptable matrix); then unique basepoints; then, U class by U class, the
+there if either failed (the later conditions need the class structure of
+an acceptable matrix); then unique basepoints; then, U class by U class, the
 class's diagonal floors followed by its off-diagonal floors; then, for each
 ordered class pair, cell by cell, the column, row and quadrant floor of the
 cell.  `decide` takes the first instance as its Reason and stops the walk
 there.  `condition_report` runs the whole walk and groups the instances by
 condition, spelling out the first few of each.  `explain` gives both from
 one walk.
+
+The walk runs on a plain tuple of rows.  Only a yes from `decide` or
+`explain` builds the HomMatrix, ReductionMap and Partition it carries, from
+the tuples the walk computed; the window scan builds none of them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from itertools import combinations
+from operator import itemgetter
 from typing import Iterator
 
-from .matrix import HomMatrix
-from .partition import Partition, acceptability_failures
-from .reduction import ReductionMap, reduce
+from .matrix import HomMatrix, Rows
+from .partition import Partition, Structure, acceptability_failures, structure
+from .reduction import ReductionMap, reduce_rows, reduced_pair
 
 
 @dataclass(frozen=True)
@@ -121,27 +126,27 @@ def _reason(fields: tuple) -> Reason:
 
 
 class _Walk:
-    """One pass over the conditions of M, run on its reduced matrix.
+    """One pass over the conditions of a square tuple of rows, run on its
+    reduced rows.
 
     Iterating yields every failing instance in walk order as the positional
     fields of its Reason (kind, objects, classes, coords, required, actual),
-    objects already in M's indices, so that callers build only the Reasons
-    they use.  Once the walk gets past acceptability, `partition` holds the
-    class structure.
+    objects already in the input's indices, so that callers build only the
+    Reasons they use.  Reduction and class structure are plain tuples
+    (`reduce_rows`, `structure`), computed once; `shape` holds the structure
+    once the walk gets past acceptability.
     """
 
-    def __init__(self, M: HomMatrix):
-        self.reduced, self.rmap = reduce(M)
-        self.partition: Partition | None = None
+    def __init__(self, rows: Rows):
+        self.rows, self.class_of, self.rep = reduce_rows(rows)
+        self.shape: Structure | None = None
 
     def __iter__(self) -> Iterator[tuple]:
-        N = self.reduced
-        rows = N.entries
-        rep = self.rmap.representative
+        rows, rep = self.rows, self.rep
         acceptable = True
-        for kind, indices in acceptability_failures(N):
+        for kind, indices in acceptability_failures(rows):
             acceptable = False
-            objects = tuple(rep[t] for t in indices)
+            objects = tuple([rep[t] for t in indices])
             if kind == "diag":
                 yield "ZeroDiagonal", objects, (), (), 1, 0
             else:
@@ -149,15 +154,14 @@ class _Walk:
         if not acceptable:
             return
 
-        part = self.partition = Partition(N)
-        for c, units in part.multiple_units:
-            yield "MultipleUnits", tuple(rep[u] for u in units), (c,), (), None, None
+        classes, basepoints, locals_, order, multiple_units = self.shape = structure(rows)
+        for c, units in multiple_units:
+            yield "MultipleUnits", tuple([rep[u] for u in units]), (c,), (), None, None
 
-        for c in range(len(part.classes)):
-            if not part.is_u(c):
+        for c, bp in enumerate(basepoints):
+            if bp is None:
                 continue
-            bp = part.basepoints[c]
-            legs = [(i, x) for i, x in part.locals_of(c) if i != 0]
+            legs = locals_[c][1:]
             for i, x in legs:
                 need = rows[x][bp] * rows[bp][x] + 1
                 if rows[x][x] < need:
@@ -170,13 +174,13 @@ class _Walk:
                     if rows[x][y] < need:
                         yield "UOffDiagonalFail", (rep[x], rep[y]), (c,), (i, j), need, rows[x][y]
 
-        for c, d in sorted(part.order):
-            cu, du = part.is_u(c), part.is_u(d)
+        for c, d in order:
+            bc, bd = basepoints[c], basepoints[d]
+            cu, du = bc is not None, bd is not None
             if not (cu or du):
                 continue
-            bc, bd = part.basepoints[c], part.basepoints[d]
-            below = part.locals_of(d)
-            for i, x in part.locals_of(c):
+            below = locals_[d]
+            for i, x in locals_[c]:
                 row = rows[x]
                 for j, y in below:
                     have = row[y]
@@ -189,18 +193,21 @@ class _Walk:
                         if have < need:
                             yield "CrossQuadrantFail", (rep[x], rep[y]), (c, d), (i, j), need, have
 
-    def verdict(self, reason: Reason | None) -> Verdict:
+    def verdict(self, M: HomMatrix, reason: Reason | None) -> Verdict:
+        """The Verdict on M, whose rows the walk ran on; a yes builds its
+        payload from the walk's own tuples."""
         if reason is not None:
             return Verdict("no", reason)
-        return Verdict("yes", None, self.reduced, self.rmap, self.partition)
+        N, rmap = reduced_pair(M, self.rows, self.class_of, self.rep)
+        return Verdict("yes", None, N, rmap, Partition(N, self.shape))
 
 
 def decide(M: HomMatrix) -> Verdict:
     """Decide realizability; a yes verdict carries the reduced matrix,
     the reduction map and the partition used by the witness builder."""
-    walk = _Walk(M)
+    walk = _Walk(M.entries)
     first = next(iter(walk), None)
-    return walk.verdict(None if first is None else _reason(first))
+    return walk.verdict(M, None if first is None else _reason(first))
 
 
 def condition_report(M: HomMatrix) -> list[dict]:
@@ -214,7 +221,7 @@ def condition_report(M: HomMatrix) -> list[dict]:
 
 def explain(M: HomMatrix) -> tuple[Verdict, list[dict]]:
     """decide(M) and condition_report(M), from a single walk."""
-    walk = _Walk(M)
+    walk = _Walk(M.entries)
     first = None
     shown: dict[str, list[str]] = {kind: [] for kind in _KINDS}
     failed = dict.fromkeys(_KINDS, 0)
@@ -234,10 +241,10 @@ def explain(M: HomMatrix) -> tuple[Verdict, list[dict]]:
             status, details = "fail", "; ".join(shown[kind])
             if failed[kind] > _SHOWN:
                 details += f"; +{failed[kind] - _SHOWN} more"
-        elif walk.partition is None and kind not in _ACCEPTABILITY:
+        elif walk.shape is None and kind not in _ACCEPTABILITY:
             status, details = "skipped", "prerequisite failed"
         report.append({"condition": condition, "status": status, "details": details})
-    return walk.verdict(first), report
+    return walk.verdict(M, first), report
 
 
 def decide_by_submatrices(M: HomMatrix) -> Verdict:
@@ -245,18 +252,22 @@ def decide_by_submatrices(M: HomMatrix) -> Verdict:
 
     Realizability is equivalent to realizability of every principal submatrix
     of size <= 4.  Subsets are scanned in ascending size, lexicographically;
-    each window is cut straight from M's rows and goes through the same
-    condition walk as `decide`.  The first rejected window is reported with
-    its indices in `subset` and the inner reason's objects remapped to the
-    enclosing matrix (classes, local coordinates and the detail text stay
-    relative to the window).  A yes verdict carries no witness payload: the
-    decision came from the windows alone.
+    each window's rows are cut straight from M's and go through the same
+    condition walk as `decide`, with no HomMatrix, ReductionMap or Partition
+    built.  The first rejected window is reported with its indices in
+    `subset` and the inner reason's objects remapped to the enclosing matrix.
+    Classes, local coordinates and the detail text stay relative to the
+    window: a NotAcceptable detail "transitivity fails along [2, 0, 1]"
+    lists positions in the window, while its objects are indices into M.
+    A yes verdict carries no witness payload: the decision came from the
+    windows alone.
     """
     rows = M.entries
     for size in range(1, min(4, M.n) + 1):
         for keep in combinations(range(M.n), size):
-            window = tuple(tuple([rows[i][j] for j in keep]) for i in keep)
-            first = next(iter(_Walk(HomMatrix(size, window))), None)
+            cut = itemgetter(*keep)  # a tuple of entries, or one entry when size == 1
+            window = tuple([cut(rows[i]) for i in keep]) if size > 1 else ((cut(rows[keep[0]]),),)
+            first = next(iter(_Walk(window)), None)
             if first is not None:
                 reason = _reason(first)
                 reason = replace(reason, objects=tuple(keep[o] for o in reason.objects))

@@ -13,12 +13,15 @@ from typing import Iterable, Sequence
 from .errors import ParseError, ShapeError
 
 
+Rows = tuple[tuple[int, ...], ...]
+
+
 @dataclass(frozen=True)
 class HomMatrix:
     """Immutable square matrix of nonnegative integers."""
 
     n: int
-    entries: tuple[tuple[int, ...], ...]
+    entries: Rows
 
     def __post_init__(self):
         if self.n < 0:

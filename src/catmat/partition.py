@@ -5,15 +5,21 @@ is reflexive and transitive.  Mutual reachability then partitions the objects
 into classes, each class either has an object with exactly one endomorphism
 (a basepoint, kind "U") or none (kind "V"), and the classes are strictly
 ordered by one-way reachability.
+
+`acceptability_failures` and `structure` work on a plain tuple of rows, so
+the decider's condition walk runs them on every window without building a
+HomMatrix or a Partition; `check_acceptable` and `Partition` are the same
+computations on a HomMatrix.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 from typing import Iterator
 
 from .errors import NotAcceptable
-from .matrix import HomMatrix
+from .matrix import HomMatrix, Rows
 
 
 @dataclass(frozen=True)
@@ -24,33 +30,79 @@ class AcceptabilityCounterexample:
     indices: tuple[int, ...]
 
 
-def acceptability_failures(M: HomMatrix) -> Iterator[tuple[str, tuple[int, ...]]]:
-    """Every failing (kind, indices): ("diag", (i,)) for each M[i][i] == 0, then
-    ("chain", (i, j, k)) for each i -> j -> k but not i -> k, lexicographically."""
-    rows = M.entries
+def acceptability_failures(rows: Rows) -> Iterator[tuple[str, tuple[int, ...]]]:
+    """Every failing (kind, indices) of a square tuple of rows: ("diag", (i,))
+    for each rows[i][i] == 0, then ("chain", (i, j, k)) for each i -> j -> k
+    but not i -> k, lexicographically."""
     for i, row in enumerate(rows):
         if row[i] == 0:
             yield "diag", (i,)
+    # reach[j] has bit k set when j -> k; i -> j -> k fails transitivity
+    # exactly for the bits of reach[j] outside reach[i].
+    bits = [1 << k for k in range(len(rows))]
+    reach = [sum(compress(bits, row)) for row in rows]
     for i, row in enumerate(rows):
-        missing = [k for k, v in enumerate(row) if v == 0]
-        if not missing:
+        if 0 not in row:
             continue
+        out = ~reach[i]
         for j, v in enumerate(row):
-            if v:
-                for k in missing:
-                    if rows[j][k]:
+            if v and reach[j] & out:
+                for k, w in enumerate(rows[j]):
+                    if w and not row[k]:
                         yield "chain", (i, j, k)
 
 
 def check_acceptable(M: HomMatrix) -> AcceptabilityCounterexample | None:
     """None when the positivity relation is reflexive and transitive."""
-    first = next(acceptability_failures(M), None)
+    first = next(acceptability_failures(M.entries), None)
     return None if first is None else AcceptabilityCounterexample(*first)
+
+
+Structure = tuple  # (classes, basepoints, locals, order, multiple_units)
+
+
+def structure(rows: Rows) -> Structure:
+    """The class structure of an acceptable square tuple of rows, as plain
+    tuples: classes, basepoints, locals, order and multiple_units.
+
+    Each field is the Partition attribute of the same name, except that
+    locals[c] is locals_of(c) and order is a tuple in ascending order.
+    """
+    n = len(rows)
+    seen = [False] * n
+    classes, basepoints, locals_, multiple_units = [], [], [], []
+    for i, row in enumerate(rows):
+        if seen[i]:  # i joined the class of a smaller member
+            continue
+        members = [j for j in range(i, n) if row[j] and rows[j][i]]
+        classes.append(tuple(members))
+        for j in members:
+            seen[j] = True
+        units = [x for x in members if rows[x][x] == 1]
+        if units:
+            if len(units) > 1:
+                multiple_units.append((len(basepoints), tuple(units)))
+            members.remove(units[0])
+            basepoints.append(units[0])
+            locals_.append(((0, units[0]), *enumerate(members, 1)))
+        else:
+            basepoints.append(None)
+            locals_.append(tuple(enumerate(members, 1)))
+
+    heads = [members[0] for members in classes]
+    order = tuple([
+        (c, d) for c, h in enumerate(heads) for d, k in enumerate(heads) if c != d and rows[h][k]
+    ])
+    return tuple(classes), tuple(basepoints), tuple(locals_), order, tuple(multiple_units)
 
 
 class Partition:
     """Class structure of a matrix already known to be acceptable
     (build_partition checks that first).
+
+    The attributes are those of `structure(M.entries)`, which the
+    constructor computes unless `shape` passes in that result already
+    computed; local_of and the frozenset order are derived from it.
 
     classes[c] lists members ascending; classes are ordered by smallest member.
     basepoints[c] is the basepoint of a U class and None for a V class.  Local
@@ -63,48 +115,18 @@ class Partition:
     the partition is still returned for reporting.
     """
 
-    def __init__(self, M: HomMatrix):
-        n, rows = M.n, M.entries
-        class_of = [-1] * n
-        classes: list[tuple[int, ...]] = []
-        for i in range(n):
-            if class_of[i] < 0:  # i is its class's smallest member
-                row = rows[i]
-                members = tuple([j for j in range(i, n) if row[j] and rows[j][i]])
-                for j in members:
-                    class_of[j] = len(classes)
-                classes.append(members)
-
-        basepoints, multiple_units, locals_by_class = [], [], []
-        local_of: list[tuple[int, int]] = [(-1, -1)] * n
-        for c, members in enumerate(classes):
-            units = [x for x in members if rows[x][x] == 1]
-            if units:
-                bp = units[0]
-                if len(units) > 1:
-                    multiple_units.append((c, tuple(units)))
-                pairs = ((0, bp), *enumerate([x for x in members if x != bp], 1))
-            else:
-                bp = None
-                pairs = tuple(enumerate(members, 1))
-            basepoints.append(bp)
-            locals_by_class.append(pairs)
+    def __init__(self, M: HomMatrix, shape: Structure | None = None):
+        classes, basepoints, locals_, order, multiple_units = shape or structure(M.entries)
+        local_of: list[tuple[int, int]] = [(-1, -1)] * M.n
+        for c, pairs in enumerate(locals_):
             for i, x in pairs:
                 local_of[x] = (c, i)
-
-        order = set()
-        for c, cm in enumerate(classes):
-            row = rows[cm[0]]
-            for d, dm in enumerate(classes):
-                if c != d and row[dm[0]]:
-                    order.add((c, d))
-
-        self.classes = tuple(classes)
-        self.basepoints = tuple(basepoints)
+        self.classes = classes
+        self.basepoints = basepoints
         self.local_of = tuple(local_of)
         self.order = frozenset(order)
-        self.multiple_units = tuple(multiple_units)
-        self._locals = tuple(locals_by_class)
+        self.multiple_units = multiple_units
+        self._locals = locals_
 
     def is_u(self, c: int) -> bool:
         return self.basepoints[c] is not None

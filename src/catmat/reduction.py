@@ -12,13 +12,14 @@ from dataclasses import dataclass
 
 from .category import FiniteCategory, table_from_blocks
 from .errors import CardinalityError
-from .matrix import HomMatrix
+from .matrix import HomMatrix, Rows
 
 
-def duplicate_relation(M: HomMatrix) -> list[tuple[int, ...]]:
-    """Partition object indices into duplicate groups, ordered by smallest member."""
+def duplicate_relation(rows: Rows) -> list[tuple[int, ...]]:
+    """Partition the object indices of a square tuple of rows into duplicate
+    groups, ordered by smallest member."""
     groups: dict[tuple, list[int]] = {}
-    for i, key in enumerate(zip(M.entries, zip(*M.entries))):
+    for i, key in enumerate(zip(rows, zip(*rows))):
         groups.setdefault(key, []).append(i)
     return [tuple(g) for g in groups.values()]  # a group enters at its smallest member
 
@@ -37,25 +38,41 @@ class ReductionMap:
     representative: tuple[int, ...]
 
 
+def reduce_rows(rows: Rows) -> tuple[Rows, tuple[int, ...], tuple[int, ...]]:
+    """`reduce` on a square tuple of rows already known to be valid: the
+    reduced rows, class_of and representative.
+
+    Without duplicates the reduced rows are `rows` itself, under the identity.
+    """
+    n = len(rows)
+    if len(set(rows)) < n:  # distinct rows rule out duplicates
+        groups = duplicate_relation(rows)
+        if len(groups) < n:
+            class_of = [0] * n
+            for a, group in enumerate(groups):
+                for i in group:
+                    class_of[i] = a
+            representative = tuple([group[0] for group in groups])
+            reduced = tuple(tuple([rows[r][c] for c in representative]) for r in representative)
+            return reduced, tuple(class_of), representative
+    identity = tuple(range(n))
+    return rows, identity, identity
+
+
 def reduce(M: HomMatrix) -> tuple[HomMatrix, ReductionMap]:
     """Collapse duplicate objects; the reduced matrix has no duplicate pair.
 
     Without duplicates the reduced matrix is M itself, under the identity map.
     """
-    groups = duplicate_relation(M)
-    if len(groups) == M.n:
-        identity = tuple(range(M.n))
-        return M, ReductionMap(M.n, M.n, identity, identity)
-    class_of = [0] * M.n
-    representative = []
-    for a, group in enumerate(groups):
-        representative.append(group[0])
-        for i in group:
-            class_of[i] = a
-    rows = tuple(tuple(M[r][c] for c in representative) for r in representative)
-    reduced = HomMatrix(len(groups), rows)
-    rmap = ReductionMap(M.n, len(groups), tuple(class_of), tuple(representative))
-    return reduced, rmap
+    return reduced_pair(M, *reduce_rows(M.entries))
+
+
+def reduced_pair(
+    M: HomMatrix, rows: Rows, class_of: tuple[int, ...], representative: tuple[int, ...]
+) -> tuple[HomMatrix, ReductionMap]:
+    """`reduce(M)` built from reduce_rows(M.entries), already computed."""
+    N = M if rows is M.entries else HomMatrix(len(rows), rows)
+    return N, ReductionMap(M.n, N.n, class_of, representative)
 
 
 def inflate(

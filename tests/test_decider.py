@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from dataclasses import replace
 from itertools import combinations
 
@@ -8,11 +9,15 @@ from hypothesis import strategies as st
 
 from catmat import (
     HomMatrix,
+    Partition,
+    ReductionMap,
+    build_partition,
     condition_report,
     decide,
     decide_by_submatrices,
     reduce,
 )
+from catmat.decider import explain
 from catmat.matrix import permute, principal_submatrix, transpose
 from helpers import duplicate_objects, random_matrix, random_unit_first
 
@@ -284,3 +289,53 @@ def test_decide_by_submatrices_matches_reference_scan():
         duplicated += reduce(M)[1].m < M.n
     assert kinds == set(CONDITION_OF_KIND)
     assert yes >= 20 and duplicated >= 100
+
+
+def assert_yes_payload(M, verdict):
+    """A yes carries what reduce(M) and build_partition give, field by field."""
+    N, rmap = reduce(M)
+    part = build_partition(N)
+    assert verdict.reduced == N
+    assert verdict.rmap == rmap
+    got = verdict.partition
+    for field in ("classes", "basepoints", "local_of", "order", "multiple_units"):
+        assert getattr(got, field) == getattr(part, field), field
+    assert [got.locals_of(c) for c in range(len(got.classes))] == [
+        part.locals_of(c) for c in range(len(part.classes))
+    ]
+
+
+def test_yes_payload_matches_reduce_and_partition():
+    yes = duplicated = 0
+    for M in window_cases():
+        for verdict in (decide(M), explain(M)[0]):
+            if verdict.exists:
+                yes += 1
+                duplicated += verdict.rmap.m < M.n
+                assert_yes_payload(M, verdict)
+    assert yes >= 40 and duplicated >= 20
+
+
+@given(small_matrices, st.randoms(use_true_random=False))
+def test_yes_payload_matches_reduce_and_partition_on_random_matrices(M, rng):
+    M = duplicate_objects(rng, M, rng.randint(0, 3) if M.n else 0)
+    for verdict in (decide(M), explain(M)[0]):
+        if verdict.exists:
+            assert_yes_payload(M, verdict)
+
+
+def test_window_scan_builds_no_matrix_map_or_partition(monkeypatch):
+    base = [[1, 1, 1, 1], [1, 2, 1, 1], [0, 0, 1, 1], [0, 0, 1, 2]]
+    phi = [0, 1, 2, 3, 1, 3]  # objects 4 and 5 duplicate 1 and 3
+    M = HomMatrix.from_rows([[base[a][b] for b in phi] for a in phi])
+    built = Counter()
+    for cls in (HomMatrix, ReductionMap, Partition):
+        def counted(self, *args, _init=cls.__init__, _name=cls.__name__, **kwargs):
+            built[_name] += 1
+            _init(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "__init__", counted)
+    assert decide_by_submatrices(M).exists
+    assert not built
+    assert decide(M).exists  # the counters do see the payload of a yes
+    assert built == {"HomMatrix": 1, "ReductionMap": 1, "Partition": 1}

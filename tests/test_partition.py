@@ -3,7 +3,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from catmat import HomMatrix, NotAcceptable, build_partition, reduce
-from catmat.partition import check_acceptable
+from catmat.partition import acceptability_failures, check_acceptable
 
 positive_matrices = st.integers(min_value=1, max_value=4).flatmap(
     lambda n: st.lists(
@@ -20,6 +20,30 @@ def test_check_acceptable():
     assert cex.kind == "diag" and cex.indices == (0,)
     cex = check_acceptable(HomMatrix.from_rows([[1, 1, 0], [0, 1, 1], [0, 0, 1]]))
     assert cex.kind == "chain" and cex.indices == (0, 1, 2)
+
+
+small_matrices = st.integers(min_value=0, max_value=6).flatmap(
+    lambda n: st.lists(
+        st.lists(st.sampled_from([0, 0, 1, 2]), min_size=n, max_size=n),
+        min_size=n,
+        max_size=n,
+    )
+)
+
+
+@given(small_matrices)
+def test_acceptability_failures_match_plain_scan(rows):
+    rows = tuple(map(tuple, rows))
+    n = len(rows)
+    want = [("diag", (i,)) for i in range(n) if rows[i][i] == 0]
+    want += [
+        ("chain", (i, j, k))
+        for i in range(n)
+        for j in range(n)
+        for k in range(n)
+        if rows[i][j] and rows[j][k] and not rows[i][k]
+    ]
+    assert list(acceptability_failures(rows)) == want
 
 
 def test_partition_kinds_and_order():

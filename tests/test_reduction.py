@@ -23,12 +23,12 @@ matrices = st.integers(min_value=0, max_value=5).flatmap(
 
 
 def test_duplicate_relation():
-    assert duplicate_relation(HomMatrix.from_rows([[2, 2], [2, 2]])) == [(0, 1)]
-    assert duplicate_relation(HomMatrix.from_rows([[1, 2], [3, 7]])) == [(0,), (1,)]
-    assert duplicate_relation(HomMatrix.from_rows([[1]])) == [(0,)]
+    assert duplicate_relation(HomMatrix.from_rows([[2, 2], [2, 2]]).entries) == [(0, 1)]
+    assert duplicate_relation(HomMatrix.from_rows([[1, 2], [3, 7]]).entries) == [(0,), (1,)]
+    assert duplicate_relation(HomMatrix.from_rows([[1]]).entries) == [(0,)]
     # Equal rows alone are not enough; the columns must match too.
-    assert duplicate_relation(HomMatrix.from_rows([[1, 1], [1, 1]])) == [(0, 1)]
-    assert duplicate_relation(HomMatrix.from_rows([[2, 2], [2, 3]])) == [(0,), (1,)]
+    assert duplicate_relation(HomMatrix.from_rows([[1, 1], [1, 1]]).entries) == [(0, 1)]
+    assert duplicate_relation(HomMatrix.from_rows([[2, 2], [2, 3]]).entries) == [(0,), (1,)]
 
 
 def test_reduce_fixtures():
