@@ -7,7 +7,7 @@ decision procedure with an independent brute-force search.
 """
 
 from .category import FiniteCategory
-from .certificate import build_certificate, load_certificate
+from .certificate import build_certificate, dump_certificate, load_certificate
 from .decider import Reason, Verdict, condition_report, decide, decide_by_submatrices
 from .errors import (
     CardinalityError,
@@ -47,6 +47,7 @@ __all__ = [
     "condition_report",
     "decide",
     "decide_by_submatrices",
+    "dump_certificate",
     "inflate",
     "load_certificate",
     "oracle_decide",

@@ -9,6 +9,9 @@ as opaque tokens on load, so a verifier never needs the label structure.
 
 from __future__ import annotations
 
+import json
+from typing import Iterator
+
 from .category import FiniteCategory
 from .errors import CertificateError, NotAcceptable
 from .matrix import HomMatrix
@@ -26,6 +29,45 @@ def build_certificate(C: FiniteCategory, M: HomMatrix, rmap: ReductionMap) -> di
         "identities": {str(x): C.identity[x] for x in range(C.n)},
         "table": sorted([g, f, h] for (g, f), h in C.table.items()),
     }
+
+
+_quote = json.encoder.encode_basestring_ascii  # the C quoting json.dumps uses
+
+
+def dump_certificate(cert: dict) -> Iterator[str]:
+    """The chunks of exactly json.dumps(cert, indent=2), for a certificate
+    of build_certificate's shape (every listed hom-set is nonempty).
+
+    Nonempty "homs", "identities" and "table" are written by hand, one chunk
+    per entry; everything else is small and goes through json.dumps.
+    """
+    sep = "{\n  "
+    for key, value in cert.items():
+        yield f"{sep}{_quote(key)}: "
+        sep = ",\n  "
+        if not value or key not in ("homs", "identities", "table"):
+            yield json.dumps(value, indent=2).replace("\n", "\n  ")
+        elif key == "homs":
+            yield from _nested("{}", (
+                f",\n    {_quote(xy)}: [\n      " + ",\n      ".join(map(_quote, labels)) + "\n    ]"
+                for xy, labels in value.items()
+            ))
+        elif key == "identities":
+            yield from _nested("{}", (f",\n    {_quote(x)}: {_quote(l)}" for x, l in value.items()))
+        else:
+            yield from _nested("[]", (
+                f",\n    [\n      {_quote(g)},\n      {_quote(f)},\n      {_quote(h)}\n    ]"
+                for g, f, h in value
+            ))
+    yield "\n}"
+
+
+def _nested(brackets: str, entries: Iterator[str]) -> Iterator[str]:
+    """A nonempty collection one level deep, from entries that each start
+    with the separator ",\n    " (dropped from the first)."""
+    yield brackets[0] + next(entries)[1:]
+    yield from entries
+    yield "\n  " + brackets[1]
 
 
 def _reduction_json(rmap: ReductionMap) -> dict:
@@ -120,15 +162,15 @@ def load_certificate(data: dict) -> tuple[HomMatrix, FiniteCategory]:
 
     table: dict[tuple[str, str], str] = {}
     _require(isinstance(data["table"], list), '"table" must be a list of [g, f, h]')
+    bad_row = "every table row must be three label strings"
     for row in data["table"]:
-        _require(
-            isinstance(row, list)
-            and len(row) == 3
-            and all(isinstance(v, str) for v in row),
-            "every table row must be three label strings",
-        )
+        if not (isinstance(row, list) and len(row) == 3):
+            raise CertificateError(bad_row)
         g, f, h = row
-        _require((g, f) not in table, f"table defines ({g}, {f}) twice")
+        if not (isinstance(g, str) and isinstance(f, str) and isinstance(h, str)):
+            raise CertificateError(bad_row)
+        if (g, f) in table:
+            raise CertificateError(f"table defines ({g}, {f}) twice")
         table[(g, f)] = h
 
     try:

@@ -20,7 +20,7 @@ import json
 import os
 import sys
 
-from .certificate import build_certificate, load_certificate
+from .certificate import build_certificate, dump_certificate, load_certificate
 from .decider import condition_report, decide, decide_by_submatrices, explain
 from .errors import CertificateError, ParseError, Rejected, ShapeError, TripleBudgetError
 from .matrix import HomMatrix, parse_matrix
@@ -166,14 +166,15 @@ def cmd_witness(args) -> int:
     except Rejected as exc:
         print(f"ABSENT ({exc.verdict.reason})", file=sys.stderr)
         return EXIT_ABSENT
-    certificate = build_certificate(C, M, rmap)
-    text = json.dumps(certificate, indent=2)
+    chunks = dump_certificate(build_certificate(C, M, rmap))
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+            fh.writelines(chunks)
+            fh.write("\n")
         print(f"certificate written to {args.out} ({C.morphism_count()} morphisms)")
     else:
-        print(text)
+        sys.stdout.writelines(chunks)
+        print()
     return EXIT_EXISTS
 
 

@@ -3,16 +3,22 @@ import json
 import re
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+import helpers
 from catmat import (
     CertificateError,
     HomMatrix,
     build_certificate,
     build_witness,
+    decide,
+    dump_certificate,
     load_certificate,
     reduce,
     verify_category,
 )
+from catmat.cli import main
 
 
 def make_certificate(rows):
@@ -88,6 +94,31 @@ def test_malformed_certificates_rejected():
         load_certificate(data)
 
 
+@pytest.mark.parametrize("row", ["g", ["g", "f"], ["g", 5, "h"], ["g", "f", None]])
+def test_malformed_table_row_message(row):
+    data, _ = make_certificate([[1]])
+    data["table"].append(row)
+    with pytest.raises(CertificateError) as exc:
+        load_certificate(data)
+    assert str(exc.value) == "every table row must be three label strings"
+
+
+def test_table_reports_its_first_bad_row():
+    data, _ = make_certificate([[1, 2], [3, 7]])
+    g, f, h = data["table"][3]
+    duplicate = [g, f, data["identities"]["1"]]
+    broken = json.loads(json.dumps(data))
+    broken["table"][4:4] = [duplicate, ["a", "b"]]
+    with pytest.raises(CertificateError) as exc:
+        load_certificate(broken)
+    assert str(exc.value) == f"table defines ({g}, {f}) twice"
+    broken = json.loads(json.dumps(data))
+    broken["table"][4:4] = [["a", "b"], duplicate]
+    with pytest.raises(CertificateError) as exc:
+        load_certificate(broken)
+    assert str(exc.value) == "every table row must be three label strings"
+
+
 def test_labels_are_opaque_strings_on_load():
     data, M = make_certificate([[1, 2], [3, 7]])
     _, C = load_certificate(data)
@@ -110,14 +141,65 @@ GOLDEN = [
 ]
 
 
-def test_golden_certificates():
+def witness_to_file(tmp_path, k, rows):
+    """Run `witness --out` on rows; return the matrix file and the certificate file."""
+    matrix = tmp_path / f"m{k}.txt"
+    matrix.write_text("".join(" ".join(map(str, row)) + "\n" for row in rows))
+    out = tmp_path / f"cert{k}.json"
+    assert main(["witness", str(matrix), "--out", str(out)]) == 0
+    return matrix, out
+
+
+def test_golden_certificates(tmp_path):
     kinds = set()
-    for rows, digest in GOLDEN:
+    for k, (rows, digest) in enumerate(GOLDEN):
         data, _ = make_certificate(rows)
         text = json.dumps(data, indent=2)
         assert hashlib.sha256(text.encode()).hexdigest() == digest
+        # What the CLI writes, less its trailing newline, is the same text.
+        written = witness_to_file(tmp_path, k, rows)[1].read_bytes()
+        assert written.endswith(b"}\n")
+        assert hashlib.sha256(written[:-1]).hexdigest() == digest
         kinds.update(re.findall(r"([A-Za-z]+)\(", text))
     assert kinds == {
         "Identity", "Pair", "Collapsed", "Pad", "Infl",
         "CrossBase", "CrossRow", "CrossCol", "CrossExtra",
     }
+
+
+def assert_dump_is_json_dumps(rows):
+    data, _ = make_certificate(rows)
+    assert "".join(dump_certificate(data)) == json.dumps(data, indent=2)
+
+
+# The 0x0 matrix has empty "homs", "identities" and "table": {}, {} and [].
+@pytest.mark.parametrize("rows", [[], [[1]]] + [rows for rows, _ in GOLDEN])
+def test_dump_certificate_is_json_dumps(rows):
+    assert_dump_is_json_dumps(rows)
+
+
+def test_dump_certificate_quotes_as_json_dumps():
+    # Labels are opaque strings: escapes and non-ASCII must be quoted as
+    # json.dumps quotes them.
+    data, _ = make_certificate([[1, 2], [3, 7]])
+    data["homs"]["0,0"] = ['Pa"d\\', "caf\u00e9\n"]
+    data["identities"]["1"] = "\u2218"
+    data["table"][0][2] = "\t\U0001d400"
+    assert "".join(dump_certificate(data)) == json.dumps(data, indent=2)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.randoms(use_true_random=False), st.integers(0, 2))
+def test_dump_certificate_on_random_accepted(rng, copies):
+    M = helpers.random_unit_first(rng, rng.randint(1, 3), 3)
+    M = helpers.duplicate_objects(rng, M, copies)
+    assume(decide(M).exists)
+    assert_dump_is_json_dumps(M.entries)
+
+
+def test_witness_stdout_and_out_file_are_identical_bytes(tmp_path, capsys):
+    for k, (rows, _) in enumerate(GOLDEN + [([], None)]):
+        matrix, out = witness_to_file(tmp_path, k, rows)
+        capsys.readouterr()
+        assert main(["witness", str(matrix)]) == 0
+        assert capsys.readouterr().out.encode() == out.read_bytes()

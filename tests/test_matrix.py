@@ -40,6 +40,11 @@ def test_parse_rejects_bad_shapes():
 def test_parse_rejects_bad_tokens():
     with pytest.raises(ParseError):
         parse_matrix("1 x\n3 7")
+    # The first token int() refuses is named, whatever follows it.
+    for text in ("1 2 3\n4 x 6\n7 8 9", "1 x y\n4 5 6\n7 8 9"):
+        with pytest.raises(ParseError) as exc:
+            parse_matrix(text)
+        assert str(exc.value) == "not an integer: 'x'"
     with pytest.raises(ParseError):
         parse_matrix("1 -2\n3 7")
     with pytest.raises(ParseError):
