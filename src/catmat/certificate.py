@@ -38,22 +38,21 @@ def dump_certificate(cert: dict) -> Iterator[str]:
     """The chunks of exactly json.dumps(cert, indent=2), for a certificate
     of build_certificate's shape (every listed hom-set is nonempty).
 
-    Nonempty "homs", "identities" and "table" are written by hand, one chunk
-    per entry; everything else is small and goes through json.dumps.
+    The two large collections, nonempty "homs" and "table", are written by
+    hand, one chunk per entry; everything else is small and goes through
+    json.dumps.
     """
     sep = "{\n  "
     for key, value in cert.items():
         yield f"{sep}{_quote(key)}: "
         sep = ",\n  "
-        if not value or key not in ("homs", "identities", "table"):
+        if not value or key not in ("homs", "table"):
             yield json.dumps(value, indent=2).replace("\n", "\n  ")
         elif key == "homs":
             yield from _nested("{}", (
                 f",\n    {_quote(xy)}: [\n      " + ",\n      ".join(map(_quote, labels)) + "\n    ]"
                 for xy, labels in value.items()
             ))
-        elif key == "identities":
-            yield from _nested("{}", (f",\n    {_quote(x)}: {_quote(l)}" for x, l in value.items()))
         else:
             yield from _nested("[]", (
                 f",\n    [\n      {_quote(g)},\n      {_quote(f)},\n      {_quote(h)}\n    ]"

@@ -63,14 +63,13 @@ def parse_matrix(text: str) -> HomMatrix:
         tokens = line.split()
         if not tokens:
             continue
-        try:
-            rows.append(list(map(int, tokens)))
-        except ValueError:
-            for tok in tokens:  # name the first token int() refuses
-                try:
-                    int(tok)
-                except ValueError:
-                    raise ParseError(f"not an integer: {tok!r}") from None
+        row = []
+        for tok in tokens:
+            try:
+                row.append(int(tok))
+            except ValueError:
+                raise ParseError(f"not an integer: {tok!r}") from None
+        rows.append(row)
     return HomMatrix.from_rows(rows)
 
 
