@@ -1,15 +1,25 @@
-"""Finite categories as explicit composition tables.
+"""Finite categories, given by a composition table or by per-block index rows.
 
 Objects are 0..n-1.  Labels can be anything hashable but must be globally
-unique across hom-sets, because the composition table is keyed by label pairs
+unique across hom-sets, because the label-keyed table is keyed by label pairs
 alone; witnesses use strings, which the certificate carries as they are.
-Instances are immutable by convention: nothing in the package mutates a
-category after construction.
+
+A category holds its composition in one of two forms and derives the other
+on first access.  `table` maps (g, f) to g.f by label.  `blocks` maps each
+composable block (x, y, z), where hom(x, y) and hom(y, z) are nonempty, to
+rows with rows[g][f] the index in hom(x, z) of g.f, for g indexing hom(y, z)
+and f indexing hom(x, y).  The loader and the oracle give a table; the
+witness and `inflate` give blocks, and render the table only when a caller
+asks for it.  Instances are immutable by convention: nothing in the package
+mutates a category after construction.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Hashable, Mapping, Sequence
+from functools import cached_property
+from typing import Hashable, Iterator, Mapping, Sequence
+
+Blocks = dict[tuple[int, int, int], list[list[int]]]
 
 
 class FiniteCategory:
@@ -20,10 +30,22 @@ class FiniteCategory:
         identity: Mapping[int, Hashable],
         table: Mapping[tuple[Hashable, Hashable], Hashable],
     ):
+        self._set_homs(n, homs, identity)
+        self.table = dict(table)
+
+    @classmethod
+    def from_blocks(cls, n: int, homs: Mapping, identity: Mapping, blocks: Blocks) -> FiniteCategory:
+        """The category whose composition is `blocks`, one entry for each
+        composable block; its label-keyed table is rendered on first access."""
+        C = cls.__new__(cls)
+        C._set_homs(n, homs, identity)
+        C.blocks = blocks
+        return C
+
+    def _set_homs(self, n: int, homs: Mapping, identity: Mapping) -> None:
         self.n = n
         self.homs = {pair: tuple(labels) for pair, labels in homs.items() if labels}
         self.identity = dict(identity)
-        self.table = dict(table)
         self.hom_of: dict[Hashable, tuple[int, int]] = {}
         for (x, y), labels in sorted(self.homs.items()):
             if not (0 <= x < n and 0 <= y < n):
@@ -33,6 +55,39 @@ class FiniteCategory:
                     raise ValueError(f"label appears in two hom-sets: {label!r}")
                 self.hom_of[label] = (x, y)
 
+    @cached_property
+    def table(self) -> dict[tuple[Hashable, Hashable], Hashable]:
+        """The label-keyed composition table, rendered from the blocks."""
+        homs = self.homs
+        table = {}
+        for (x, y, z), rows in self.blocks.items():
+            fs, hs = homs[(x, y)], homs[(x, z)]
+            for g, row in zip(homs[(y, z)], rows):
+                for f, h in zip(fs, row):
+                    table[(g, f)] = hs[h]
+        return table
+
+    @cached_property
+    def blocks(self) -> Blocks:
+        """The composition by position, derived from the table.
+
+        Raises ValueError unless the table is closed: it has a composite in
+        hom(x, z) for every composable pair and holds nothing else.
+        """
+        homs, table = self.homs, self.table
+        blocks: Blocks = {}
+        for x, y, z in composable(homs):
+            fs, gs = homs[(x, y)], homs[(y, z)]
+            at = {h: k for k, h in enumerate(homs.get((x, z), ()))}
+            try:
+                blocks[(x, y, z)] = [[at[table[(g, f)]] for f in fs] for g in gs]
+            except KeyError:
+                message = f"a pair of block {(x, y, z)} has no composite in hom({x},{z})"
+                raise ValueError(message) from None
+        if sum(len(rows) * len(rows[0]) for rows in blocks.values()) != len(table):
+            raise ValueError("the table composes a pair that is not composable")
+        return blocks
+
     def hom(self, x: int, y: int) -> tuple:
         return self.homs.get((x, y), ())
 
@@ -40,24 +95,12 @@ class FiniteCategory:
         return len(self.hom_of)
 
 
-def table_from_blocks(
-    n: int,
-    homs: Mapping[tuple[int, int], Sequence[Hashable]],
-    block: Callable[[int, int, int], list[list[int]]],
-) -> dict:
-    """The label-keyed composition table of composites given by position.
-
-    block(x, y, z)[g][f] is the index in hom(x,z) of hom(y,z)[g] after
-    hom(x,y)[f]; it is asked for every composable block once.
-    """
-    table = {}
-    for (x, y), fs in homs.items():
-        for z in range(n):
-            gs = homs.get((y, z))
-            if gs:
-                rows = block(x, y, z)
-                hs = homs[(x, z)]
-                for g, row in zip(gs, rows):
-                    for f, h in zip(fs, row):
-                        table[(g, f)] = hs[h]
-    return table
+def composable(homs: Mapping[tuple[int, int], Sequence]) -> Iterator[tuple[int, int, int]]:
+    """Every block (x, y, z) with hom(x, y) and hom(y, z) nonempty, by (x, y)
+    in the order of `homs`, then z; `homs` lists only nonempty hom-sets."""
+    successors: dict[int, list[int]] = {}
+    for y, z in sorted(homs):
+        successors.setdefault(y, []).append(z)
+    for x, y in homs:
+        for z in successors.get(y, ()):
+            yield x, y, z

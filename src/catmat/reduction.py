@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .category import FiniteCategory, table_from_blocks
+from .category import FiniteCategory, composable
 from .errors import CardinalityError
 from .matrix import HomMatrix, Rows
 
@@ -81,9 +81,10 @@ def inflate(
     """Clone B's objects along rmap, producing a category on rmap.n objects.
 
     hom(i, j) carries one copy Infl(i,j,<beta>) of each morphism beta of
-    B.hom(class_of[i], class_of[j]), and composition is B's, copied by
-    position within each hom-set.  When `expected` is given the resulting
-    hom-set sizes are checked against it.
+    B.hom(class_of[i], class_of[j]), in B's order, and block (i, j, k) of the
+    composition is block (class_of[i], class_of[j], class_of[k]) of B's, the
+    same rows.  When `expected` is given the resulting hom-set sizes are
+    checked against it.
     """
     if B.n != rmap.m:
         raise CardinalityError(f"category has {B.n} objects, map expects {rmap.m}")
@@ -101,14 +102,6 @@ def inflate(
             if inner:
                 homs[(i, j)] = tuple(f"Infl({i},{j},{beta})" for beta in inner)
     identity = {i: f"Infl({i},{i},{B.identity[c[i]]})" for i in range(rmap.n)}
-    position = {beta: k for inner in B.homs.values() for k, beta in enumerate(inner)}
-    blocks: dict[tuple[int, int, int], list[list[int]]] = {}
-
-    def block(x: int, y: int, z: int) -> list[list[int]]:
-        key = (c[x], c[y], c[z])
-        if key not in blocks:
-            fs, gs = B.hom(key[0], key[1]), B.hom(key[1], key[2])
-            blocks[key] = [[position[B.table[(g, f)]] for f in fs] for g in gs]
-        return blocks[key]
-
-    return FiniteCategory(rmap.n, homs, identity, table_from_blocks(rmap.n, homs, block))
+    by_class = B.blocks
+    blocks = {(i, j, k): by_class[(c[i], c[j], c[k])] for i, j, k in composable(homs)}
+    return FiniteCategory.from_blocks(rmap.n, homs, identity, blocks)

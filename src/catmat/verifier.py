@@ -63,16 +63,18 @@ class VerificationReport:
         return f"failed: {', '.join(bits)} ({self.triples_checked} triples checked)"
 
 
-def _resolve_budget(triple_budget: int | None) -> int:
-    if triple_budget is not None:
-        return triple_budget
-    raw = os.environ.get(TRIPLE_BUDGET_ENV)
-    if raw:
+def require_triple_budget(triples: int, triple_budget: int | None = None) -> None:
+    """Raise TripleBudgetError if `triples` exceeds the budget: triple_budget
+    if given, else CATMAT_TRIPLE_BUDGET, else DEFAULT_TRIPLE_BUDGET."""
+    budget = triple_budget
+    if budget is None:
+        raw = os.environ.get(TRIPLE_BUDGET_ENV)
         try:
-            return int(raw)
+            budget = int(raw) if raw else DEFAULT_TRIPLE_BUDGET
         except ValueError:
             raise TripleBudgetError(f"{TRIPLE_BUDGET_ENV}={raw!r} is not an integer") from None
-    return DEFAULT_TRIPLE_BUDGET
+    if triples > budget:
+        raise TripleBudgetError(f"{triples} associativity triples exceed the budget of {budget}")
 
 
 def _gather(row: tuple):
@@ -120,11 +122,7 @@ def verify_category(
         for y, succ in successors.items()
     }
     total_triples = sum(len(fs) * pairs.get(y, 0) for (_, y), fs in homs.items())
-    budget = _resolve_budget(triple_budget)
-    if total_triples > budget:
-        raise TripleBudgetError(
-            f"{total_triples} associativity triples exceed the budget of {budget}"
-        )
+    require_triple_budget(total_triples, triple_budget)
 
     for i in range(max(C.n, M.n)):
         for j in range(max(C.n, M.n)):

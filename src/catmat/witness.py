@@ -12,18 +12,21 @@ parts, which is what makes the table associative.
 
 Labels are the certificate's strings, rendered once by build_hom_labels,
 which numbers each hom-set 0..k-1.  Composition is a fixed index map per
-block (x, y, z), computed by _block from the matrix alone; its docstring
-says exactly which part indices survive a composition.
+block (x, y, z), computed by _block from the matrix alone for every
+composable block when the witness is built; its docstring says exactly which
+part indices survive a composition.  The category keeps these blocks, and
+its label-keyed table is rendered only if a caller asks for it.
 """
 
 from __future__ import annotations
 
-from .category import FiniteCategory, table_from_blocks
+from .category import FiniteCategory, composable
 from .decider import decide
 from .errors import CountError, Rejected
 from .matrix import HomMatrix
 from .partition import Partition
 from .reduction import ReductionMap, inflate
+from .verifier import require_triple_budget
 
 
 def a_of(N: HomMatrix, part: Partition, x: int) -> int:
@@ -170,7 +173,7 @@ def _block(N: HomMatrix, part: Partition, x: int, y: int, z: int) -> list[list[i
         for p in range(first_pad, mf):
             rows[p][p] = p
     m = N[x][z]
-    if any(min(r) < 0 or max(r) >= m for r in rows):
+    if min(map(min, rows)) < 0 or max(map(max, rows)) >= m:
         raise CountError(f"a composite of block {(x, y, z)} falls outside hom({x},{z})={m}")
     return rows
 
@@ -180,6 +183,8 @@ def build_witness(M: HomMatrix) -> FiniteCategory:
 
     The category is built on the reduced matrix and inflated back through the
     reduction map when M has duplicate objects.  Construction is deterministic.
+    Raises TripleBudgetError, before building anything, when the category
+    would have more associativity triples than the verifier's budget allows.
     """
     return _witness_and_map(M)[0]
 
@@ -189,11 +194,22 @@ def _witness_and_map(M: HomMatrix) -> tuple[FiniteCategory, ReductionMap]:
     verdict = decide(M)
     if not verdict.exists:
         raise Rejected(verdict)
+    require_triple_budget(_triples(M))
     N, rmap, part = verdict.reduced, verdict.rmap, verdict.partition
     homs = build_hom_labels(N, part)
     identity = {x: homs[(x, x)][0] for x in range(N.n)}
-    table = table_from_blocks(N.n, homs, lambda x, y, z: _block(N, part, x, y, z))
-    B = FiniteCategory(N.n, homs, identity, table)
+    blocks = {xyz: _block(N, part, *xyz) for xyz in composable(homs)}
+    B = FiniteCategory.from_blocks(N.n, homs, identity, blocks)
     if rmap.m == rmap.n:
         return B, rmap
     return inflate(B, rmap, expected=M), rmap
+
+
+def _triples(M: HomMatrix) -> int:
+    """The number of composable triples h.g.f over hom-set sizes M, the sum of
+    the entries of M cubed: sum over y, z of (column y's sum) M[y][z] (row
+    z's sum)."""
+    rows = M.entries
+    into = [sum(column) for column in zip(*rows)]
+    out = [sum(row) for row in rows]
+    return sum(into[y] * m * out[z] for y, row in enumerate(rows) for z, m in enumerate(row))

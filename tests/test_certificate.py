@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import json
 import re
@@ -9,12 +10,14 @@ from hypothesis import strategies as st
 import helpers
 from catmat import (
     CertificateError,
+    FiniteCategory,
     HomMatrix,
     build_certificate,
     build_witness,
     decide,
     dump_certificate,
     load_certificate,
+    oracle_decide,
     reduce,
     verify_category,
 )
@@ -191,10 +194,62 @@ def test_dump_certificate_quotes_as_json_dumps():
 @settings(max_examples=60, deadline=None)
 @given(st.randoms(use_true_random=False), st.integers(0, 2))
 def test_dump_certificate_on_random_accepted(rng, copies):
+    # With duplicates the witness is inflated; either way its table is
+    # written from the blocks and must be the sorted label-keyed table.
     M = helpers.random_unit_first(rng, rng.randint(1, 3), 3)
     M = helpers.duplicate_objects(rng, M, copies)
     assume(decide(M).exists)
-    assert_dump_is_json_dumps(M.entries)
+    C = build_witness(M)
+    data = build_certificate(C, M, reduce(M)[1])
+    assert data["table"] == sorted([g, f, h] for (g, f), h in C.table.items())
+    assert "".join(dump_certificate(data)) == json.dumps(data, indent=2)
+
+
+def test_label_built_category_certificate_round_trip():
+    # The oracle builds its category from a label table, so the certificate
+    # takes its blocks from that table by position.  Labels "m0", "m1", ...
+    # sort apart from the oracle's integer order ("m10" < "m2").
+    M = HomMatrix.from_rows([[1, 2], [3, 7]])
+    D = oracle_decide(M).category
+    name = {label: f"m{label}" for label in D.hom_of}
+    C = FiniteCategory(
+        D.n,
+        {pair: [name[l] for l in labels] for pair, labels in D.homs.items()},
+        {x: name[e] for x, e in D.identity.items()},
+        {(name[g], name[f]): name[h] for (g, f), h in D.table.items()},
+    )
+    data = build_certificate(C, M, reduce(M)[1])
+    assert data["table"] == sorted([g, f, h] for (g, f), h in C.table.items())
+    claimed, L = load_certificate(json.loads("".join(dump_certificate(data))))
+    assert claimed == M
+    assert verify_category(L, M).passed
+    # Blocks exist only for a closed table: not with a composite missing,
+    # nor with one for the identities of two objects, which do not compose.
+    stray = (C.identity[0], C.identity[1])
+    for table in (dict(list(C.table.items())[1:]), {**C.table, stray: C.identity[0]}):
+        with pytest.raises(ValueError):
+            FiniteCategory(C.n, C.homs, C.identity, table).blocks
+
+
+def test_witness_renders_no_label_table(tmp_path, monkeypatch):
+    render = FiniteCategory.__dict__["table"]
+    calls = []
+
+    def counted(C):
+        calls.append(C.n)
+        return render.func(C)
+
+    counting = functools.cached_property(counted)
+    counting.__set_name__(FiniteCategory, "table")
+    monkeypatch.setattr(FiniteCategory, "table", counting)
+    rows = [[1, 2, 2], [3, 7, 7], [3, 7, 7]]  # objects 1 and 2 are duplicates
+    matrix, out = witness_to_file(tmp_path, 0, rows)
+    assert calls == []
+    assert main(["verify", str(out), str(matrix)]) == 0
+    assert calls == []  # the loaded category was given its table
+    # One entry per composable pair: the sum of the entries of M squared.
+    assert len(build_witness(HomMatrix.from_rows(rows)).table) == 579
+    assert calls == [3]  # asked for, the inflated witness renders it once
 
 
 def test_witness_stdout_and_out_file_are_identical_bytes(tmp_path, capsys):

@@ -1,4 +1,7 @@
+import contextlib
 import json
+import os
+import resource
 
 import pytest
 
@@ -99,6 +102,45 @@ def test_witness_absent(tmp_path, capsys):
     matrix = write(tmp_path, "m.txt", "0\n")
     assert main(["witness", matrix]) == 1
     assert "ABSENT" in capsys.readouterr().err
+
+
+@contextlib.contextmanager
+def address_space_headroom(mib):
+    """Cap this process's address space at its current size plus `mib` MiB,
+    where Linux reports that size, so that a runaway allocation raises
+    MemoryError instead of exhausting the host's memory."""
+    try:
+        with open("/proc/self/statm") as fh:
+            size = int(fh.read().split()[0]) * os.sysconf("SC_PAGE_SIZE")
+    except OSError:
+        yield
+        return
+    old = resource.getrlimit(resource.RLIMIT_AS)
+    cap = size + mib * 2**20
+    if old[1] != resource.RLIM_INFINITY:
+        cap = min(cap, old[1])
+    resource.setrlimit(resource.RLIMIT_AS, (cap, old[1]))
+    try:
+        yield
+    finally:
+        resource.setrlimit(resource.RLIMIT_AS, old)
+
+
+def test_witness_refuses_over_triple_budget_before_building(tmp_path, capsys):
+    # 64,008,000,920,054 triples: hom(1,1) alone would make a 40000x40000
+    # block.  The refusal must come from arithmetic on the matrix, before
+    # any label or block exists.
+    matrix = write(tmp_path, "m.txt", "1 2\n3 40000\n")
+    out = tmp_path / "cert.json"
+    peak_kib = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    with address_space_headroom(512):
+        code = main(["witness", matrix, "--out", str(out)])
+    grown_kib = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - peak_kib
+    err = capsys.readouterr().err
+    assert code == 2, err
+    assert "64008000920054 associativity triples exceed the budget of 100000000" in err
+    assert grown_kib < 32 * 1024
+    assert not out.exists()
 
 
 def test_verify_against_wrong_matrix(tmp_path, capsys):
