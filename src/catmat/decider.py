@@ -21,7 +21,10 @@ one walk.
 
 The walk runs on a plain tuple of rows.  Only a yes from `decide` or
 `explain` builds the HomMatrix, ReductionMap and Partition it carries, from
-the tuples the walk computed; the window scan builds none of them.
+the tuples the walk computed; the window scan builds none of them.  The
+window scan walks only connected windows: a window that splits into blocks
+with no morphisms between them is the matrix of a disjoint union, and by
+the time the scan reaches it, its blocks have passed as smaller windows.
 """
 
 from __future__ import annotations
@@ -261,10 +264,49 @@ def decide_by_submatrices(M: HomMatrix) -> Verdict:
     lists positions in the window, while its objects are indices into M.
     A yes verdict carries no witness payload: the decision came from the
     windows alone.
+
+    A window of two or more objects is walked only when it is connected:
+    objects i and j are linked when hom(i, j) or hom(j, i) is nonempty, and
+    the links must join the whole window.  A window W that is not connected
+    splits into nonempty blocks A and B with empty hom-sets both ways
+    between them, and its walk finds nothing, because the scan reaches W
+    only after every smaller window has passed, A and B among them:
+    - the size-1 windows passed, so every diagonal entry is positive;
+    - so no object of A duplicates one of B: row a has hom(a, a) >= 1 where
+      row b has hom(b, a) = 0, and reduction never merges across blocks;
+    - a chain i -> j -> k never crosses between blocks, and neither do
+      classes, basepoints or the class order;
+    - so every transitivity, basepoint, U-class and cross-pair condition of
+      W lies inside A or inside B, and W's walk yields exactly what the
+      walks of A and B yield: nothing.
+    The first failing window is therefore connected, and skipping the
+    others leaves the verdict, its subset and its Reason unchanged.
     """
-    rows = M.entries
-    for size in range(1, min(4, M.n) + 1):
-        for keep in combinations(range(M.n), size):
+    rows, n = M.entries, M.n
+    bit = [1 << i for i in range(n)]
+    # linked[i] has bit j set when objects i and j are linked.
+    linked = [
+        sum([bit[j] for j in range(n) if j != i and (rows[i][j] or rows[j][i])])
+        for i in range(n)
+    ]
+    for size in range(1, min(4, n) + 1):
+        for keep in combinations(range(n), size):
+            if size > 1:
+                mask = 0
+                for i in keep:
+                    mask |= bit[i]
+                reach = linked[keep[0]] & mask | bit[keep[0]]
+                while reach != mask:
+                    grown = reach
+                    for i in keep:
+                        if reach & bit[i]:
+                            grown |= linked[i]
+                    grown &= mask
+                    if grown == reach:
+                        break
+                    reach = grown
+                if reach != mask:
+                    continue  # not connected: its blocks passed as smaller windows
             cut = itemgetter(*keep)  # a tuple of entries, or one entry when size == 1
             window = tuple([cut(rows[i]) for i in keep]) if size > 1 else ((cut(rows[keep[0]]),),)
             first = next(iter(_Walk(window)), None)

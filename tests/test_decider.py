@@ -17,7 +17,7 @@ from catmat import (
     decide_by_submatrices,
     reduce,
 )
-from catmat.decider import explain
+from catmat.decider import _Walk, explain
 from catmat.matrix import permute, principal_submatrix, transpose
 from helpers import duplicate_objects, random_matrix, random_unit_first
 
@@ -254,41 +254,103 @@ def near_floors(rng, n):
     return HomMatrix.from_rows(rows)
 
 
+def disjoint_union(blocks, rng):
+    """The blocks down the diagonal with empty hom-sets between them, their
+    objects interleaved by a random permutation."""
+    n = sum(B.n for B in blocks)
+    rows, offset = [], 0
+    for B in blocks:
+        rows += [[0] * offset + list(row) + [0] * (n - offset - B.n) for row in B.entries]
+        offset += B.n
+    sigma = list(range(n))
+    rng.shuffle(sigma)
+    return permute(HomMatrix.from_rows(rows), sigma)
+
+
+def window_block(rng, shape, n):
+    """A matrix on n objects (two at least for near_floors) of one of five shapes."""
+    if shape == 0:
+        return random_matrix(rng, n, 3)
+    if shape == 1:
+        return random_matrix(rng, n, 4, min_entry=1)
+    if shape == 2:
+        return random_unit_first(rng, n, 6)
+    return near_floors(rng, max(n, 2))
+
+
+def beside_accepted_blocks(rng, M):
+    """M beside one or two accepted blocks of up to three objects, eight
+    objects at most, interleaved: a disjoint union that fails exactly when M
+    does."""
+    blocks = [M]
+    for _ in range(rng.randint(1, 2)):
+        room = 8 - sum(B.n for B in blocks)
+        if room == 0:
+            break
+        k = rng.randint(1, min(3, room))
+        B = window_block(rng, rng.randrange(3), k)
+        while not decide(B).exists:
+            B = window_block(rng, rng.randrange(3), k)
+        blocks.append(B)
+    return disjoint_union(blocks, rng)
+
+
+def connected(M, keep):
+    """Whether the objects in keep are joined by nonempty hom-sets, taken
+    either way, searched plainly."""
+    seen, todo = {keep[0]}, [keep[0]]
+    while todo:
+        i = todo.pop()
+        for j in keep:
+            if j not in seen and (M[i][j] or M[j][i]):
+                seen.add(j)
+                todo.append(j)
+    return len(seen) == len(keep)
+
+
 def window_cases():
+    """Matrices of up to eight objects for the window scan: 400 of the five
+    shapes, then each of those beside accepted blocks, duplicates added."""
     rng = random.Random(2010)
+    blocks = []
     for t in range(400):
-        n = rng.randint(1, 6)
-        shape = t % 5
-        if shape == 0:
-            M = random_matrix(rng, n, 3)
-        elif shape == 1:
-            M = random_matrix(rng, n, 4, min_entry=1)
-        elif shape == 2:
-            M = random_unit_first(rng, n, 6)
-        else:
-            M = near_floors(rng, max(n, 2))
+        blocks.append(window_block(rng, t % 5, rng.randint(1, 6)))
+        yield duplicate_objects(rng, blocks[-1], rng.randint(0, 8 - blocks[-1].n))
+    for M in blocks:
+        M = beside_accepted_blocks(rng, M)
         yield duplicate_objects(rng, M, rng.randint(0, 8 - M.n))
 
 
 def test_decide_by_submatrices_matches_reference_scan():
-    kinds = set()
-    duplicated = yes = 0
+    kinds, split_kinds = set(), set()
+    duplicated = yes = split_yes = 0
     for M in window_cases():
         assert M.n <= 8
         decision, subset, reason = reference_scan(M)
         verdict = decide_by_submatrices(M)
         assert (verdict.decision, verdict.subset) == (decision, subset), M
         assert verdict.reason == reason, M
+        split = not connected(M, range(M.n))
         if reason is None:
             yes += 1
+            split_yes += split
             assert (verdict.reduced, verdict.rmap, verdict.partition) == (None, None, None)
         else:
             kinds.add(reason.kind)
+            if split:
+                split_kinds.add(reason.kind)
             assert str(verdict.reason) == str(reason)
             assert verdict.reason.to_json() == reason.to_json()
         duplicated += reduce(M)[1].m < M.n
-    assert kinds == set(CONDITION_OF_KIND)
-    assert yes >= 20 and duplicated >= 100
+    assert kinds == split_kinds == set(CONDITION_OF_KIND)
+    assert yes >= 20 and split_yes >= 20 and duplicated >= 100
+
+
+@given(small_matrices, small_matrices, st.randoms(use_true_random=False))
+def test_walk_of_disjoint_union_fails_exactly_when_a_block_fails(A, B, rng):
+    """The lemma the window scan's skip rests on, zero diagonals included."""
+    W = disjoint_union([A, B], rng)
+    assert any(_Walk(W.entries)) == (any(_Walk(A.entries)) or any(_Walk(B.entries)))
 
 
 def assert_yes_payload(M, verdict):
@@ -339,3 +401,27 @@ def test_window_scan_builds_no_matrix_map_or_partition(monkeypatch):
     assert not built
     assert decide(M).exists  # the counters do see the payload of a yes
     assert built == {"HomMatrix": 1, "ReductionMap": 1, "Partition": 1}
+
+
+def test_window_scan_walks_only_connected_windows(monkeypatch):
+    # An accepted matrix of three blocks, two objects duplicated, interleaved.
+    blocks = [
+        [[1, 1, 1, 1], [1, 2, 1, 1], [0, 0, 1, 1], [0, 0, 1, 2]],
+        [[1, 2], [3, 7]],
+        [[2]],
+    ]
+    M = disjoint_union([HomMatrix.from_rows(B) for B in blocks], random.Random(7))
+    M = duplicate_objects(random.Random(7), M, 2)
+    assert reduce(M)[1].m < M.n
+    windows = [keep for size in range(1, 5) for keep in combinations(range(M.n), size)]
+    linked = sum(connected(M, keep) for keep in windows)
+    walked = []
+
+    def counted(self, rows, _init=_Walk.__init__):
+        walked.append(rows)
+        _init(self, rows)
+
+    monkeypatch.setattr(_Walk, "__init__", counted)
+    assert decide_by_submatrices(M).exists
+    assert len(walked) == linked
+    assert 3 * linked < len(windows)
