@@ -10,6 +10,12 @@ the search ends, never its answer; it was chosen by measurement before
 propagation (of the 625 2x2 matrices with entries <= 4, 3 needed over 10^6
 assignments with it and 16 in index order).
 
+The table is one row per morphism, table[g][f] = g.f or None, and a cell is
+the pair (g, f): the cells to fill carry their candidate hom-set, and the
+trail and the cells holding each value are lists of pairs.  Its T * T cells
+for T morphisms count against the triple budget, which is checked before any
+is allocated.
+
 Propagation (as in SEM and Mace4, cited below).  Each placed cell is checked
 in the four roles a cell plays in a triple h.(g.f) = (h.g).f with g.f = p and
 h.g = q: as (g, f), (h, g), (h, p) and (q, f).  Once p and q are known, the
@@ -48,6 +54,7 @@ from dataclasses import dataclass
 
 from .category import FiniteCategory
 from .matrix import HomMatrix
+from .verifier import require_triple_budget
 
 DEFAULT_MAX_ASSIGNMENTS = 10_000_000
 
@@ -83,20 +90,23 @@ def oracle_decide(M: HomMatrix, budget: SearchBudget | int | None = None) -> Ora
         if M[x][x] == 0:
             return OracleResult("no", 0)
 
+    # The table has T * T cells; refuse before allocating any over the triple budget.
+    T = sum(map(sum, M.entries))
+    require_triple_budget(T * T, what="oracle table cells")
+
     src = []
     tgt = []
-    hom_ids: dict[tuple[int, int], list[int]] = {}
+    homs: dict[tuple[int, int], tuple[int, ...]] = {}
+    homs_to = [[()] * n for _ in range(n)]  # homs_to[y][x]: the ids of hom(x, y)
     order = sorted(range(n), key=lambda x: (M[x][x] != 1, -M[x][x]))
     for x in order:
         for y in order:
-            ids = []
-            for _ in range(M[x][y]):
-                ids.append(len(src))
-                src.append(x)
-                tgt.append(y)
-            hom_ids[(x, y)] = ids
-    T = len(src)
-    id_of = [hom_ids[(x, x)][0] for x in range(n)]
+            k = M[x][y]
+            if k:
+                homs[(x, y)] = homs_to[y][x] = tuple(range(len(src), len(src) + k))
+                src += [x] * k
+                tgt += [y] * k
+    id_of = [homs_to[x][x][0] for x in range(n)]
 
     leaving: list[list[int]] = [[] for _ in range(n)]
     entering: list[list[int]] = [[] for _ in range(n)]
@@ -104,108 +114,120 @@ def oracle_decide(M: HomMatrix, budget: SearchBudget | int | None = None) -> Ora
         leaving[src[m]].append(m)
         entering[tgt[m]].append(m)
 
-    # Composable cells, in slot order, and their candidate sets; an empty
-    # candidate set is an immediate rejection (a composite has nowhere to go).
-    cells = []
-    cand: dict[int, list[int]] = {}
+    # Composable cells in (g, f) order: the unit-law cells and those with a
+    # one-member hom-set are forced, (g, f, value), and the rest are free,
+    # (g, f, candidates).  An empty hom-set is an immediate rejection (a
+    # composite has nowhere to go).
+    forced = []
+    free = []
     for g in range(T):
+        into = homs_to[tgt[g]]
+        unit = id_of[src[g]]
         for f in entering[src[g]]:
-            options = hom_ids[(src[f], tgt[g])]
+            options = into[src[f]]
             if not options:
                 return OracleResult("no", 0)
-            slot = g * T + f
-            cells.append(slot)
-            cand[slot] = options
+            if f == unit:
+                forced.append((g, f, g))
+            elif g == unit:
+                forced.append((g, f, f))
+            elif len(options) == 1:
+                forced.append((g, f, options[0]))
+            else:
+                free.append((g, f, options))
 
-    table: list[int | None] = [None] * (T * T)
-    assigned_to: list[list[int]] = [[] for _ in range(T)]
+    table: list[list[int | None]] = [[None] * T for _ in range(T)]  # table[g][f] = g.f
+    assigned_to: list[list[tuple[int, int]]] = [[] for _ in range(T)]
     uses = [0] * T
-    trail: list[int] = []  # every placed cell, in placement order
+    trail: list[tuple[int, int]] = []  # every placed cell, in placement order
     assignments = 0
 
-    def put(slot: int, val: int) -> None:
-        table[slot] = val
-        trail.append(slot)
-        assigned_to[val].append(slot)
-        g, f = divmod(slot, T)
+    def put(g: int, f: int, val: int) -> None:
+        table[g][f] = val
+        trail.append((g, f))
+        assigned_to[val].append((g, f))
         uses[g] += 1
         uses[f] += 1
         uses[val] += 1
 
-    def settle(left: int, right: int) -> bool:
-        """Two cells that must be equal: copy a known one into an empty one."""
-        u = table[left]
-        v = table[right]
-        if u is None:
-            if v is not None:
-                put(left, v)
-        elif v is None:
-            put(right, u)
-        return u is None or v is None or u == v
-
-    def place(slot: int, val: int) -> bool:
+    def place(g: int, f: int, val: int) -> bool:
         """Place val and every composite it forces; False on a clash.
 
-        The four loops take the new cell as (g, f), (h, g), (h, p) and
-        (q, f) of h.p = q.f.  Placements stay on the trail for the caller
-        to undo.
+        The four loops take each cell placed here, a.b = c, as (g, f),
+        (h, g), (h, p) and (q, f) of h.p = q.f.  Of two cells that must be
+        equal, a known value is copied into an empty one, and two different
+        values are a clash.  Placements stay on the trail for the caller to
+        undo.
         """
         k = len(trail)
-        put(slot, val)
+        put(g, f, val)
         while k < len(trail):
-            s = trail[k]
+            a, b = trail[k]
             k += 1
-            a, b = divmod(s, T)
-            c = table[s]
+            row_a = table[a]
+            row_b = table[b]
+            c = row_a[b]
+            row_c = table[c]
             for h in leaving[tgt[a]]:
-                q = table[h * T + a]
-                if q is not None and not settle(h * T + c, q * T + b):
-                    return False
+                row_h = table[h]
+                q = row_h[a]
+                if q is not None:
+                    u = row_h[c]
+                    v = table[q][b]
+                    if u is None:
+                        if v is not None:
+                            put(h, c, v)
+                    elif v is None:
+                        put(q, b, u)
+                    elif u != v:
+                        return False
             for f in entering[src[b]]:
-                p = table[b * T + f]
-                if p is not None and not settle(a * T + p, c * T + f):
-                    return False
-            for s2 in assigned_to[b]:
-                g, f = divmod(s2, T)
-                q = table[a * T + g]
-                if q is not None and not settle(s, q * T + f):
-                    return False
-            for s2 in assigned_to[a]:
-                h, g = divmod(s2, T)
-                p = table[g * T + b]
-                if p is not None and not settle(h * T + p, s):
-                    return False
+                p = row_b[f]
+                if p is not None:
+                    u = row_a[p]
+                    v = row_c[f]
+                    if u is None:
+                        if v is not None:
+                            put(a, p, v)
+                    elif v is None:
+                        put(c, f, u)
+                    elif u != v:
+                        return False
+            for g, f in assigned_to[b]:
+                q = row_a[g]
+                if q is not None:
+                    v = table[q][f]
+                    if v is None:
+                        put(q, f, c)
+                    elif v != c:
+                        return False
+            for h, g in assigned_to[a]:
+                p = table[g][b]
+                if p is not None:
+                    u = table[h][p]
+                    if u is None:
+                        put(h, p, c)
+                    elif u != c:
+                        return False
         return True
 
     def undo(mark: int) -> None:
-        while len(trail) > mark:
-            s = trail.pop()
-            val = table[s]
-            table[s] = None
+        for _ in range(len(trail) - mark):
+            g, f = trail.pop()
+            row = table[g]
+            val = row[f]
+            row[f] = None
             assigned_to[val].pop()
-            g, f = divmod(s, T)
             uses[g] -= 1
             uses[f] -= 1
             uses[val] -= 1
 
-    # Unit laws and single-candidate hom-sets force part of the table up front.
-    forced: dict[int, int] = {}
-    for g in range(T):
-        forced[g * T + id_of[src[g]]] = g
-    for f in range(T):
-        forced[id_of[tgt[f]] * T + f] = f
-    for slot in cells:
-        options = cand[slot]
-        if len(options) == 1:
-            # A unit-law cell (g, id) or (id, f) has g or f in its own hom-set, so the two agree.
-            forced.setdefault(slot, options[0])
-
-    for slot in sorted(forced):
+    for g, f, val in forced:
         assignments += 1
         if assignments > max_assignments:
             return OracleResult("unknown", assignments - 1)
-        val = forced[slot]
-        if not (place(slot, val) if table[slot] is None else table[slot] == val):
+        now = table[g][f]
+        if not (place(g, f, val) if now is None else now == val):
             return OracleResult("no", assignments)
 
     # The forced cells and what they force are never undone, and do not count as used.
@@ -213,12 +235,11 @@ def oracle_decide(M: HomMatrix, budget: SearchBudget | int | None = None) -> Ora
     for m in id_of:
         uses[m] = 1
 
-    def candidates(slot: int) -> list[int]:
+    def candidates(g: int, f: int, options: tuple[int, ...]) -> list[int]:
         """Used members of the cell's hom-set and its least unused one, in index order."""
-        g, f = divmod(slot, T)
         out = []
         fresh = True
-        for m in cand[slot]:
+        for m in options:
             if uses[m] or m == g or m == f:
                 out.append(m)
             elif fresh:
@@ -226,25 +247,18 @@ def oracle_decide(M: HomMatrix, budget: SearchBudget | int | None = None) -> Ora
                 fresh = False
         return out
 
-    free = [slot for slot in cells if slot not in forced]
     frames: list[list] = []  # per decision: [index in free, options, next option, trail mark]
     i = 0
     advance = True
     while True:
         if advance:
-            while i < len(free) and table[free[i]] is not None:
+            while i < len(free) and table[free[i][0]][free[i][1]] is not None:
                 i += 1
             if i == len(free):
-                homs = {pair: tuple(ids) for pair, ids in hom_ids.items() if ids}
+                full = {(g, f): table[g][f] for g in range(T) for f in entering[src[g]]}
                 identity = {x: id_of[x] for x in range(n)}
-                full = {}
-                for slot in cells:
-                    g, f = divmod(slot, T)
-                    full[(g, f)] = table[slot]
-                return OracleResult(
-                    "yes", assignments, FiniteCategory(n, homs, identity, full)
-                )
-            frames.append([i, candidates(free[i]), 0, len(trail)])
+                return OracleResult("yes", assignments, FiniteCategory(n, homs, identity, full))
+            frames.append([i, candidates(*free[i]), 0, len(trail)])
         frame = frames[-1]
         i, options, k, mark = frame
         undo(mark)
@@ -258,4 +272,5 @@ def oracle_decide(M: HomMatrix, budget: SearchBudget | int | None = None) -> Ora
         assignments += 1
         if assignments > max_assignments:
             return OracleResult("unknown", assignments - 1)
-        advance = place(free[i], options[k])
+        g, f, _ = free[i]
+        advance = place(g, f, options[k])

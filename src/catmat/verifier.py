@@ -63,9 +63,11 @@ class VerificationReport:
         return f"failed: {', '.join(bits)} ({self.triples_checked} triples checked)"
 
 
-def require_triple_budget(triples: int, triple_budget: int | None = None) -> None:
-    """Raise TripleBudgetError if `triples` exceeds the budget: triple_budget
-    if given, else CATMAT_TRIPLE_BUDGET, else DEFAULT_TRIPLE_BUDGET."""
+def require_triple_budget(
+    triples: int, triple_budget: int | None = None, what: str = "associativity triples"
+) -> None:
+    """Raise TripleBudgetError naming `triples` as `what` if it exceeds the budget:
+    triple_budget if given, else CATMAT_TRIPLE_BUDGET, else DEFAULT_TRIPLE_BUDGET."""
     budget = triple_budget
     if budget is None:
         raw = os.environ.get(TRIPLE_BUDGET_ENV)
@@ -74,7 +76,7 @@ def require_triple_budget(triples: int, triple_budget: int | None = None) -> Non
         except ValueError:
             raise TripleBudgetError(f"{TRIPLE_BUDGET_ENV}={raw!r} is not an integer") from None
     if triples > budget:
-        raise TripleBudgetError(f"{triples} associativity triples exceed the budget of {budget}")
+        raise TripleBudgetError(f"{triples} {what} exceed the budget of {budget}")
 
 
 def _gather(row: tuple):

@@ -143,6 +143,21 @@ def test_witness_refuses_over_triple_budget_before_building(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_oracle_refuses_over_triple_budget_before_building(tmp_path, capsys):
+    # 40,006 morphisms would make a table of 1,600,480,036 cells before the
+    # assignment budget applies; the refusal must come from arithmetic first.
+    matrix = write(tmp_path, "m.txt", "1 2\n3 40000\n")
+    peak_kib = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    with address_space_headroom(512):
+        code = main(["oracle", matrix])
+    grown_kib = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - peak_kib
+    captured = capsys.readouterr()
+    assert code == 2, captured.err
+    assert "1600480036 oracle table cells exceed the budget of 100000000" in captured.err
+    assert captured.out == ""
+    assert grown_kib < 32 * 1024
+
+
 def test_verify_against_wrong_matrix(tmp_path, capsys):
     matrix = write(tmp_path, "m.txt", "1 2\n3 7\n")
     other = write(tmp_path, "other.txt", "1 2\n3 8\n")

@@ -138,11 +138,18 @@ def acceptable_3x3(top):
 def test_oracle_agrees_with_decide_on_every_acceptable_3x3():
     cases = list(acceptable_3x3(2))
     assert len(cases) == 2056
+    searched = hashlib.sha256()
     for M in cases:
         result = oracle_decide(M)
         assert result.decision == decide(M).decision, M.entries
         if result.exists:
             assert verify_category(result.category, M).passed, M.entries
+        searched.update(repr((M.entries, result.decision, result.assignments)).encode())
+    # The search itself is pinned, not just its verdicts: sha256 over
+    # (entries, decision, assignments) of every case, so a kernel change
+    # that tries cells, candidates or propagations in another order fails
+    # here once it moves any assignment count.
+    assert searched.hexdigest() == "b6bfaf6e9d7854be8e0ff509201b78065b667a735aca436200a39535157a1df0"
 
 
 def test_oracle_agrees_with_decide_on_sampled_3x3_up_to_3():
