@@ -1,17 +1,19 @@
-"""Finite categories, given by a composition table or by per-block index rows.
+"""Finite categories, given by per-block index rows or by a claimed table.
 
 Objects are 0..n-1.  Labels can be anything hashable but must be globally
 unique across hom-sets, because the label-keyed table is keyed by label pairs
 alone; witnesses use strings, which the certificate carries as they are.
 
-A category holds its composition in one of two forms and derives the other
-on first access.  `table` maps (g, f) to g.f by label.  `blocks` maps each
-composable block (x, y, z), where hom(x, y) and hom(y, z) are nonempty, to
-rows with rows[g][f] the index in hom(x, z) of g.f, for g indexing hom(y, z)
-and f indexing hom(x, y).  The loader and the oracle give a table; the
-witness and `inflate` give blocks, and render the table only when a caller
-asks for it.  Instances are immutable by convention: nothing in the package
-mutates a category after construction.
+Every category the package builds (the witness, `inflate` and the oracle)
+comes from `from_blocks`: `blocks` maps each composable block (x, y, z),
+where hom(x, y) and hom(y, z) are nonempty, to rows with rows[g][f] the
+index in hom(x, z) of g.f, for g indexing hom(y, z) and f indexing
+hom(x, y).  Its label-keyed `table`, mapping (g, f) to g.f, is rendered only
+when a caller asks for it.  The constructor takes a table instead: that is a
+*claimed* category, such as the one `load_certificate` returns, which has no
+blocks and which only the verifier reads.  Certificates and inflation take
+built categories.  Instances are immutable by convention: nothing in the
+package mutates a category after construction.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ class FiniteCategory:
         identity: Mapping[int, Hashable],
         table: Mapping[tuple[Hashable, Hashable], Hashable],
     ):
+        """A claimed category, given by its label table; it has no blocks."""
         self._set_homs(n, homs, identity)
         self.table = dict(table)
 
@@ -66,27 +69,6 @@ class FiniteCategory:
                 for f, h in zip(fs, row):
                     table[(g, f)] = hs[h]
         return table
-
-    @cached_property
-    def blocks(self) -> Blocks:
-        """The composition by position, derived from the table.
-
-        Raises ValueError unless the table is closed: it has a composite in
-        hom(x, z) for every composable pair and holds nothing else.
-        """
-        homs, table = self.homs, self.table
-        blocks: Blocks = {}
-        for x, y, z in composable(homs):
-            fs, gs = homs[(x, y)], homs[(y, z)]
-            at = {h: k for k, h in enumerate(homs.get((x, z), ()))}
-            try:
-                blocks[(x, y, z)] = [[at[table[(g, f)]] for f in fs] for g in gs]
-            except KeyError:
-                message = f"a pair of block {(x, y, z)} has no composite in hom({x},{z})"
-                raise ValueError(message) from None
-        if sum(len(rows) * len(rows[0]) for rows in blocks.values()) != len(table):
-            raise ValueError("the table composes a pair that is not composable")
-        return blocks
 
     def hom(self, x: int, y: int) -> tuple:
         return self.homs.get((x, y), ())

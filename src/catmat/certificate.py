@@ -5,6 +5,8 @@ in the builder: the matrix, the reduction onto representatives, the objects
 with their class coordinates, every hom-set's labels, the identities and the
 full composition table.  Labels travel as canonical strings and are treated
 as opaque tokens on load, so a verifier never needs the label structure.
+A certificate is written from a built category, whose composition is
+blocks; `load_certificate` returns a claimed one, given by its table.
 """
 
 from __future__ import annotations
@@ -20,11 +22,8 @@ from .reduction import ReductionMap, reduce
 
 
 def build_certificate(C: FiniteCategory, M: HomMatrix, rmap: ReductionMap) -> dict:
-    """The certificate of a category whose labels are strings, such as a witness.
-
-    Its table rows are written from C.blocks, so a category given by a table
-    needs a closed one (FiniteCategory.blocks raises ValueError otherwise).
-    """
+    """The certificate of a built category whose labels are strings, such as
+    a witness; its table rows are written from C.blocks."""
     return {
         "matrix": M.to_json(),
         "reduction": _reduction_json(rmap),

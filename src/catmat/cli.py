@@ -23,7 +23,7 @@ import sys
 from .certificate import build_certificate, dump_certificate, load_certificate
 from .decider import condition_report, decide, decide_by_submatrices, explain
 from .errors import CertificateError, ParseError, Rejected, ShapeError, TripleBudgetError
-from .matrix import HomMatrix, parse_matrix
+from .matrix import HomMatrix, parse_matrix, too_long
 from .oracle import SearchBudget, oracle_decide
 from .verifier import verify_category
 from .witness import _witness_and_map
@@ -63,26 +63,33 @@ def _print_report(entries: list[dict]) -> None:
         print(f"{entry['status'].upper():7s} {entry['condition']}{details}")
 
 
-def _print_verdict(verdict, as_json: bool, report: list[dict] | None) -> None:
-    if as_json:
-        payload = {
-            "decision": "exists" if verdict.exists else "absent",
-            "reason": verdict.reason.to_json() if verdict.reason else None,
-        }
-        if verdict.subset is not None:
-            payload["subset"] = list(verdict.subset)
-        if verdict.rmap is not None:
-            payload["reduced_size"] = verdict.rmap.m
-        if report is not None:
-            payload["conditions"] = report
-        print(json.dumps(payload, indent=2))
-        return
+def _verdict(verdict) -> tuple[str, dict]:
+    """The text line and the JSON fields of a verdict, for one file or a batch."""
+    fields = {
+        "decision": "exists" if verdict.exists else "absent",
+        "reason": verdict.reason.to_json() if verdict.reason else None,
+    }
+    if verdict.subset is not None:
+        fields["subset"] = list(verdict.subset)
+    if verdict.rmap is not None:
+        fields["reduced_size"] = verdict.rmap.m
     if verdict.exists:
-        print("EXISTS")
+        line = "EXISTS"
     elif verdict.subset is not None:
-        print(f"ABSENT ({verdict.reason}; submatrix {list(verdict.subset)})")
+        line = f"ABSENT ({verdict.reason}; submatrix {fields['subset']})"
     else:
-        print(f"ABSENT ({verdict.reason})")
+        line = f"ABSENT ({verdict.reason})"
+    return line, fields
+
+
+def _print_verdict(verdict, as_json: bool, report: list[dict] | None) -> None:
+    line, fields = _verdict(verdict)
+    if as_json:
+        if report is not None:
+            fields["conditions"] = report
+        print(json.dumps(fields, indent=2))
+        return
+    print(line)
     if report is not None:
         _print_report(report)
 
@@ -132,16 +139,10 @@ def _decide_batch(args) -> int:
             continue
         if not verdict.exists:
             any_absent = True
-        results.append(
-            {
-                "file": name,
-                "decision": "exists" if verdict.exists else "absent",
-                "reason": verdict.reason.to_json() if verdict.reason else None,
-            }
-        )
+        line, fields = _verdict(verdict)
+        results.append({"file": name, **fields})
         if not args.json:
-            word = "EXISTS" if verdict.exists else f"ABSENT ({verdict.reason})"
-            print(f"{name}: {word}")
+            print(f"{name}: {line}")
     if args.json:
         print(json.dumps(results, indent=2))
     if any_error:
@@ -179,11 +180,14 @@ def cmd_witness(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    text = _read_text(args.certificate)
     try:
-        data = json.loads(_read_text(args.certificate))
+        data = json.loads(text)
     except (json.JSONDecodeError, RecursionError) as exc:
         print(f"certificate is not valid JSON: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except ValueError:  # an integer over the digit limit
+        raise too_long("certificate") from None
     claimed, C = load_certificate(data)
     M = _load_matrix(args.matrix) if args.matrix else claimed
     report = verify_category(C, M)

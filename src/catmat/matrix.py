@@ -1,14 +1,15 @@
 """Square nonnegative integer matrices of hom-set sizes.
 
 Entry (i, j) is the number of morphisms from object i to object j.
-Matrices are immutable; all transformations return new values.
+Matrices are immutable.
 """
 
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .errors import ParseError, ShapeError
 
@@ -53,7 +54,10 @@ def parse_matrix(text: str) -> HomMatrix:
     """Parse whitespace-separated rows, or a JSON object {"n":..., "entries":...}.
 
     The two formats are distinguished by the first non-blank character:
-    '{' selects JSON.  Empty input denotes the 0x0 matrix.
+    '{' selects JSON.  Empty input denotes the 0x0 matrix.  A text entry is
+    ASCII digits, with a leading "-" refused later as negative; int() would
+    also take "_", "+" and non-ASCII digits, so a line holding any of them
+    is searched for the token to refuse.
     """
     stripped = text.strip()
     if stripped.startswith("{"):
@@ -63,14 +67,26 @@ def parse_matrix(text: str) -> HomMatrix:
         tokens = line.split()
         if not tokens:
             continue
+        if "_" in line or "+" in line or not line.isascii():
+            for tok in tokens:
+                if "_" in tok or "+" in tok or not tok.isascii():
+                    raise ParseError(f"not an integer: {tok!r} (entries are ASCII digits)")
         row = []
         for tok in tokens:
             try:
                 row.append(int(tok))
             except ValueError:
+                if tok.removeprefix("-").isdigit():
+                    raise too_long(f"row {len(rows)}") from None
                 raise ParseError(f"not an integer: {tok!r}") from None
         rows.append(row)
     return HomMatrix.from_rows(rows)
+
+
+def too_long(where: str) -> ParseError:
+    """The error for an integer in `where` with more digits than int() converts."""
+    limit = sys.get_int_max_str_digits()
+    return ParseError(f"{where} has an integer longer than the limit of {limit} digits")
 
 
 def _parse_json(text: str) -> HomMatrix:
@@ -78,6 +94,8 @@ def _parse_json(text: str) -> HomMatrix:
         data = json.loads(text)
     except (json.JSONDecodeError, RecursionError) as exc:
         raise ParseError(f"invalid JSON: {exc}") from None
+    except ValueError:  # an integer over the digit limit
+        raise too_long("JSON matrix") from None
     if not isinstance(data, dict) or "n" not in data or "entries" not in data:
         raise ParseError('JSON matrix needs keys "n" and "entries"')
     n = data["n"]
@@ -87,28 +105,3 @@ def _parse_json(text: str) -> HomMatrix:
     if not isinstance(entries, list) or any(not isinstance(r, list) for r in entries):
         raise ParseError('"entries" must be a list of rows')
     return HomMatrix(n, tuple(tuple(row) for row in entries))
-
-
-def principal_submatrix(M: HomMatrix, keep: Sequence[int]) -> HomMatrix:
-    """Restrict M to the rows and columns in `keep` (strictly increasing indices)."""
-    for k in keep:
-        if not 0 <= k < M.n:
-            raise IndexError(f"index {k} out of range for size {M.n}")
-    if any(keep[t] >= keep[t + 1] for t in range(len(keep) - 1)):
-        raise ValueError(f"keep indices must be strictly increasing: {list(keep)}")
-    rows = tuple(tuple(M[i][j] for j in keep) for i in keep)
-    return HomMatrix(len(keep), rows)
-
-
-def permute(M: HomMatrix, sigma: Sequence[int]) -> HomMatrix:
-    """Relabel objects: result[i][j] = M[sigma[i]][sigma[j]] for a permutation sigma."""
-    if len(sigma) != M.n or sorted(sigma) != list(range(M.n)):
-        raise IndexError(f"not a permutation of range({M.n}): {list(sigma)}")
-    rows = tuple(tuple(M[sigma[i]][sigma[j]] for j in range(M.n)) for i in range(M.n))
-    return HomMatrix(M.n, rows)
-
-
-def transpose(M: HomMatrix) -> HomMatrix:
-    """Swap sources and targets; realizability is preserved by opposite categories."""
-    rows = tuple(tuple(M[j][i] for j in range(M.n)) for i in range(M.n))
-    return HomMatrix(M.n, rows)

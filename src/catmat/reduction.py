@@ -78,7 +78,8 @@ def reduced_pair(
 def inflate(
     B: FiniteCategory, rmap: ReductionMap, expected: HomMatrix | None = None
 ) -> FiniteCategory:
-    """Clone B's objects along rmap, producing a category on rmap.n objects.
+    """Clone the built category B's objects along rmap, producing a category
+    on rmap.n objects.
 
     hom(i, j) carries one copy Infl(i,j,<beta>) of each morphism beta of
     B.hom(class_of[i], class_of[j]), in B's order, and block (i, j, k) of the

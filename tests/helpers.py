@@ -9,6 +9,7 @@ with it.
 from __future__ import annotations
 
 import random
+from typing import Sequence
 
 from catmat import HomMatrix, reduce
 
@@ -88,6 +89,31 @@ def duplicate_objects(rng: random.Random, M: HomMatrix, copies: int) -> HomMatri
     return HomMatrix.from_rows(
         [[M[phi[i]][phi[j]] for j in range(size)] for i in range(size)]
     )
+
+
+def principal_submatrix(M: HomMatrix, keep: Sequence[int]) -> HomMatrix:
+    """Restrict M to the rows and columns in `keep` (strictly increasing indices)."""
+    for k in keep:
+        if not 0 <= k < M.n:
+            raise IndexError(f"index {k} out of range for size {M.n}")
+    if any(keep[t] >= keep[t + 1] for t in range(len(keep) - 1)):
+        raise ValueError(f"keep indices must be strictly increasing: {list(keep)}")
+    rows = tuple(tuple(M[i][j] for j in keep) for i in keep)
+    return HomMatrix(len(keep), rows)
+
+
+def permute(M: HomMatrix, sigma: Sequence[int]) -> HomMatrix:
+    """Relabel objects: result[i][j] = M[sigma[i]][sigma[j]] for a permutation sigma."""
+    if len(sigma) != M.n or sorted(sigma) != list(range(M.n)):
+        raise IndexError(f"not a permutation of range({M.n}): {list(sigma)}")
+    rows = tuple(tuple(M[sigma[i]][sigma[j]] for j in range(M.n)) for i in range(M.n))
+    return HomMatrix(M.n, rows)
+
+
+def transpose(M: HomMatrix) -> HomMatrix:
+    """Swap sources and targets; realizability is preserved by opposite categories."""
+    rows = tuple(tuple(M[j][i] for j in range(M.n)) for i in range(M.n))
+    return HomMatrix(M.n, rows)
 
 
 def random_reduced(rng: random.Random, n: int, max_entry: int) -> HomMatrix:

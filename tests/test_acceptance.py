@@ -20,7 +20,7 @@ from catmat import (
     reduce,
     verify_category,
 )
-from catmat.matrix import permute, transpose
+from helpers import permute, transpose
 
 CROSS_CHECK_MATRICES = [
     [[1, 2], [3, 7]],

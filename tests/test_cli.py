@@ -2,6 +2,7 @@ import contextlib
 import json
 import os
 import resource
+import sys
 
 import pytest
 
@@ -70,6 +71,54 @@ def test_batch(tmp_path, capsys):
     all_good.mkdir()
     write(all_good, "a.txt", "1\n")
     assert main(["decide", "--batch", str(all_good)]) == 0
+
+
+def test_batch_via_submatrices_names_each_window(tmp_path, capsys):
+    # A reason's classes and coordinates are relative to its window, so a
+    # batch line names the window, as the one-file command does, and a
+    # batch JSON entry has the one-file command's fields.
+    write(tmp_path, "a.txt", "1 2\n3 6\n")
+    write(tmp_path, "s.txt", "2 0 0\n0 1 2\n0 3 6\n")
+    assert main(["decide", "--batch", str(tmp_path), "--via-submatrices"]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "a.txt: ABSENT (UDiagonalFail objects=[1] required>=7 actual=6; submatrix [0, 1])",
+        "s.txt: ABSENT (UDiagonalFail objects=[2] required>=7 actual=6; submatrix [1, 2])",
+    ]
+    assert main(["decide", "--batch", str(tmp_path), "--via-submatrices", "--json"]) == 1
+    batch = json.loads(capsys.readouterr().out)
+    for entry in batch:
+        assert main(["decide", "--via-submatrices", "--json", str(tmp_path / entry["file"])]) == 1
+        assert entry == {"file": entry["file"], **json.loads(capsys.readouterr().out)}
+    assert [entry["subset"] for entry in batch] == [[0, 1], [1, 2]]
+    # Without --via-submatrices there is no window to name.
+    assert main(["decide", "--batch", str(tmp_path)]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "a.txt: ABSENT (UDiagonalFail objects=[1] required>=7 actual=6)",
+        "s.txt: ABSENT (UDiagonalFail objects=[2] required>=7 actual=6)",
+    ]
+
+
+def test_decide_json_fields(tmp_path, capsys):
+    dup = write(tmp_path, "dup.txt", "1 2 2\n3 7 7\n3 7 7\n")
+    assert main(["decide", "--json", dup]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload == {"decision": "exists", "reason": None, "reduced_size": 2}
+    path = write(tmp_path, "m.txt", "1 2\n3 6\n")
+    assert main(["decide", "--json", "--via-submatrices", path]) == 1
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["subset"] == [0, 1] and "reduced_size" not in payload
+    assert main(["decide", "--json", "--explain", path]) == 1
+    conditions = json.loads(capsys.readouterr().out)["conditions"]
+    assert any(entry["condition"] == "u-diagonal" for entry in conditions)
+    assert main(["report", "--json", path]) == 1
+    assert json.loads(capsys.readouterr().out) == conditions
+
+
+def test_decide_needs_a_matrix_or_a_readable_batch(tmp_path, capsys):
+    assert main(["decide"]) == 2
+    assert "a matrix file or --batch is required" in capsys.readouterr().err
+    assert main(["decide", "--batch", str(tmp_path / "missing")]) == 2
+    assert "cannot read batch directory" in capsys.readouterr().err
 
 
 def test_report(tmp_path, capsys):
@@ -168,6 +217,83 @@ def test_verify_against_wrong_matrix(tmp_path, capsys):
     out = capsys.readouterr().out
     assert out.startswith("FAILED")
     assert "cardinality" in out
+
+
+def test_verify_json(tmp_path, capsys):
+    matrix = write(tmp_path, "m.txt", "1 2\n3 7\n")
+    cert = tmp_path / "cert.json"
+    main(["witness", matrix, "--out", str(cert)])
+    capsys.readouterr()
+    assert main(["verify", "--json", str(cert)]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload.pop("passed") is True and payload.pop("triples_checked") > 0
+    assert payload == {
+        "cardinality_mismatches": [],
+        "identity_failures": [],
+        "closure_failures": [],
+        "associativity_failures": [],
+    }
+    # One composite moved to another member of its hom-set.
+    data = json.loads(cert.read_text())
+    hom = {label: labels for labels in data["homs"].values() for label in labels}
+    row = next(r for r in data["table"] if len(hom[r[2]]) > 1)
+    row[2] = next(label for label in hom[row[2]] if label != row[2])
+    cert.write_text(json.dumps(data))
+    assert main(["verify", "--json", str(cert)]) == 1
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["passed"] is False
+    failures = payload["identity_failures"] + payload["associativity_failures"]
+    assert failures and all(isinstance(v, str) for entry in failures for v in entry)
+
+
+def mutate_certificate(data, how):
+    if how == "ragged":
+        data["matrix"]["entries"][1].pop()
+    elif how == "not acceptable":
+        data["matrix"]["entries"][0][0] = 0
+    else:
+        data["homs"]["1,1"][0] = data["homs"]["0,1"][0]
+
+
+@pytest.mark.parametrize(
+    "how, message",
+    [
+        ("ragged", "bad matrix in certificate: row 1 has 1 entries, expected 2"),
+        ("not acceptable", '"matrix" is not acceptable, so it has no classes'),
+        ("one label in two hom-sets", "label appears in two hom-sets"),
+    ],
+)
+def test_structurally_broken_certificate_is_bad_input(tmp_path, capsys, how, message):
+    matrix = write(tmp_path, "m.txt", "1 2\n3 7\n")
+    cert = tmp_path / "cert.json"
+    main(["witness", matrix, "--out", str(cert)])
+    data = json.loads(cert.read_text())
+    mutate_certificate(data, how)
+    cert.write_text(json.dumps(data))
+    capsys.readouterr()
+    assert main(["verify", str(cert)]) == 2
+    assert message in capsys.readouterr().err
+
+
+def test_integers_over_the_digit_limit_are_bad_input(tmp_path, capsys):
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if not limit:
+        pytest.skip("this interpreter converts integers of any length")
+    digits = "1" * (limit + 1)
+    matrix = write(tmp_path, "m.json", f'{{"n": 1, "entries": [[{digits}]]}}')
+    cert = write(tmp_path, "cert.json", f'{{"matrix": {{"n": 1, "entries": [[{digits}]]}}}}')
+    text = write(tmp_path, "m.txt", f"{digits}\n")
+    for argv, where in [
+        (["decide", matrix], "JSON matrix"),
+        (["oracle", matrix], "JSON matrix"),
+        (["verify", cert], "certificate"),
+        (["decide", text], "row 0"),
+    ]:
+        assert main(argv) == 2, argv
+        captured = capsys.readouterr()
+        message = f"{where} has an integer longer than the limit of {limit} digits"
+        assert captured.err == f"error: {message}\n"
+        assert captured.out == ""
 
 
 def test_verify_truncated_certificate(tmp_path, capsys):

@@ -18,8 +18,14 @@ from catmat import (
     reduce,
 )
 from catmat.decider import _Walk, explain
-from catmat.matrix import permute, principal_submatrix, transpose
-from helpers import duplicate_objects, random_matrix, random_unit_first
+from helpers import (
+    duplicate_objects,
+    permute,
+    principal_submatrix,
+    random_matrix,
+    random_unit_first,
+    transpose,
+)
 
 FIXTURES = [
     ([[1, 2], [3, 7]], "yes", None),

@@ -3,7 +3,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from catmat import HomMatrix, ParseError, ShapeError, parse_matrix
-from catmat.matrix import permute, principal_submatrix, transpose
+from helpers import permute, principal_submatrix, transpose
 
 matrices = st.integers(min_value=1, max_value=5).flatmap(
     lambda n: st.lists(
@@ -19,6 +19,8 @@ def test_parse_text():
     assert parse_matrix("1") == HomMatrix.from_rows([[1]])
     assert parse_matrix("  \n\n") == HomMatrix(0, ())
     assert parse_matrix("1 2 \n 3 7\n") == HomMatrix.from_rows([[1, 2], [3, 7]])
+    # Non-ASCII whitespace only separates entries, as str.split() has it.
+    assert parse_matrix("1\u00a02\n3 7") == HomMatrix.from_rows([[1, 2], [3, 7]])
 
 
 def test_parse_json():
@@ -45,7 +47,7 @@ def test_parse_rejects_bad_tokens():
         with pytest.raises(ParseError) as exc:
             parse_matrix(text)
         assert str(exc.value) == "not an integer: 'x'"
-    with pytest.raises(ParseError):
+    with pytest.raises(ParseError, match=r"entry \(0,1\) is negative: -2"):
         parse_matrix("1 -2\n3 7")
     with pytest.raises(ParseError):
         parse_matrix("{not json")
@@ -53,6 +55,24 @@ def test_parse_rejects_bad_tokens():
         parse_matrix('{"entries": [[1]]}')
     with pytest.raises(ParseError):
         parse_matrix('{"n": 1, "entries": [[1.5]]}')
+
+
+@pytest.mark.parametrize("token", ["1_0", "+1", "\u0661", "\uff11"])
+def test_parse_refuses_what_int_takes_beyond_ascii_digits(token):
+    # int() reads these as 10, 1, 1 and 1; an entry is ASCII digits only.
+    with pytest.raises(ParseError) as exc:
+        parse_matrix(f"1 {token}\n3 7")
+    assert str(exc.value) == f"not an integer: {token!r} (entries are ASCII digits)"
+
+
+def test_parse_json_checks_n_and_entries():
+    for n in ("-1", "true", '"1"'):
+        text = f'{{"n": {n}, "entries": [[1]]}}'
+        with pytest.raises(ParseError, match='"n" must be a nonnegative integer'):
+            parse_matrix(text)
+    for text in ('{"n": 1, "entries": 1}', '{"n": 1, "entries": [1]}'):
+        with pytest.raises(ParseError, match='"entries" must be a list of rows'):
+            parse_matrix(text)
 
 
 def test_constructor_validates():

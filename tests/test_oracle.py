@@ -9,9 +9,9 @@ import pytest
 
 import catmat.oracle
 from catmat import HomMatrix, decide, oracle_decide, reduce, verify_category
-from catmat.matrix import permute
 from catmat.oracle import SearchBudget
 from catmat.partition import check_acceptable
+from helpers import permute
 
 
 @pytest.mark.parametrize(

@@ -258,6 +258,17 @@ def test_escaping_composite_detected():
     assert report.closure_failures == [("wrong-hom", arrow, C.identity[0], C.identity[0])]
 
 
+def test_identity_missing_or_outside_its_hom_set():
+    M = HomMatrix.from_rows([[1, 1], [0, 1]])
+    C = build_witness(M)
+    arrow = C.hom(0, 1)[0]
+    for e in (None, "ghost", arrow):
+        identity = {1: C.identity[1]} if e is None else {0: e, 1: C.identity[1]}
+        report = verify_category(FiniteCategory(C.n, C.homs, identity, C.table), M)
+        assert not report.passed
+        assert report.identity_failures[0] == (0, e)
+
+
 def relabel(C, name):
     """C with every label replaced by name(position in hom_of order)."""
     new = {label: name(i) for i, label in enumerate(C.hom_of)}
