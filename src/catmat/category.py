@@ -2,14 +2,17 @@
 
 Objects are 0..n-1.  Labels can be anything hashable but must be globally
 unique across hom-sets, because the label-keyed table is keyed by label pairs
-alone; witnesses use strings, which the certificate carries as they are.
+alone; a built category's labels must also sort, since `rows` renders its
+table in label order.  Witnesses use strings, which the certificate carries
+as they are, and the oracle uses integers.
 
 Every category the package builds (the witness, `inflate` and the oracle)
 comes from `from_blocks`: `blocks` maps each composable block (x, y, z),
 where hom(x, y) and hom(y, z) are nonempty, to rows with rows[g][f] the
 index in hom(x, z) of g.f, for g indexing hom(y, z) and f indexing
-hom(x, y).  Its label-keyed `table`, mapping (g, f) to g.f, is rendered only
-when a caller asks for it.  The constructor takes a table instead: that is a
+hom(x, y).  Its labels are rendered only when a caller asks for them, by
+`rows` as sorted [g, f, g.f] triples, or as the label-keyed `table` mapping
+(g, f) to g.f.  The constructor takes a table instead: that is a
 *claimed* category, such as the one `load_certificate` returns, which has no
 blocks and which only the verifier reads.  Certificates and inflation take
 built categories.  Instances are immutable by convention: nothing in the
@@ -61,14 +64,38 @@ class FiniteCategory:
     @cached_property
     def table(self) -> dict[tuple[Hashable, Hashable], Hashable]:
         """The label-keyed composition table, rendered from the blocks."""
-        homs = self.homs
-        table = {}
-        for (x, y, z), rows in self.blocks.items():
-            fs, hs = homs[(x, y)], homs[(x, z)]
-            for g, row in zip(homs[(y, z)], rows):
-                for f, h in zip(fs, row):
-                    table[(g, f)] = hs[h]
-        return table
+        return {(g, f): h for g, f, h in self.rows()}
+
+    def rows(self) -> list[list]:
+        """sorted([g, f, g.f] for every composable pair), made from the blocks.
+
+        Each g: y -> z comes in label order, and with it each f ending at y in
+        label order; as (g, f) is unique, that is the sorted order.  Every
+        composite g.f is looked up once, into a list per g that follows
+        into[y].
+        """
+        homs, blocks = self.homs, self.blocks
+        into: dict[int, list] = {}  # y -> [(x, hom(x, y))] for the nonempty ones, by x
+        for (x, y), fs in sorted(homs.items()):
+            into.setdefault(y, []).append((x, fs))
+        by_label = {}  # y -> (f, k) in label order, k the place of f in into[y]
+        for y, sources in into.items():
+            fs = [f for _, labels in sources for f in labels]
+            by_label[y] = sorted(zip(fs, range(len(fs))))
+        composites = {}  # g -> (by_label[y], g.f for each f in into[y]'s order)
+        for (y, z), gs in homs.items():
+            gfs = [[] for _ in gs]
+            for x, _ in into.get(y, ()):
+                label = homs[(x, z)].__getitem__
+                for gf, row in zip(gfs, blocks[(x, y, z)]):
+                    gf += map(label, row)
+            order = by_label.get(y, ())
+            composites.update((g, (order, gf)) for g, gf in zip(gs, gfs))
+        rows = []
+        for g in sorted(composites):
+            order, hs = composites[g]
+            rows += [[g, f, hs[k]] for f, k in order]
+        return rows
 
     def hom(self, x: int, y: int) -> tuple:
         return self.homs.get((x, y), ())

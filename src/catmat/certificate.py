@@ -23,46 +23,15 @@ from .reduction import ReductionMap, reduce
 
 def build_certificate(C: FiniteCategory, M: HomMatrix, rmap: ReductionMap) -> dict:
     """The certificate of a built category whose labels are strings, such as
-    a witness; its table rows are written from C.blocks."""
+    a witness; its table is C.rows()."""
     return {
         "matrix": M.to_json(),
         "reduction": _reduction_json(rmap),
         "objects": _objects_json(M),
         "homs": {f"{x},{y}": list(labels) for (x, y), labels in sorted(C.homs.items())},
         "identities": {str(x): C.identity[x] for x in range(C.n)},
-        "table": _sorted_table(C),
+        "table": C.rows(),
     }
-
-
-def _sorted_table(C: FiniteCategory) -> list[list]:
-    """sorted([g, f, h] for (g, f), h in C.table.items()), made from C.blocks.
-
-    Each g: y -> z comes in label order, and with it each f ending at y in
-    label order; as (g, f) is unique, that is the sorted order.  Every
-    composite g.f is looked up once, into a list per g that follows into[y].
-    """
-    homs, blocks = C.homs, C.blocks
-    into: dict[int, list] = {}  # y -> [(x, hom(x, y))] for the nonempty ones, by x
-    for (x, y), fs in sorted(homs.items()):
-        into.setdefault(y, []).append((x, fs))
-    by_label = {}  # y -> (f, k) in label order, k the place of f in into[y]
-    for y, sources in into.items():
-        fs = [f for _, labels in sources for f in labels]
-        by_label[y] = sorted(zip(fs, range(len(fs))))
-    composites = {}  # g -> (by_label[y], g.f for each f in into[y]'s order)
-    for (y, z), gs in homs.items():
-        gfs = [[] for _ in gs]
-        for x, _ in into.get(y, ()):
-            label = homs[(x, z)].__getitem__
-            for gf, row in zip(gfs, blocks[(x, y, z)]):
-                gf += map(label, row)
-        order = by_label.get(y, ())
-        composites.update((g, (order, gf)) for g, gf in zip(gs, gfs))
-    rows = []
-    for g in sorted(composites):
-        order, hs = composites[g]
-        rows += [[g, f, hs[k]] for f, k in order]
-    return rows
 
 
 _quote = json.encoder.encode_basestring_ascii  # the C quoting json.dumps uses

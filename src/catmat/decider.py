@@ -4,9 +4,10 @@ The test runs on the reduced matrix and comes down to eight conditions:
 reflexivity and transitivity of the positivity relation (acceptability), a
 unique basepoint per class, and size floors.  Inside a class with basepoint,
 diagonal entries must exceed the product of the legs through the basepoint,
-off-diagonal entries must reach it; across ordered classes every entry must
-dominate its basepoint column/row floors, and when both classes have
-basepoints the two floors must be met jointly.
+off-diagonal entries must reach it; across ordered classes, with s and t the
+anchors of x and y (partition.py), hom(x, y) must reach the column floor
+hom(x, t), the row floor hom(s, y) and the quadrant floor
+hom(s, y) + hom(x, t) - hom(s, t).
 
 One walk checks all eight and yields every failing instance.  Its order:
 reflexivity object by object, then transitivity chain by chain, stopping
@@ -157,7 +158,7 @@ class _Walk:
         if not acceptable:
             return
 
-        classes, basepoints, locals_, order, multiple_units = self.shape = structure(rows)
+        classes, basepoints, locals_, order, multiple_units, anchor = self.shape = structure(rows)
         for c, units in multiple_units:
             yield "MultipleUnits", tuple([rep[u] for u in units]), (c,), (), None, None
 
@@ -177,24 +178,29 @@ class _Walk:
                     if rows[x][y] < need:
                         yield "UOffDiagonalFail", (rep[x], rep[y]), (c,), (i, j), need, rows[x][y]
 
+        # Cell (x, y) has the column floor hom(x, t), the row floor hom(s, y)
+        # and the quadrant floor hom(s, y) + hom(x, t) - hom(s, t), for the
+        # anchors s of x and t of y.  No floor needs a guard on class kinds:
+        # when x's class has no basepoint, or x is it, s = x and the row and
+        # quadrant floors are hom(x, y) itself, so they cannot fail; t = y
+        # does the same for the column and quadrant floors.  Between two V
+        # classes no floor can fail, and the pair is skipped.
         for c, d in order:
-            bc, bd = basepoints[c], basepoints[d]
-            cu, du = bc is not None, bd is not None
-            if not (cu or du):
+            if basepoints[c] is None and basepoints[d] is None:
                 continue
             below = locals_[d]
             for i, x in locals_[c]:
-                row = rows[x]
+                x_row, s_row = rows[x], rows[anchor[x]]
                 for j, y in below:
-                    have = row[y]
-                    if du and j != 0 and have < row[bd]:
-                        yield "CrossColFail", (rep[x], rep[y]), (c, d), (i, j), row[bd], have
-                    if cu and i != 0 and have < rows[bc][y]:
-                        yield "CrossRowFail", (rep[x], rep[y]), (c, d), (i, j), rows[bc][y], have
-                    if cu and du and i != 0 and j != 0:
-                        need = rows[bc][y] + row[bd] - rows[bc][bd]
-                        if have < need:
-                            yield "CrossQuadrantFail", (rep[x], rep[y]), (c, d), (i, j), need, have
+                    have, t = x_row[y], anchor[y]
+                    col, row = x_row[t], s_row[y]
+                    if have < col:
+                        yield "CrossColFail", (rep[x], rep[y]), (c, d), (i, j), col, have
+                    if have < row:
+                        yield "CrossRowFail", (rep[x], rep[y]), (c, d), (i, j), row, have
+                    need = row + col - s_row[t]
+                    if have < need:
+                        yield "CrossQuadrantFail", (rep[x], rep[y]), (c, d), (i, j), need, have
 
     def verdict(self, M: HomMatrix, reason: Reason | None) -> Verdict:
         """The Verdict on M, whose rows the walk ran on; a yes builds its

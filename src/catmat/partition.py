@@ -4,7 +4,8 @@ Write i -> j when M[i][j] >= 1.  The matrix is acceptable when this relation
 is reflexive and transitive.  Mutual reachability then partitions the objects
 into classes, each class either has an object with exactly one endomorphism
 (a basepoint, kind "U") or none (kind "V"), and the classes are strictly
-ordered by one-way reachability.
+ordered by one-way reachability.  Every object has an anchor: the basepoint
+of its class, or the object itself in a V class.
 
 `acceptability_failures` and `structure` work on a plain tuple of rows, so
 the decider's condition walk runs them on every window without building a
@@ -58,27 +59,27 @@ def check_acceptable(M: HomMatrix) -> AcceptabilityCounterexample | None:
     return None if first is None else AcceptabilityCounterexample(*first)
 
 
-Structure = tuple  # (classes, basepoints, locals, order, multiple_units)
+Structure = tuple  # (classes, basepoints, locals, order, multiple_units, anchor)
 
 
 def structure(rows: Rows) -> Structure:
     """The class structure of an acceptable square tuple of rows, as plain
-    tuples: classes, basepoints, locals, order and multiple_units.
+    tuples: classes, basepoints, locals, order, multiple_units and anchor.
 
     Each field is the Partition attribute of the same name, except that
     locals[c] is locals_of(c) and order is a tuple in ascending order.
     """
     n = len(rows)
-    seen = [False] * n
+    anchor: list[int | None] = [None] * n
     classes, basepoints, locals_, multiple_units = [], [], [], []
     for i, row in enumerate(rows):
-        if seen[i]:  # i joined the class of a smaller member
+        if anchor[i] is not None:  # i joined the class of a smaller member
             continue
         members = [j for j in range(i, n) if row[j] and rows[j][i]]
         classes.append(tuple(members))
-        for j in members:
-            seen[j] = True
         units = [x for x in members if rows[x][x] == 1]
+        for j in members:
+            anchor[j] = units[0] if units else j
         if units:
             if len(units) > 1:
                 multiple_units.append((len(basepoints), tuple(units)))
@@ -93,7 +94,7 @@ def structure(rows: Rows) -> Structure:
     order = tuple([
         (c, d) for c, h in enumerate(heads) for d, k in enumerate(heads) if c != d and rows[h][k]
     ])
-    return tuple(classes), tuple(basepoints), tuple(locals_), order, tuple(multiple_units)
+    return tuple(classes), tuple(basepoints), tuple(locals_), order, tuple(multiple_units), tuple(anchor)
 
 
 class Partition:
@@ -105,7 +106,9 @@ class Partition:
     computed; local_of and the frozenset order are derived from it.
 
     classes[c] lists members ascending; classes are ordered by smallest member.
-    basepoints[c] is the basepoint of a U class and None for a V class.  Local
+    basepoints[c] is the basepoint of a U class and None for a V class.
+    anchor[x] is the basepoint of x's class, or x itself in a V class, so
+    that every floor between classes is one formula in the anchors.  Local
     indices: the basepoint of a U class is 0 and the remaining members count up
     from 1; V class members count up from 1.
     order holds the pairs (c, d) with class c strictly above class d, meaning
@@ -116,7 +119,7 @@ class Partition:
     """
 
     def __init__(self, M: HomMatrix, shape: Structure | None = None):
-        classes, basepoints, locals_, order, multiple_units = shape or structure(M.entries)
+        classes, basepoints, locals_, order, multiple_units, anchor = shape or structure(M.entries)
         local_of: list[tuple[int, int]] = [(-1, -1)] * M.n
         for c, pairs in enumerate(locals_):
             for i, x in pairs:
@@ -126,6 +129,7 @@ class Partition:
         self.local_of = tuple(local_of)
         self.order = frozenset(order)
         self.multiple_units = multiple_units
+        self.anchor = anchor
         self._locals = locals_
 
     def is_u(self, c: int) -> bool:

@@ -10,15 +10,15 @@ the replay half of the certificate format.
 Closure and associativity run on one integer row per morphism.  Out(x) lists
 the morphisms leaving x: the nonempty hom(x, z) in order of z.  For f: x -> y
 the row post[f] holds, for each q in Out(y), the position of q.f in Out(x),
-or None when the table has no entry for (q, f) or the entry lies in another
-hom-set; building the rows is the closure pass.  For each composable pair
-(g, f) with p = g.f, associativity checks h.p == (h.g).f for every h leaving
-z in one comparison of post[p] with post[f] gathered at post[g], a gather
-that operator.itemgetter runs in C.  Closure names failures by (x, y)
-sorted, then z, g, f.  Associativity goes by block (x, y, z) in the order of
-C.homs and walks a block's differing pairs triple by triple, by w, g, f, h;
-a triple through a missing or wrong-hom composite is counted but not
-compared, because closure already reports that composite.
+or None when the table has no entry for (q, f) ("missing"), or its entry lies
+in another hom-set ("wrong-hom") or in none ("unknown"); building the rows is
+the closure pass.  For each composable pair (g, f) with p = g.f,
+associativity checks h.p == (h.g).f for every h leaving z in one comparison
+of post[p] with post[f] gathered at post[g], a gather that
+operator.itemgetter runs in C.  Closure names failures by (x, y) sorted, then
+z, g, f.  Associativity goes by block (x, y, z) in the order of C.homs and
+walks a block's differing pairs triple by triple, by w, g, f, h; a triple
+through a composite that closure reports is counted but not compared.
 """
 
 from __future__ import annotations
@@ -79,6 +79,15 @@ def require_triple_budget(
         raise TripleBudgetError(f"{triples} {what} exceed the budget of {budget}")
 
 
+def count_triples(rows) -> int:
+    """The number of composable triples h.g.f over a square matrix of hom-set
+    sizes, the sum of the entries of its cube: the sum over y, z of
+    (column y's sum) rows[y][z] (row z's sum)."""
+    into = [sum(column) for column in zip(*rows)]
+    out = [sum(row) for row in rows]
+    return sum(into[y] * m * out[z] for y, row in enumerate(rows) for z, m in enumerate(row))
+
+
 def _gather(row: tuple):
     """A function taking r to tuple(r[i] for i in row), or None if row has a hole."""
     if None in row:
@@ -117,19 +126,14 @@ def verify_category(
         at[(x, z)] = {label: o + i for i, label in enumerate(labels) if label is not None}
         out_x.extend(labels)
 
-    # Triples h.g.f counted arithmetically: pairs[y] is the number of
-    # composable pairs (h, g) with g leaving y.
-    pairs = {
-        y: sum(len(labels) * len(out.get(z, ())) for z, labels in succ)
-        for y, succ in successors.items()
-    }
-    total_triples = sum(len(fs) * pairs.get(y, 0) for (_, y), fs in homs.items())
+    sizes = [[len(C.hom(x, y)) for y in range(C.n)] for x in range(C.n)]
+    total_triples = count_triples(sizes)
     require_triple_budget(total_triples, triple_budget)
 
     for i in range(max(C.n, M.n)):
         for j in range(max(C.n, M.n)):
             expected = M[i][j] if i < M.n and j < M.n else 0
-            actual = len(C.hom(i, j)) if i < C.n and j < C.n else 0
+            actual = sizes[i][j] if i < C.n and j < C.n else 0
             if expected != actual:
                 push(report.cardinality_mismatches, (i, j, expected, actual))
 
@@ -161,7 +165,10 @@ def verify_category(
                 for f, row in zip(fs, rows):
                     if row[c] is None:
                         h = get((g, f))
-                        push(closure, ("missing", g, f) if h is None else ("wrong-hom", g, f, h))
+                        if h is None:
+                            push(closure, ("missing", g, f))
+                        else:
+                            push(closure, ("wrong-hom" if h in hom_of else "unknown", g, f, h))
     for (g, f) in table:
         sg = hom_of.get(g)
         sf = hom_of.get(f)

@@ -1,14 +1,15 @@
 """Construction of an explicit category realizing an accepted matrix.
 
-Inside a class with basepoint, every non-identity morphism between x and y is
-either one of the a(x)*b(y) composites of a leg into the basepoint and a leg
-out of it (a Pair), or a Pad absorbing the surplus.  Classes without a
-basepoint need only one structural morphism shape (Collapsed) plus Pads.
-A hom-set between ordered classes splits into four parts anchored on the
-basepoints, named by the part of a Cross label: Base (the floor shared by
-the whole block), Row and Col (the surplus attached to the source row or
-target column), and Extra (the rest).  Composition never leaves the floor
-parts, which is what makes the table associative.
+Inside a class with basepoint p, every non-identity morphism between x and y
+is either one of the hom(x, p)*hom(p, y) composites of a leg into the
+basepoint and a leg out of it (a Pair), or a Pad absorbing the surplus.
+Classes without a basepoint need only one structural morphism shape
+(Collapsed) plus Pads.  A hom-set between ordered classes splits into four
+parts on the anchors s of x and t of y (the basepoint of the class, or the
+object itself in a class without one), named by the part of a Cross label:
+Base, the hom(s, t) shared by the whole block; Row and Col, the surplus of
+hom(x, t) and of hom(s, y) over it; and Extra, the rest.  Composition never
+leaves the floor parts, which is what makes the table associative.
 
 Labels are the certificate's strings, rendered once by build_hom_labels,
 which numbers each hom-set 0..k-1.  Composition is a fixed index map per
@@ -26,57 +27,27 @@ from .errors import CountError, Rejected
 from .matrix import HomMatrix
 from .partition import Partition
 from .reduction import ReductionMap, inflate
-from .verifier import require_triple_budget
-
-
-def a_of(N: HomMatrix, part: Partition, x: int) -> int:
-    """Number of legs from object x of a U class into the class basepoint."""
-    return N[x][part.basepoints[part.local_of[x][0]]]
-
-
-def b_of(N: HomMatrix, part: Partition, y: int) -> int:
-    """Number of legs from the basepoint of y's U class to object y."""
-    return N[part.basepoints[part.local_of[y][0]]][y]
+from .verifier import count_triples, require_triple_budget
 
 
 def cross_part_sizes(N: HomMatrix, part: Partition, x: int, y: int) -> tuple[int, int, int, int]:
     """Sizes (base, row, col, extra) of the hom-set from x down to y.
 
-    The base floor is the basepoint-to-basepoint count when both classes have
-    one, and degenerates to the basepoint row or column when only one side
-    does, or to the whole entry when neither does.
+    With s and t the anchors of x and y: base is hom(s, t), row and col are
+    hom(x, t) and hom(s, y) less the base, and extra is the rest of hom(x, y).
+    No part needs a case on class kinds: when x's class has no basepoint, or
+    x is it, s = x, so row and extra are 0 and col is hom(x, y) - hom(x, t);
+    t = y likewise makes col and extra 0.
     """
-    c, i = part.local_of[x]
-    d, j = part.local_of[y]
-    cu, du = part.is_u(c), part.is_u(d)
-    m = N[x][y]
-    if cu and du:
-        bc, bd = part.basepoints[c], part.basepoints[d]
-        base = N[bc][bd]
-        row = N[x][bd] - base
-        col = N[bc][y] - base
-        extra = m - N[x][bd] - N[bc][y] + base
-    elif du:
-        bd = part.basepoints[d]
-        base = N[x][bd]
-        row, col, extra = 0, m - base, 0
-    elif cu:
-        bc = part.basepoints[c]
-        base = N[bc][y]
-        row, col, extra = m - base, 0, 0
-    else:
-        base, row, col, extra = m, 0, 0, 0
-    if min(base, row, col, extra) < 0 or base + row + col + extra != m:
+    s, t = part.anchor[x], part.anchor[y]
+    m, base = N[x][y], N[s][t]
+    row, col = N[x][t] - base, N[s][y] - base
+    extra = m - base - row - col
+    if min(base, row, col, extra) < 0:
         raise CountError(
             f"cross parts ({base},{row},{col},{extra}) inconsistent with hom({x},{y})={m}"
         )
     return base, row, col, extra
-
-
-def _pairs(N: HomMatrix, part: Partition, x: int, y: int) -> int:
-    """Number of Pairs in the hom-set between objects x and y of one U class."""
-    bp = part.basepoints[part.local_of[x][0]]
-    return 0 if x == y == bp else N[x][bp] * N[bp][y]
 
 
 def build_hom_labels(N: HomMatrix, part: Partition) -> dict[tuple[int, int], tuple[str, ...]]:
@@ -92,11 +63,13 @@ def build_hom_labels(N: HomMatrix, part: Partition) -> dict[tuple[int, int], tup
                 if i == j:
                     labels.append(f"Identity({cx},{i})")
                 if part.is_u(cx):
-                    b = b_of(N, part, y)
-                    labels += [
-                        f"Pair({cx},{i},{j},{p // b + 1},{p % b + 1})"
-                        for p in range(_pairs(N, part, x, y))
-                    ]
+                    bp = part.anchor[x]
+                    b = N[bp][y]
+                    if not x == y == bp:
+                        labels += [
+                            f"Pair({cx},{i},{j},{p // b + 1},{p % b + 1})"
+                            for p in range(N[x][bp] * b)
+                        ]
                 else:
                     labels.append(f"Collapsed({cx},{i},{j})")
                 pad = m - len(labels)
@@ -127,8 +100,10 @@ def _block(N: HomMatrix, part: Partition, x: int, y: int, z: int) -> list[list[i
     the within-class factor acts on the basepoint side of a class that has
     one (Base and Row survive post-composition, Base and Col survive
     pre-composition); everything else lands on the first Base morphism, and
-    crossing two ordered gaps always does.  An identity on either side passes
-    the other factor through.  Every index is checked against hom(x,z).
+    crossing two ordered gaps always does.  The part boundaries are read off
+    the anchors as in cross_part_sizes: Base and Row of hom(x, y) are its
+    first hom(x, anchor[y]) indices.  An identity on either side passes the
+    other factor through.  Every index is checked against hom(x,z).
     """
     (c, i), (d, j), (e, k) = part.local_of[x], part.local_of[y], part.local_of[z]
     mf, mg = N[x][y], N[y][z]
@@ -136,17 +111,17 @@ def _block(N: HomMatrix, part: Partition, x: int, y: int, z: int) -> list[list[i
     if c != d and d != e:
         rows = [[0] * mf] * mg
     elif c != d:  # f crosses into class d, g stays inside it
-        keep = sum(cross_part_sizes(N, part, x, y)[:2]) if part.is_u(d) else 0
+        keep = N[x][part.anchor[y]] if part.is_u(d) else 0
         rows = [[f if f < keep else 0 for f in range(mf)]] * mg
     elif d != e:  # f stays inside class c, g crosses out of it
         kept = [0] * mg
         if part.is_u(c):
-            base, row, col, _ = cross_part_sizes(N, part, y, z)
-            shift = cross_part_sizes(N, part, x, z)[1] - row
-            kept = [
-                g if g < base else g + shift if base + row <= g < base + row + col else 0
-                for g in range(mg)
-            ]
+            # Col of hom(y, z) spans [hom(y, t), hom(y, t) + hom(s, z) - base)
+            # and moves by the difference of the Row sizes into hom(x, z).
+            s, t = part.anchor[y], part.anchor[z]
+            base, start = N[s][t], N[y][t]
+            shift, end = N[x][t] - start, start + N[s][z] - base
+            kept = [g if g < base else g + shift if start <= g < end else 0 for g in range(mg)]
         rows = [[h] * mf for h in kept]
     elif not part.is_u(c):
         rows = [[int(i == k)] * mf for _ in range(mg)]
@@ -154,9 +129,11 @@ def _block(N: HomMatrix, part: Partition, x: int, y: int, z: int) -> list[list[i
     elif i == k == 0:
         rows = [[0] * mf for _ in range(mg)]
     else:
-        a, bj, bk = a_of(N, part, x), b_of(N, part, y), b_of(N, part, z)
+        bp = part.anchor[x]
+        a, bj, bk = N[x][bp], N[bp][y], N[bp][z]
         idf, idg = int(i == j), int(j == k)
-        pf, pg = _pairs(N, part, x, y), _pairs(N, part, y, z)
+        pf = 0 if x == y == bp else a * bj
+        pg = 0 if y == z == bp else N[y][bp] * bk
         first_pad = idf + pf
         us = [0] * idf + [p // bj * bk for p in range(pf)] + [(a - 1) * bk] * (mf - first_pad)
         vs = [0] * idg + [q % bk for q in range(pg)] + [0] * (mg - idg - pg)
@@ -194,7 +171,7 @@ def _witness_and_map(M: HomMatrix) -> tuple[FiniteCategory, ReductionMap]:
     verdict = decide(M)
     if not verdict.exists:
         raise Rejected(verdict)
-    require_triple_budget(_triples(M))
+    require_triple_budget(count_triples(M.entries))
     N, rmap, part = verdict.reduced, verdict.rmap, verdict.partition
     homs = build_hom_labels(N, part)
     identity = {x: homs[(x, x)][0] for x in range(N.n)}
@@ -204,12 +181,3 @@ def _witness_and_map(M: HomMatrix) -> tuple[FiniteCategory, ReductionMap]:
         return B, rmap
     return inflate(B, rmap, expected=M), rmap
 
-
-def _triples(M: HomMatrix) -> int:
-    """The number of composable triples h.g.f over hom-set sizes M, the sum of
-    the entries of M cubed: sum over y, z of (column y's sum) M[y][z] (row
-    z's sum)."""
-    rows = M.entries
-    into = [sum(column) for column in zip(*rows)]
-    out = [sum(row) for row in rows]
-    return sum(into[y] * m * out[z] for y, row in enumerate(rows) for z, m in enumerate(row))

@@ -1,9 +1,9 @@
 """Shared generators and independent expected-value formulas.
 
-The closed forms here are written directly from the 2x2, unit-first and 4x4
-block case analyses and are deliberately kept separate from the package code:
-acceptance compares the decider against these, so they must not share logic
-with it.
+The closed forms here are written directly from the 2x2, unit-first, 4x4
+block and cross-part case analyses and are deliberately kept separate from
+the package code: acceptance compares the decider against these, so they
+must not share logic with it.
 """
 
 from __future__ import annotations
@@ -62,6 +62,97 @@ def block_4x4(b: int, e: int, x: int, q: int, c: int, k: int, d: int, l: int) ->
 
 def block_4x4_exists(c: int, k: int, d: int, l: int) -> bool:
     return k >= c and d >= c and l >= c and l >= k and l >= d and l >= k + d - c
+
+
+def cross_parts_by_kind(N: HomMatrix, part, x: int, y: int) -> tuple[int, int, int, int]:
+    """Closed form of the cross parts (base, row, col, extra) of hom(x, y),
+    one case per pair of class kinds: both classes have a basepoint, only
+    y's, only x's, or neither."""
+    bc = part.basepoints[part.local_of[x][0]]
+    bd = part.basepoints[part.local_of[y][0]]
+    m = N[x][y]
+    if bc is not None and bd is not None:
+        base = N[bc][bd]
+        return base, N[x][bd] - base, N[bc][y] - base, m - N[x][bd] - N[bc][y] + base
+    if bd is not None:
+        return N[x][bd], 0, m - N[x][bd], 0
+    if bc is not None:
+        return N[bc][y], m - N[bc][y], 0, 0
+    return m, 0, 0, 0
+
+
+def class_chain(
+    rng: random.Random, kinds: str, sizes: Sequence[int], slack: int = 1
+) -> list[list[int]]:
+    """Rows of a realizable matrix whose classes, of the given kinds ("U" with
+    its first member as basepoint, or "V") and sizes, form one chain from the
+    first class down.  Each entry is its floor plus 0..slack."""
+    classes, n = [], 0
+    for kind, size in zip(kinds, sizes):
+        classes.append((kind, list(range(n, n + size))))
+        n += size
+    M = [[0] * n for _ in range(n)]
+
+    def up(floor: int) -> int:
+        return floor + rng.randint(0, slack)
+
+    for kind, xs in classes:
+        if kind == "U":
+            b = xs[0]
+            M[b][b] = 1
+            for x in xs[1:]:
+                M[x][b], M[b][x] = up(1), up(1)
+            for x in xs[1:]:
+                for y in xs[1:]:
+                    M[x][y] = up(M[x][b] * M[b][y] + (x == y))
+        else:
+            for x in xs:
+                for y in xs:
+                    M[x][y] = up(1 + (x == y))
+    for c, (kc, xs) in enumerate(classes):
+        for kd, ys in classes[c + 1 :]:
+            s = xs[0] if kc == "U" else None
+            t = ys[0] if kd == "U" else None
+            for x in xs:  # s and t come first, so their cells are set first
+                for y in ys:
+                    floor = 1
+                    if t is not None and y != t:
+                        floor = max(floor, M[x][t])
+                    if s is not None and x != s:
+                        floor = max(floor, M[s][y])
+                    if s is not None and t is not None and x != s and y != t:
+                        floor = max(floor, M[s][y] + M[x][t] - M[s][t])
+                    M[x][y] = up(floor)
+    return M
+
+
+def quadrant_family(rng: random.Random) -> list[HomMatrix]:
+    """Two two-object U classes {s, x} above {t, y}, every other cell just
+    above its floor, and each cross cell set at its floor and one below:
+    hom(s, t) at hom(s, y) + hom(x, t) - hom(x, y) (and at least 1), hom(s, y)
+    and hom(x, t) at hom(s, t), and the quadrant cell hom(x, y) at
+    hom(s, y) + hom(x, t) - hom(s, t).  Each of the eight matrices is
+    relabeled at random, and transposed half the time."""
+    M = class_chain(rng, "UU", (2, 2))
+    s, x, t, y = range(4)
+    floors = {
+        (s, t): lambda: max(1, M[s][y] + M[x][t] - M[x][y]),
+        (s, y): lambda: M[s][t],
+        (x, t): lambda: M[s][t],
+        (x, y): lambda: M[s][y] + M[x][t] - M[s][t],
+    }
+    out = []
+    for (i, j), floor in floors.items():
+        for below in (1, 0):
+            cut = [row[:] for row in M]
+            cut[i][j] = floor() - below
+            N = HomMatrix.from_rows(cut)
+            if rng.random() < 0.5:
+                N = transpose(N)
+            sigma = list(range(4))
+            rng.shuffle(sigma)
+            out.append(permute(N, sigma))
+    return out
 
 
 def random_matrix(rng: random.Random, n: int, max_entry: int, min_entry: int = 0) -> HomMatrix:

@@ -219,6 +219,22 @@ def test_verify_against_wrong_matrix(tmp_path, capsys):
     assert "cardinality" in out
 
 
+def test_verify_names_a_composite_outside_every_hom_set_unknown(tmp_path, capsys):
+    main(["witness", write(tmp_path, "m.txt", "1\n"), "--out", str(tmp_path / "cert.json")])
+    capsys.readouterr()
+    data = json.loads((tmp_path / "cert.json").read_text())
+    data.update(homs={"0,0": ["e"]}, identities={"0": "e"}, table=[["e", "e", "x"]])
+    cert = write(tmp_path, "bad.json", json.dumps(data))
+    assert main(["verify", cert]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "FAILED failed: 2 identity, 1 closure (1 triples checked)"
+    assert lines[1:] == [
+        "  identity: (0, 'e')",
+        "  identity: (0, 'e')",
+        "  closure: ('unknown', 'e', 'e', 'x')",
+    ]
+
+
 def test_verify_json(tmp_path, capsys):
     matrix = write(tmp_path, "m.txt", "1 2\n3 7\n")
     cert = tmp_path / "cert.json"

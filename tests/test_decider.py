@@ -366,7 +366,7 @@ def assert_yes_payload(M, verdict):
     assert verdict.reduced == N
     assert verdict.rmap == rmap
     got = verdict.partition
-    for field in ("classes", "basepoints", "local_of", "order", "multiple_units"):
+    for field in ("classes", "basepoints", "local_of", "order", "multiple_units", "anchor"):
         assert getattr(got, field) == getattr(part, field), field
     assert [got.locals_of(c) for c in range(len(got.classes))] == [
         part.locals_of(c) for c in range(len(part.classes))

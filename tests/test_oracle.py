@@ -3,6 +3,7 @@ import hashlib
 import itertools
 import json
 import random
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -11,7 +12,7 @@ import catmat.oracle
 from catmat import HomMatrix, decide, oracle_decide, reduce, verify_category
 from catmat.oracle import SearchBudget
 from catmat.partition import check_acceptable
-from helpers import permute
+from helpers import permute, quadrant_family
 
 
 @pytest.mark.parametrize(
@@ -168,6 +169,25 @@ def test_oracle_agrees_with_decide_on_sampled_3x3_up_to_3():
         assert result.decision == decide(M).decision, M.entries
         if result.exists:
             assert verify_category(result.category, M).passed, M.entries
+
+
+def test_oracle_agrees_with_decide_at_every_cross_floor():
+    # Two two-object U classes with each cross cell, the quadrant cell
+    # included, at its floor and one below it, relabeled: the four-object
+    # condition checked against the oracle.  Seed and size are fixed, not
+    # picked to avoid slow or unresolved cases.
+    rng = random.Random(6)
+    kinds = Counter()
+    for _ in range(100):
+        for M in quadrant_family(rng):
+            result = oracle_decide(M, 10**5)
+            verdict = decide(M)
+            assert result.decision == verdict.decision, M.entries
+            if result.exists:
+                assert verify_category(result.category, M).passed, M.entries
+            kinds[verdict.reason.kind if verdict.reason else "yes"] += 1
+    assert kinds["yes"] == 400
+    assert min(kinds[k] for k in ("CrossColFail", "CrossRowFail", "CrossQuadrantFail")) >= 40, kinds
 
 
 def test_oracle_imports_nothing_from_the_decision_pipeline():

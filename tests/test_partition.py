@@ -55,6 +55,18 @@ def test_partition_kinds_and_order():
     assert part.local_of == ((0, 1), (1, 1))  # V-class locals start at 1
 
 
+def test_anchor_is_the_basepoint_or_the_object_itself():
+    # A V class {0, 1} above a U class {2, 3} with basepoint 3.
+    M = HomMatrix.from_rows([[2, 1, 1, 1], [1, 2, 1, 1], [0, 0, 2, 1], [0, 0, 1, 1]])
+    part = build_partition(M)
+    assert part.basepoints == (None, 3)
+    assert part.anchor == (0, 1, 3, 3)
+    # The anchor of each member of [[1, 2], [3, 7]]'s one U class is its basepoint 0.
+    assert build_partition(HomMatrix.from_rows([[1, 2], [3, 7]])).anchor == (0, 0)
+    # With several units, the first one anchors the class, as it is the basepoint.
+    assert build_partition(HomMatrix.from_rows([[1, 2], [2, 1]])).anchor == (0, 0)
+
+
 def test_partition_multiple_units_flagged():
     part = build_partition(HomMatrix.from_rows([[1, 2], [2, 1]]))
     assert part.classes == ((0, 1),)

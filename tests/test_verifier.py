@@ -98,8 +98,8 @@ def reference_report(C, M, cap):
     """verify_category's report, by a plain walk over every triple.
 
     Closure visits (x, y) sorted, then z, g, f; associativity visits (x, y)
-    in homs order, then z, w, g, f, h, and skips a triple through a missing
-    or wrong-hom composite, which closure already names.
+    in homs order, then z, w, g, f, h, and skips a triple through a missing,
+    wrong-hom or unknown composite, which closure already names.
     """
     report = VerificationReport()
 
@@ -142,10 +142,13 @@ def reference_report(C, M, cap):
                 for f in C.homs[(x, y)]:
                     if composite(g, f) is None:
                         h = C.table.get((g, f))
-                        push(
-                            report.closure_failures,
-                            ("missing", g, f) if h is None else ("wrong-hom", g, f, h),
-                        )
+                        if h is None:
+                            failure = ("missing", g, f)
+                        elif h in where:
+                            failure = ("wrong-hom", g, f, h)
+                        else:
+                            failure = ("unknown", g, f, h)
+                        push(report.closure_failures, failure)
     for g, f in C.table:
         if g not in where or f not in where or where[f][1] != where[g][0]:
             push(report.closure_failures, ("foreign", g, f))
@@ -172,7 +175,7 @@ def reference_report(C, M, cap):
 def random_mutants(seed, count):
     """Witnesses, some over duplicated objects, with 1-3 table entries changed
     to another member of the same hom-set, deleted, moved to another hom-set
-    or added under a foreign key."""
+    or to a label of no hom-set, or added under a foreign key."""
     rng = random.Random(seed)
     bases = ([[1, 2], [3, 7]], [[2, 2], [2, 2]], [[1, 1], [0, 3]], [[1, 1, 2], [1, 1, 2], [0, 0, 3]])
     for _ in range(count):
@@ -183,13 +186,15 @@ def random_mutants(seed, count):
         table = dict(C.table)
         for _ in range(rng.randint(1, 3)):
             key = rng.choice(sorted(table))
-            kind = rng.randrange(4)
+            kind = rng.randrange(5)
             if kind == 0:
                 table[key] = rng.choice(C.hom(*C.hom_of[table[key]]))
             elif kind == 1:
                 del table[key]
             elif kind == 2:
                 table[key] = rng.choice(labels)
+            elif kind == 3:
+                table[key] = "ghost"
             else:
                 table[(rng.choice(labels), rng.choice(labels + ["ghost"]))] = rng.choice(labels)
         yield M, FiniteCategory(C.n, C.homs, C.identity, table)

@@ -1,10 +1,13 @@
+import random
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import helpers
 from catmat import HomMatrix, Rejected, build_witness, decide, verify_category
-from catmat.witness import a_of, b_of, build_hom_labels, cross_part_sizes
+from catmat.witness import build_hom_labels, cross_part_sizes
 
 
 def setup_for(rows):
@@ -21,13 +24,6 @@ def composer(rows):
 
 def count(labels, kind):
     return sum(l.startswith(kind + "(") for l in labels)
-
-
-def test_a_of_b_of():
-    N, part = setup_for([[1, 2], [3, 7]])
-    assert a_of(N, part, 1) == 3
-    assert b_of(N, part, 1) == 2
-    assert a_of(N, part, 0) == 1 and b_of(N, part, 0) == 1  # the basepoint itself
 
 
 def test_hom_labels_u_class():
@@ -55,6 +51,32 @@ def test_hom_labels_cross_parts():
     assert counts == {"Base": 1, "Row": 1, "Col": 1, "Extra": 0}
     assert len(labels) == 3
     assert cross_part_sizes(N, part, 1, 3) == (1, 1, 1, 0)
+
+
+def test_cross_part_sizes_match_the_closed_form_by_kind():
+    """The anchor formula against one closed form per pair of class kinds,
+    on seeded chains of U and V classes, relabeled."""
+    rng = random.Random(17)
+    seen = Counter()
+    for _ in range(300):
+        kinds = "".join(rng.choice("UV") for _ in range(rng.randint(2, 3)))
+        rows = helpers.class_chain(rng, kinds, [rng.randint(1, 3) for _ in kinds])
+        sigma = list(range(len(rows)))
+        rng.shuffle(sigma)
+        verdict = decide(helpers.permute(HomMatrix.from_rows(rows), sigma))
+        assert verdict.exists
+        N, part = verdict.reduced, verdict.partition
+        for x in range(N.n):
+            for y in range(N.n):
+                c, d = part.local_of[x][0], part.local_of[y][0]
+                if (c, d) in part.order:
+                    want = helpers.cross_parts_by_kind(N, part, x, y)
+                    assert cross_part_sizes(N, part, x, y) == want, (N, x, y)
+                    seen["UV"[not part.is_u(c)] + "UV"[not part.is_u(d)]] += 1
+                    seen["row"] += want[1] > 0
+                    seen["col"] += want[2] > 0
+                    seen["extra"] += want[3] > 0
+    assert min(seen.values()) >= 50, seen
 
 
 def test_hom_labels_sizes_always_match():
