@@ -10,13 +10,15 @@ Every category the package builds (the witness, `inflate` and the oracle)
 comes from `from_blocks`: `blocks` maps each composable block (x, y, z),
 where hom(x, y) and hom(y, z) are nonempty, to rows with rows[g][f] the
 index in hom(x, z) of g.f, for g indexing hom(y, z) and f indexing
-hom(x, y).  Its labels are rendered only when a caller asks for them, by
-`rows` as sorted [g, f, g.f] triples, or as the label-keyed `table` mapping
-(g, f) to g.f.  The constructor takes a table instead: that is a
-*claimed* category, such as the one `load_certificate` returns, which has no
-blocks and which only the verifier reads.  Certificates and inflation take
-built categories.  Instances are immutable by convention: nothing in the
-package mutates a category after construction.
+hom(x, y).  The identity of x is the first member of hom(x, x), index 0,
+which every builder lists first.  Labels are rendered only when a caller asks
+for them, by `rows` as sorted [g, f, g.f] triples, or as the label-keyed
+`table` mapping (g, f) to g.f.  The constructor takes a table and explicit
+identities instead: that is a *claimed* category, such as the one
+`load_certificate` returns, which has no blocks and which only the verifier
+reads.  Certificates and inflation take built categories.  Instances are
+immutable by convention: nothing in the package mutates a category after
+construction.
 """
 
 from __future__ import annotations
@@ -36,22 +38,24 @@ class FiniteCategory:
         table: Mapping[tuple[Hashable, Hashable], Hashable],
     ):
         """A claimed category, given by its label table; it has no blocks."""
-        self._set_homs(n, homs, identity)
+        self._set_homs(n, homs)
+        self.identity = dict(identity)
         self.table = dict(table)
 
     @classmethod
-    def from_blocks(cls, n: int, homs: Mapping, identity: Mapping, blocks: Blocks) -> FiniteCategory:
+    def from_blocks(cls, n: int, homs: Mapping, blocks: Blocks) -> FiniteCategory:
         """The category whose composition is `blocks`, one entry for each
-        composable block; its label-keyed table is rendered on first access."""
+        composable block, with the first member of hom(x, x) as x's identity;
+        its label-keyed table is rendered on first access."""
         C = cls.__new__(cls)
-        C._set_homs(n, homs, identity)
+        C._set_homs(n, homs)
+        C.identity = {x: C.homs[(x, x)][0] for x in range(n)}
         C.blocks = blocks
         return C
 
-    def _set_homs(self, n: int, homs: Mapping, identity: Mapping) -> None:
+    def _set_homs(self, n: int, homs: Mapping) -> None:
         self.n = n
         self.homs = {pair: tuple(labels) for pair, labels in homs.items() if labels}
-        self.identity = dict(identity)
         self.hom_of: dict[Hashable, tuple[int, int]] = {}
         for (x, y), labels in sorted(self.homs.items()):
             if not (0 <= x < n and 0 <= y < n):

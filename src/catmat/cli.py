@@ -25,8 +25,9 @@ from .decider import condition_report, decide, decide_by_submatrices, explain
 from .errors import CertificateError, ParseError, Rejected, ShapeError, TripleBudgetError
 from .matrix import HomMatrix, parse_matrix, too_long
 from .oracle import SearchBudget, oracle_decide
+from .reduction import reduce
 from .verifier import verify_category
-from .witness import _witness_and_map
+from .witness import build_witness
 
 EXIT_EXISTS = 0
 EXIT_ABSENT = 1
@@ -163,11 +164,11 @@ def cmd_report(args) -> int:
 def cmd_witness(args) -> int:
     M = _load_matrix(args.matrix)
     try:
-        C, rmap = _witness_and_map(M)
+        C = build_witness(M)
     except Rejected as exc:
         print(f"ABSENT ({exc.verdict.reason})", file=sys.stderr)
         return EXIT_ABSENT
-    chunks = dump_certificate(build_certificate(C, M, rmap))
+    chunks = dump_certificate(build_certificate(C, M, reduce(M)[1]))
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.writelines(chunks)

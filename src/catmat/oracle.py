@@ -85,7 +85,7 @@ def oracle_decide(M: HomMatrix, budget: SearchBudget | int | None = None) -> Ora
 
     n = M.n
     if n == 0:
-        return OracleResult("yes", 0, FiniteCategory.from_blocks(0, {}, {}, {}))
+        return OracleResult("yes", 0, FiniteCategory.from_blocks(0, {}, {}))
     for x in range(n):
         if M[x][x] == 0:
             return OracleResult("no", 0)
@@ -255,7 +255,7 @@ def oracle_decide(M: HomMatrix, budget: SearchBudget | int | None = None) -> Ora
             while i < len(free) and table[free[i][0]][free[i][1]] is not None:
                 i += 1
             if i == len(free):
-                return OracleResult("yes", assignments, _category(n, homs, id_of, table))
+                return OracleResult("yes", assignments, _category(n, homs, table))
             frames.append([i, candidates(*free[i]), 0, len(trail)])
         frame = frames[-1]
         i, options, k, mark = frame
@@ -274,7 +274,7 @@ def oracle_decide(M: HomMatrix, budget: SearchBudget | int | None = None) -> Ora
         advance = place(g, f, options[k])
 
 
-def _category(n: int, homs: dict, id_of: list[int], table: list[list[int]]) -> FiniteCategory:
+def _category(n: int, homs: dict, table: list[list[int]]) -> FiniteCategory:
     """The category of a filled table.  Each hom-set's ids are contiguous, so
     row g of block (x, y, z) is table[g] over hom(x, y), less hom(x, z)'s first id."""
     blocks = {}
@@ -284,4 +284,4 @@ def _category(n: int, homs: dict, id_of: list[int], table: list[list[int]]) -> F
             if gs:
                 h0 = homs[(x, z)][0]
                 blocks[(x, y, z)] = [[h - h0 for h in table[g][fs[0] : fs[-1] + 1]] for g in gs]
-    return FiniteCategory.from_blocks(n, homs, dict(enumerate(id_of)), blocks)
+    return FiniteCategory.from_blocks(n, homs, blocks)

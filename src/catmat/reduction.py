@@ -102,7 +102,6 @@ def inflate(
                 )
             if inner:
                 homs[(i, j)] = tuple(f"Infl({i},{j},{beta})" for beta in inner)
-    identity = {i: f"Infl({i},{i},{B.identity[c[i]]})" for i in range(rmap.n)}
     by_class = B.blocks
     blocks = {(i, j, k): by_class[(c[i], c[j], c[k])] for i, j, k in composable(homs)}
-    return FiniteCategory.from_blocks(rmap.n, homs, identity, blocks)
+    return FiniteCategory.from_blocks(rmap.n, homs, blocks)

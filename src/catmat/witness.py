@@ -12,11 +12,12 @@ hom(x, t) and of hom(s, y) over it; and Extra, the rest.  Composition never
 leaves the floor parts, which is what makes the table associative.
 
 Labels are the certificate's strings, rendered once by build_hom_labels,
-which numbers each hom-set 0..k-1.  Composition is a fixed index map per
-block (x, y, z), computed by _block from the matrix alone for every
-composable block when the witness is built; its docstring says exactly which
-part indices survive a composition.  The category keeps these blocks, and
-its label-keyed table is rendered only if a caller asks for it.
+which numbers each hom-set 0..k-1, the identity first (`from_blocks` takes it
+from there), and checks each hom-set's size once.  Composition is a fixed
+index map per block (x, y, z), computed by _block from the matrix alone for
+every composable block when the witness is built; its docstring says exactly
+which part indices survive a composition.  The category keeps these blocks,
+and its label-keyed table is rendered only if a caller asks for it.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from .decider import decide
 from .errors import CountError, Rejected
 from .matrix import HomMatrix
 from .partition import Partition
-from .reduction import ReductionMap, inflate
+from .reduction import inflate
 from .verifier import count_triples, require_triple_budget
 
 
@@ -43,15 +44,18 @@ def cross_part_sizes(N: HomMatrix, part: Partition, x: int, y: int) -> tuple[int
     m, base = N[x][y], N[s][t]
     row, col = N[x][t] - base, N[s][y] - base
     extra = m - base - row - col
-    if min(base, row, col, extra) < 0:
-        raise CountError(
-            f"cross parts ({base},{row},{col},{extra}) inconsistent with hom({x},{y})={m}"
-        )
     return base, row, col, extra
 
 
 def build_hom_labels(N: HomMatrix, part: Partition) -> dict[tuple[int, int], tuple[str, ...]]:
-    """Label every hom-set of the reduced matrix; sizes match N exactly."""
+    """Label every hom-set of the reduced matrix, the identity first.
+
+    The decider checked the floors; the one check here is a size tripwire,
+    CountError unless hom(x, y) gets exactly N[x][y] labels.  It catches a
+    failed floor: a negative Pad count or cross part adds no labels, so the
+    count exceeds N[x][y] by that amount, and a nonzero entry between
+    unordered classes gets none, so the count falls short.
+    """
     homs: dict[tuple[int, int], tuple[str, ...]] = {}
     for x in range(N.n):
         cx, i = part.local_of[x]
@@ -72,18 +76,13 @@ def build_hom_labels(N: HomMatrix, part: Partition) -> dict[tuple[int, int], tup
                         ]
                 else:
                     labels.append(f"Collapsed({cx},{i},{j})")
-                pad = m - len(labels)
-                if pad < 0:
-                    raise CountError(
-                        f"hom({x},{y})={m} is smaller than its {len(labels)} structural labels"
-                    )
-                labels += [f"Pad({cx},{i},{j},{k})" for k in range(1, pad + 1)]
+                labels += [f"Pad({cx},{i},{j},{k})" for k in range(1, m - len(labels) + 1)]
             elif (cx, cy) in part.order:
                 sizes = cross_part_sizes(N, part, x, y)
                 for kind, size in zip(("Base", "Row", "Col", "Extra"), sizes):
                     labels += [f"Cross{kind}({cx},{i},{cy},{j},{k})" for k in range(1, size + 1)]
-            elif m != 0:
-                raise CountError(f"hom({x},{y})={m} between unordered classes {cx},{cy}")
+            if len(labels) != m:
+                raise CountError(f"hom({x},{y}) got {len(labels)} labels, the matrix says {m}")
             if labels:
                 homs[(x, y)] = tuple(labels)
     return homs
@@ -163,21 +162,12 @@ def build_witness(M: HomMatrix) -> FiniteCategory:
     Raises TripleBudgetError, before building anything, when the category
     would have more associativity triples than the verifier's budget allows.
     """
-    return _witness_and_map(M)[0]
-
-
-def _witness_and_map(M: HomMatrix) -> tuple[FiniteCategory, ReductionMap]:
-    """build_witness, also returning the reduction map its decision used."""
     verdict = decide(M)
     if not verdict.exists:
         raise Rejected(verdict)
     require_triple_budget(count_triples(M.entries))
     N, rmap, part = verdict.reduced, verdict.rmap, verdict.partition
     homs = build_hom_labels(N, part)
-    identity = {x: homs[(x, x)][0] for x in range(N.n)}
     blocks = {xyz: _block(N, part, *xyz) for xyz in composable(homs)}
-    B = FiniteCategory.from_blocks(N.n, homs, identity, blocks)
-    if rmap.m == rmap.n:
-        return B, rmap
-    return inflate(B, rmap, expected=M), rmap
-
+    B = FiniteCategory.from_blocks(N.n, homs, blocks)
+    return B if rmap.m == rmap.n else inflate(B, rmap, expected=M)

@@ -215,9 +215,9 @@ def test_label_built_category_certificate_round_trip():
     C = FiniteCategory.from_blocks(
         D.n,
         {pair: [name[l] for l in labels] for pair, labels in D.homs.items()},
-        {x: name[e] for x, e in D.identity.items()},
         D.blocks,
     )
+    assert C.identity == {x: name[e] for x, e in D.identity.items()}
     assert C.table == {(name[g], name[f]): name[h] for (g, f), h in D.table.items()}
     data = build_certificate(C, M, reduce(M)[1])
     assert data["table"] == sorted([g, f, h] for (g, f), h in C.table.items())

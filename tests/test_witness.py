@@ -7,7 +7,9 @@ from hypothesis import strategies as st
 
 import helpers
 from catmat import HomMatrix, Rejected, build_witness, decide, verify_category
-from catmat.witness import build_hom_labels, cross_part_sizes
+from catmat.errors import CountError
+from catmat.partition import build_partition
+from catmat.witness import _block, build_hom_labels, cross_part_sizes
 
 
 def setup_for(rows):
@@ -86,6 +88,28 @@ def test_hom_labels_sizes_always_match():
         for x in range(N.n):
             for y in range(N.n):
                 assert len(homs.get((x, y), ())) == N[x][y]
+
+
+def test_count_tripwires_catch_every_failed_floor():
+    """The builders' two CountError sites, fed what the decider rejects: the
+    size tripwire in build_hom_labels and the range check in _block."""
+    H = HomMatrix.from_rows
+
+    def labels(rows, partition_of=None):
+        build_hom_labels(H(rows), build_partition(H(partition_of or rows)))
+
+    # U-diagonal floor: identity and 6 Pairs leave a Pad count of -1.
+    with pytest.raises(CountError, match=r"hom\(1,1\) got 7 labels, the matrix says 6"):
+        labels([[1, 2], [3, 6]])
+    # Quadrant floor (CrossQuadrantFail): a negative Extra part.
+    with pytest.raises(CountError, match=r"hom\(1,3\) got 7 labels, the matrix says 6"):
+        labels([[1, 3, 2, 4], [1, 6, 5, 6], [0, 0, 1, 2], [0, 0, 3, 9]])
+    # A morphism between classes that the partition leaves unordered.
+    with pytest.raises(CountError, match=r"hom\(0,1\) got 0 labels, the matrix says 1"):
+        labels([[1, 1], [0, 1]], partition_of=[[1, 0], [0, 1]])
+    # A composite past the end of hom(1, 1).
+    with pytest.raises(CountError, match=r"block \(1, 0, 1\) falls outside hom\(1,1\)=1"):
+        _block(H([[1, 2], [3, 1]]), build_partition(H([[1, 2], [3, 7]])), 1, 0, 1)
 
 
 def test_compose_basepoint_and_pad_cases():
