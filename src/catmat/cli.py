@@ -132,7 +132,7 @@ def _decide_batch(args) -> int:
         try:
             M = _load_matrix(os.path.join(args.batch, name))
             verdict = decide_by_submatrices(M) if args.via_submatrices else decide(M)
-        except (ParseError, ShapeError, OSError) as exc:
+        except (ParseError, ShapeError, TripleBudgetError, OSError) as exc:
             any_error = True
             results.append({"file": name, "error": str(exc)})
             if not args.json:

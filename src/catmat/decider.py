@@ -32,12 +32,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from itertools import combinations
+from math import comb
 from operator import itemgetter
 from typing import Iterator
 
 from .matrix import HomMatrix, Rows
 from .partition import Partition, Structure, acceptability_failures, structure
 from .reduction import ReductionMap, reduce_rows, reduced_pair
+from .verifier import require_triple_budget
 
 
 @dataclass(frozen=True)
@@ -287,8 +289,13 @@ def decide_by_submatrices(M: HomMatrix) -> Verdict:
       walks of A and B yield: nothing.
     The first failing window is therefore connected, and skipping the
     others leaves the verdict, its subset and its Reason unchanged.
+
+    The scan first counts its windows, sum of C(n, k) for k <= 4, and
+    raises TripleBudgetError naming that count and the limit when it exceeds
+    the triple budget, before any window is cut (n = 64 makes 679,120).
     """
     rows, n = M.entries, M.n
+    require_triple_budget(sum(comb(n, k) for k in range(1, 5)), what="submatrix windows")
     bit = [1 << i for i in range(n)]
     # linked[i] has bit j set when objects i and j are linked.
     linked = [

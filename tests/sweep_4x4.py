@@ -45,7 +45,7 @@ EXPECTED_COUNTS = {
     "CrossColFail": 141,
     "CrossQuadrantFail": 1,
 }
-EXPECTED_DIGEST = "e166224c625a653d7c3963fc85b55e8c3dc074023e38e2b22239e811c19590a7"
+EXPECTED_DIGEST = "15bebfda333977dd97958e33f7533f7700267b1414b8e928921635e44404be6c"
 
 
 def preorders(n: int):

@@ -6,6 +6,7 @@ import sys
 
 import pytest
 
+import catmat.decider
 from catmat.cli import build_parser, main
 
 
@@ -205,6 +206,34 @@ def test_oracle_refuses_over_triple_budget_before_building(tmp_path, capsys):
     assert "1600480036 oracle table cells exceed the budget of 100000000" in captured.err
     assert captured.out == ""
     assert grown_kib < 32 * 1024
+
+
+def test_window_scan_refuses_over_budget_before_any_window(tmp_path, capsys, monkeypatch):
+    # Ten objects make 10 + 45 + 120 + 210 = 385 windows of size <= 4.  The
+    # refusal must come from arithmetic on n, before any window is walked.
+    matrix = write(tmp_path, "m.txt", "1 1 1 1 1 1 1 1 1 1\n" * 10)
+    walked = []
+    real = catmat.decider._Walk
+    monkeypatch.setattr(catmat.decider, "_Walk", lambda rows: walked.append(rows) or real(rows))
+    monkeypatch.setenv("CATMAT_TRIPLE_BUDGET", "384")
+    code = main(["decide", "--via-submatrices", matrix])
+    captured = capsys.readouterr()
+    assert code == 2, captured.err
+    assert "385 submatrix windows exceed the budget of 384" in captured.err
+    assert captured.out == ""
+    assert walked == []
+    # In a batch the refusal is that file's ERROR line; the others are decided.
+    batch = tmp_path / "batch"
+    batch.mkdir()
+    (batch / "big.txt").write_text("1 1 1 1 1 1 1 1 1 1\n" * 10)
+    (batch / "small.txt").write_text("1 2\n3 7\n")
+    assert main(["decide", "--batch", str(batch), "--via-submatrices"]) == 2
+    assert capsys.readouterr().out == (
+        "big.txt: ERROR 385 submatrix windows exceed the budget of 384\nsmall.txt: EXISTS\n"
+    )
+    monkeypatch.setenv("CATMAT_TRIPLE_BUDGET", "385")
+    assert main(["decide", "--via-submatrices", matrix]) == 0
+    assert capsys.readouterr().out == "EXISTS\n"
 
 
 def test_verify_against_wrong_matrix(tmp_path, capsys):

@@ -10,6 +10,7 @@ import pytest
 
 import catmat.oracle
 from catmat import HomMatrix, decide, oracle_decide, reduce, verify_category
+from catmat.cli import main
 from catmat.oracle import SearchBudget
 from catmat.partition import check_acceptable
 from helpers import permute, quadrant_family
@@ -66,6 +67,16 @@ def test_oracle_budget_exhaustion_returns_unknown():
     assert oracle_decide(HomMatrix.from_rows([[4, 4], [4, 4]]), 100).decision == "unknown"
 
 
+def test_oracle_probes_count_against_the_budget():
+    # This search is probed; it takes 3,174 assignments, probes included, so
+    # one fewer must stop it.  Without probes it would take 17,311.
+    M = HomMatrix.from_rows([[2, 2, 2], [2, 2, 2], [2, 1, 2]])
+    assert oracle_decide(M).assignments == 3174
+    assert oracle_decide(M, 3173).decision == "unknown"
+    result = oracle_decide(M, 3174)
+    assert (result.decision, result.assignments) == ("yes", 3174)
+
+
 def test_oracle_is_deterministic():
     a = oracle_decide(HomMatrix.from_rows([[2, 2], [2, 2]]))
     b = oracle_decide(HomMatrix.from_rows([[2, 2], [2, 2]]))
@@ -102,10 +113,25 @@ GOLDEN_TABLES = {
 
 
 @pytest.mark.parametrize("rows", sorted(GOLDEN_TABLES))
-def test_oracle_golden_tables(rows):
-    table = oracle_decide(HomMatrix.from_rows(rows)).category.table
-    blob = json.dumps(sorted(table.items())).encode()
+def test_oracle_golden_tables(rows, tmp_path, capsys, monkeypatch):
+    # The category is built from the finished table only when it is read:
+    # the oracle command, which prints no table, never builds it.
+    built = []
+    real = catmat.oracle._category
+    monkeypatch.setattr(catmat.oracle, "_category", lambda *a: built.append(a) or real(*a))
+    path = tmp_path / "m.txt"
+    path.write_text("".join(" ".join(map(str, row)) + "\n" for row in rows))
+    assert main(["oracle", str(path)]) == 0
+    assert capsys.readouterr().out.startswith("EXISTS")
+    assert built == []
+
+    M = HomMatrix.from_rows(rows)
+    result = oracle_decide(M)
+    C = result.category
+    assert result.category is C and len(built) == 1
+    blob = json.dumps(sorted(C.table.items())).encode()
     assert hashlib.sha256(blob).hexdigest() == GOLDEN_TABLES[rows]
+    assert verify_category(C, M).passed
 
 
 def test_oracle_agrees_with_decide_on_curated_3x3():
@@ -140,17 +166,23 @@ def test_oracle_agrees_with_decide_on_every_acceptable_3x3():
     cases = list(acceptable_3x3(2))
     assert len(cases) == 2056
     searched = hashlib.sha256()
+    tables = hashlib.sha256()
     for M in cases:
         result = oracle_decide(M)
         assert result.decision == decide(M).decision, M.entries
         if result.exists:
             assert verify_category(result.category, M).passed, M.entries
+            tables.update(repr((M.entries, sorted(result.category.rows()))).encode())
         searched.update(repr((M.entries, result.decision, result.assignments)).encode())
+    # The first table of every yes, as found before the lookahead existed:
+    # pruning may cut only subtrees without a completion, so no search may
+    # find another table first.
+    assert tables.hexdigest() == "68ad852f8b4599726a003edbf5c24e12b9c518f3467bd3d5ec199b51f1651e1e"
     # The search itself is pinned, not just its verdicts: sha256 over
     # (entries, decision, assignments) of every case, so a kernel change
-    # that tries cells, candidates or propagations in another order fails
-    # here once it moves any assignment count.
-    assert searched.hexdigest() == "b6bfaf6e9d7854be8e0ff509201b78065b667a735aca436200a39535157a1df0"
+    # that tries cells, candidates, propagations or probes in another order
+    # fails here once it moves any assignment count.
+    assert searched.hexdigest() == "9dba3b0fcb0d8ace151506ffd7fb14856b6bdb81f8054a433870b8debc969003"
 
 
 def test_oracle_agrees_with_decide_on_sampled_3x3_up_to_3():
