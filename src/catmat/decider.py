@@ -23,9 +23,8 @@ one walk.
 The walk runs on a plain tuple of rows.  Only a yes from `decide` or
 `explain` builds the HomMatrix, ReductionMap and Partition it carries, from
 the tuples the walk computed; the window scan builds none of them.  The
-window scan walks only connected windows: a window that splits into blocks
-with no morphisms between them is the matrix of a disjoint union, and by
-the time the scan reaches it, its blocks have passed as smaller windows.
+window scan walks only the windows that can fail: connected ones of up to
+three objects, then quadrant-shaped ones of four.
 """
 
 from __future__ import annotations
@@ -273,12 +272,16 @@ def decide_by_submatrices(M: HomMatrix) -> Verdict:
     A yes verdict carries no witness payload: the decision came from the
     windows alone.
 
-    A window of two or more objects is walked only when it is connected:
-    objects i and j are linked when hom(i, j) or hom(j, i) is nonempty, and
-    the links must join the whole window.  A window W that is not connected
-    splits into nonempty blocks A and B with empty hom-sets both ways
-    between them, and its walk finds nothing, because the scan reaches W
-    only after every smaller window has passed, A and B among them:
+    The scan walks only the windows that can fail (`_windows`), so a
+    window it skips would have passed, and the first failing window, its
+    subset and its Reason are those of the full scan.  Objects i and j are
+    linked when hom(i, j) or hom(j, i) is nonempty.
+
+    A window of two or three objects is walked only when its links join it.
+    A window W that is not connected splits into nonempty blocks A and B
+    with empty hom-sets both ways between them, and its walk finds nothing,
+    because the scan reaches W only after every smaller window has passed,
+    A and B among them:
     - the size-1 windows passed, so every diagonal entry is positive;
     - so no object of A duplicates one of B: row a has hom(a, a) >= 1 where
       row b has hom(b, a) = 0, and reduction never merges across blocks;
@@ -287,44 +290,80 @@ def decide_by_submatrices(M: HomMatrix) -> Verdict:
     - so every transitivity, basepoint, U-class and cross-pair condition of
       W lies inside A or inside B, and W's walk yields exactly what the
       walks of A and B yield: nothing.
-    The first failing window is therefore connected, and skipping the
-    others leaves the verdict, its subset and its Reason unchanged.
 
-    The scan first counts its windows, sum of C(n, k) for k <= 4, and
-    raises TripleBudgetError naming that count and the limit when it exceeds
-    the triple budget, before any window is cut (n = 64 makes 679,120).
+    A window of four objects is walked only when it is quadrant-shaped:
+    units u and v (hom(u, u) = hom(v, v) = 1) with exactly one of hom(u, v)
+    and hom(v, u) nonempty, a partner x of u and a partner y of v, where a
+    partner of u is another object with hom-sets both ways to and from u.
+    Take a four-object window W once every window of three or fewer objects
+    has passed:
+    1. If W holds a duplicate pair, reduction merges it.  Dropping the
+       pair's larger object leaves the same groups, less that object, with
+       the same representatives, so W's walk is the walk of a three-object
+       window that already passed.
+    2. Otherwise W's rows are its reduced rows.  Each failure other than
+       CrossQuadrantFail names at most three objects and shows again in
+       their own window, after its reduction, because classes, units,
+       anchors and the class order are read off direct entries:
+       - a chain i -> j -> k without i -> k: no two of i, j, k merge, since
+         a merge would give i -> k;
+       - two units u and v of one class: they merge in {u, v} only when
+         hom(u, v) = hom(v, u) = 1, and then W holds a third object that
+         tells them apart and merges with neither;
+       - with W acceptable and one unit per class, a leg x of a basepoint
+         bp is no unit and never merges with bp: (x, bp) for a U diagonal
+         floor, and (x, y, bp) for a U off-diagonal floor, which holds if x
+         and y merge there, as then hom(x, y) = hom(x, x) and
+         hom(bp, y) = hom(bp, x) and the diagonal floor of x passed;
+       - (x, y, t) for a column floor and (s, x, y) for a row floor: x and
+         y lie in different classes, and the anchor is the only unit of its
+         class in the window.
+    3. A quadrant floor fails only when s = anchor(x) != x and
+       t = anchor(y) != y: then s and t are units, x is a partner of s and
+       y of t, and the classes are ordered, so hom(s, t) is nonempty and
+       hom(t, s) empty.  So W = {s, x, t, y} is shaped.
+    4. A shaped window is connected (u-x, v-y, u-v), so the block argument
+       above needs no size-4 case.
+    The scan walks the shaped windows in lexicographic order, so the first
+    one that fails is the first four-object window that fails.
+
+    The scan first counts every window, walked or not, sum of C(n, k) for
+    k <= 4, and raises TripleBudgetError naming that count and the limit
+    when it exceeds the triple budget, before any window is cut (n = 64
+    makes 679,120).
     """
     rows, n = M.entries, M.n
     require_triple_budget(sum(comb(n, k) for k in range(1, 5)), what="submatrix windows")
-    bit = [1 << i for i in range(n)]
-    # linked[i] has bit j set when objects i and j are linked.
-    linked = [
-        sum([bit[j] for j in range(n) if j != i and (rows[i][j] or rows[j][i])])
-        for i in range(n)
-    ]
-    for size in range(1, min(4, n) + 1):
-        for keep in combinations(range(n), size):
-            if size > 1:
-                mask = 0
-                for i in keep:
-                    mask |= bit[i]
-                reach = linked[keep[0]] & mask | bit[keep[0]]
-                while reach != mask:
-                    grown = reach
-                    for i in keep:
-                        if reach & bit[i]:
-                            grown |= linked[i]
-                    grown &= mask
-                    if grown == reach:
-                        break
-                    reach = grown
-                if reach != mask:
-                    continue  # not connected: its blocks passed as smaller windows
-            cut = itemgetter(*keep)  # a tuple of entries, or one entry when size == 1
-            window = tuple([cut(rows[i]) for i in keep]) if size > 1 else ((cut(rows[keep[0]]),),)
-            first = next(iter(_Walk(window)), None)
-            if first is not None:
-                reason = _reason(first)
-                reason = replace(reason, objects=tuple(keep[o] for o in reason.objects))
-                return Verdict("no", reason, subset=keep)
+    for keep in _windows(rows):
+        cut = itemgetter(*keep)  # a tuple of entries, or one entry when size == 1
+        window = tuple([cut(rows[i]) for i in keep]) if len(keep) > 1 else ((cut(rows[keep[0]]),),)
+        first = next(iter(_Walk(window)), None)
+        if first is not None:
+            reason = _reason(first)
+            reason = replace(reason, objects=tuple(keep[o] for o in reason.objects))
+            return Verdict("no", reason, subset=keep)
     return Verdict("yes")
+
+
+def _windows(rows: Rows) -> Iterator[tuple[int, ...]]:
+    """The windows `decide_by_submatrices` walks, in scan order: every
+    object, the connected pairs and triples, then the quadrant-shaped
+    quadruples, found only once the scan gets that far."""
+    n = len(rows)
+    link = [[bool(a or b) for a, b in zip(row, col)] for row, col in zip(rows, zip(*rows))]
+    yield from combinations(range(n), 1)
+    yield from (keep for keep in combinations(range(n), 2) if link[keep[0]][keep[1]])
+    for keep in combinations(range(n), 3):
+        i, j, k = keep
+        if link[i][j] + link[i][k] + link[j][k] >= 2:
+            yield keep
+    units = [u for u in range(n) if rows[u][u] == 1]
+    partners = {u: [x for x in range(n) if x != u and rows[u][x] and rows[x][u]] for u in units}
+    shaped = set()
+    for u, v in combinations(units, 2):
+        if bool(rows[u][v]) != bool(rows[v][u]):
+            for x in partners[u]:
+                for y in partners[v]:
+                    if len({u, x, v, y}) == 4:
+                        shaped.add(tuple(sorted((u, x, v, y))))
+    yield from sorted(shaped)

@@ -126,15 +126,19 @@ def class_chain(
     return M
 
 
-def quadrant_family(rng: random.Random) -> list[HomMatrix]:
-    """Two two-object U classes {s, x} above {t, y}, every other cell just
-    above its floor, and each cross cell set at its floor and one below:
-    hom(s, t) at hom(s, y) + hom(x, t) - hom(x, y) (and at least 1), hom(s, y)
-    and hom(x, t) at hom(s, t), and the quadrant cell hom(x, y) at
-    hom(s, y) + hom(x, t) - hom(s, t).  Each of the eight matrices is
-    relabeled at random, and transposed half the time."""
-    M = class_chain(rng, "UU", (2, 2))
-    s, x, t, y = range(4)
+def quadrant_family(
+    rng: random.Random, sizes: tuple[int, int] = (2, 2), slack: int = 1
+) -> list[HomMatrix]:
+    """Two U classes of the given sizes, {s, ..., x} above {t, ..., y} with
+    basepoints s and t and last members x and y, every other cell at most
+    `slack` above its floor, and each cross cell of s, x, t and y set at its
+    floor and one below: hom(s, t) at hom(s, y) + hom(x, t) - hom(x, y) (and
+    at least 1), hom(s, y) and hom(x, t) at hom(s, t), and the quadrant cell
+    hom(x, y) at hom(s, y) + hom(x, t) - hom(s, t).  Each of the eight
+    matrices is relabeled at random, and transposed half the time."""
+    M = class_chain(rng, "UU", sizes, slack)
+    n = len(M)
+    s, x, t, y = 0, sizes[0] - 1, sizes[0], n - 1
     floors = {
         (s, t): lambda: max(1, M[s][y] + M[x][t] - M[x][y]),
         (s, y): lambda: M[s][t],
@@ -149,7 +153,7 @@ def quadrant_family(rng: random.Random) -> list[HomMatrix]:
             N = HomMatrix.from_rows(cut)
             if rng.random() < 0.5:
                 N = transpose(N)
-            sigma = list(range(4))
+            sigma = list(range(n))
             rng.shuffle(sigma)
             out.append(permute(N, sigma))
     return out

@@ -1,7 +1,7 @@
 import random
 from collections import Counter
 from dataclasses import replace
-from itertools import combinations
+from itertools import combinations, permutations
 
 import pytest
 from hypothesis import given, settings
@@ -22,6 +22,7 @@ from helpers import (
     duplicate_objects,
     permute,
     principal_submatrix,
+    quadrant_family,
     random_matrix,
     random_unit_first,
     transpose,
@@ -314,9 +315,23 @@ def connected(M, keep):
     return len(seen) == len(keep)
 
 
+def shaped(M, keep):
+    """Whether four objects are units u and v with a hom-set one way only
+    between them, an object x with hom-sets both ways to and from u, and an
+    object y likewise for v, searched plainly."""
+    return any(
+        M[u][u] == M[v][v] == 1
+        and bool(M[u][v]) != bool(M[v][u])
+        and M[u][x] and M[x][u] and M[v][y] and M[y][v]
+        for u, x, v, y in permutations(keep)
+    )
+
+
 def window_cases():
     """Matrices of up to eight objects for the window scan: 400 of the five
-    shapes, then each of those beside accepted blocks, duplicates added."""
+    shapes, then each of those beside accepted blocks, duplicates added;
+    then 96 quadrant families of two U classes of two or three objects, a
+    third of them with duplicates and a third beside accepted blocks."""
     rng = random.Random(2010)
     blocks = []
     for t in range(400):
@@ -325,14 +340,22 @@ def window_cases():
     for M in blocks:
         M = beside_accepted_blocks(rng, M)
         yield duplicate_objects(rng, M, rng.randint(0, 8 - M.n))
+    for t in range(96):
+        for M in quadrant_family(rng, ((2, 2), (3, 2), (2, 3), (3, 3))[t % 4], slack=3):
+            if t % 3 == 1:
+                M = duplicate_objects(rng, M, rng.randint(1, 8 - M.n))
+            elif t % 3 == 2:
+                M = beside_accepted_blocks(rng, M)
+            yield M
 
 
 def test_decide_by_submatrices_matches_reference_scan():
     kinds, split_kinds = set(), set()
-    duplicated = yes = split_yes = 0
+    duplicated = yes = split_yes = four = 0
     for M in window_cases():
         assert M.n <= 8
         decision, subset, reason = reference_scan(M)
+        four += subset is not None and len(subset) == 4
         verdict = decide_by_submatrices(M)
         assert (verdict.decision, verdict.subset) == (decision, subset), M
         assert verdict.reason == reason, M
@@ -350,6 +373,7 @@ def test_decide_by_submatrices_matches_reference_scan():
         duplicated += reduce(M)[1].m < M.n
     assert kinds == split_kinds == set(CONDITION_OF_KIND)
     assert yes >= 20 and split_yes >= 20 and duplicated >= 100
+    assert four >= 100
 
 
 @given(small_matrices, small_matrices, st.randoms(use_true_random=False))
@@ -410,6 +434,8 @@ def test_window_scan_builds_no_matrix_map_or_partition(monkeypatch):
 
 
 def test_window_scan_walks_only_connected_windows(monkeypatch):
+    """The scan walks, in scan order, exactly the connected windows of up to
+    three objects and the shaped windows of four."""
     # An accepted matrix of three blocks, two objects duplicated, interleaved.
     blocks = [
         [[1, 1, 1, 1], [1, 2, 1, 1], [0, 0, 1, 1], [0, 0, 1, 2]],
@@ -420,7 +446,10 @@ def test_window_scan_walks_only_connected_windows(monkeypatch):
     M = duplicate_objects(random.Random(7), M, 2)
     assert reduce(M)[1].m < M.n
     windows = [keep for size in range(1, 5) for keep in combinations(range(M.n), size)]
-    linked = sum(connected(M, keep) for keep in windows)
+    linked = [keep for keep in windows if connected(M, keep)]
+    expected = [keep for keep in linked if len(keep) < 4 or shaped(M, keep)]
+    assert any(len(keep) == 4 and not shaped(M, keep) for keep in linked)
+    assert any(len(keep) == 4 for keep in expected)
     walked = []
 
     def counted(self, rows, _init=_Walk.__init__):
@@ -429,5 +458,5 @@ def test_window_scan_walks_only_connected_windows(monkeypatch):
 
     monkeypatch.setattr(_Walk, "__init__", counted)
     assert decide_by_submatrices(M).exists
-    assert len(walked) == linked
-    assert 3 * linked < len(windows)
+    assert walked == [tuple(tuple(M[i][j] for j in keep) for i in keep) for keep in expected]
+    assert 3 * len(linked) < len(windows)
