@@ -43,8 +43,10 @@ def dump_certificate(cert: dict) -> Iterator[str]:
 
     The two large collections, nonempty "homs" and "table", are written by
     hand, one chunk per entry; everything else is small and goes through
-    json.dumps.
+    json.dumps.  Each label of "homs" is quoted once, and the table reuses
+    the quotes; a table label that no hom-set lists is quoted where it is.
     """
+    quoted: dict[str, str] = {}
     sep = "{\n  "
     for key, value in cert.items():
         yield f"{sep}{_quote(key)}: "
@@ -52,13 +54,16 @@ def dump_certificate(cert: dict) -> Iterator[str]:
         if not value or key not in ("homs", "table"):
             yield json.dumps(value, indent=2).replace("\n", "\n  ")
         elif key == "homs":
+            quoted = {label: _quote(label) for labels in value.values() for label in labels}
             yield from _nested("{}", (
-                f",\n    {_quote(xy)}: [\n      " + ",\n      ".join(map(_quote, labels)) + "\n    ]"
+                f",\n    {_quote(xy)}: [\n      " + ",\n      ".join(map(quoted.get, labels)) + "\n    ]"
                 for xy, labels in value.items()
             ))
         else:
+            q = quoted.get
             yield from _nested("[]", (
-                f",\n    [\n      {_quote(g)},\n      {_quote(f)},\n      {_quote(h)}\n    ]"
+                f",\n    [\n      {q(g) or _quote(g)},\n      {q(f) or _quote(f)},"
+                f"\n      {q(h) or _quote(h)}\n    ]"
                 for g, f, h in value
             ))
     yield "\n}"

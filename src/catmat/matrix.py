@@ -25,6 +25,8 @@ class HomMatrix:
     entries: Rows
 
     def __post_init__(self):
+        if not isinstance(self.n, int) or isinstance(self.n, bool):
+            raise ParseError(f"size is not an integer: {self.n!r}")
         if self.n < 0:
             raise ShapeError(f"negative size {self.n}")
         if len(self.entries) != self.n:

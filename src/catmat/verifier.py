@@ -10,15 +10,29 @@ the replay half of the certificate format.
 Closure and associativity run on one integer row per morphism.  Out(x) lists
 the morphisms leaving x: the nonempty hom(x, z) in order of z.  For f: x -> y
 the row post[f] holds, for each q in Out(y), the position of q.f in Out(x),
-or None when the table has no entry for (q, f) ("missing"), or its entry lies
-in another hom-set ("wrong-hom") or in none ("unknown"); building the rows is
-the closure pass.  For each composable pair (g, f) with p = g.f,
+or a hole when the table has no entry for (q, f) ("missing"), or its entry
+lies in another hom-set ("wrong-hom") or in none ("unknown"); building the
+rows is the closure pass.  For each composable pair (g, f) with p = g.f,
 associativity checks h.p == (h.g).f for every h leaving z in one comparison
-of post[p] with post[f] gathered at post[g], a gather that
-operator.itemgetter runs in C.  Closure names failures by (x, y) sorted, then
-z, g, f.  Associativity goes by block (x, y, z) in the order of C.homs and
-walks a block's differing pairs triple by triple, by w, g, f, h; a triple
-through a composite that closure reports is counted but not compared.
+of post[p] with post[f] gathered at post[g].
+
+When every Out(x) has at most 255 morphisms, a position fits in a byte and
+the rows are bytes with the hole 255, which no position takes.  Each f then
+also has a 256-byte translate table, its row padded with holes, and the
+gather is post[g].translate(table[f]), one C call: a hole in post[g] reads
+the padding, so it stays a hole.  A pair whose two rows are equal has no
+failure to report.  At each h, either post[g] holds the position q of h.g,
+and then h.p and q.f = (h.g).f are one position or one hole, which the walk
+skips, or post[g] holds a hole, and the triple goes through a composite
+that closure reports.  Wider
+inputs keep tuple rows with the hole None, gathered by operator.itemgetter,
+since only they hold positions from 255 up; a tuple row with a hole gathers
+to None, which equals no row, so every pair through it is walked.
+
+Closure names failures by (x, y) sorted, then z, g, f.  Associativity goes by
+block (x, y, z) in the order of C.homs and walks a block's differing pairs
+triple by triple, by w, g, f, h; a triple through a composite that closure
+reports is counted but not compared.
 """
 
 from __future__ import annotations
@@ -33,6 +47,7 @@ from .matrix import HomMatrix
 
 DEFAULT_FAILURE_CAP = 32
 DEFAULT_TRIPLE_BUDGET = 10**8
+BYTE_HOLE = 255  # the hole of a byte row, and the widest Out(x) it allows
 TRIPLE_BUDGET_ENV = "CATMAT_TRIPLE_BUDGET"
 # (kind, report field) for each failure list, in the order the checks run.
 FAILURE_KINDS = (
@@ -89,9 +104,10 @@ def count_triples(rows) -> int:
 
 
 def _gather(row: tuple):
-    """A function taking r to tuple(r[i] for i in row), or None if row has a hole."""
+    """A function taking r to tuple(r[i] for i in row), or to None, which
+    equals no row, if row has a hole."""
     if None in row:
-        return None
+        return lambda r: None
     if len(row) > 1:
         return itemgetter(*row)
     # itemgetter of one index returns the item, not a 1-tuple.
@@ -152,18 +168,21 @@ def verify_category(
             if identity_ok[x] and table.get((f, C.identity[x])) != f:
                 push(report.identity_failures, (x, f))
 
-    # post[x][i] is the row of the i-th morphism of Out(x).
+    # post[x][i] is the row of the i-th morphism of Out(x): bytes with the
+    # hole 255 when every Out(x) fits, else a tuple with the hole None.
+    wide = any(len(out_x) > BYTE_HOLE for out_x in out.values())
+    hole, make_row = (None, tuple) if wide else (BYTE_HOLE, bytes)
     get = table.get
     closure = report.closure_failures
     post: dict[int, list] = {x: [] for x in out}
     for (x, y), fs in sorted(homs.items()):
         cols = [(at.get((x, z), {}).get, g) for z, gs in successors.get(y, ()) for g in gs]
-        rows = [tuple([pos(get((g, f))) for pos, g in cols]) for f in fs]
+        rows = [make_row([pos(get((g, f)), hole) for pos, g in cols]) for f in fs]
         post[x].extend(rows)
-        if any(None in row for row in rows):
+        if any(hole in row for row in rows):
             for c, (_, g) in enumerate(cols):
                 for f, row in zip(fs, rows):
-                    if row[c] is None:
+                    if row[c] == hole:
                         h = get((g, f))
                         if h is None:
                             push(closure, ("missing", g, f))
@@ -176,8 +195,9 @@ def verify_category(
             push(closure, ("foreign", g, f))
 
     # gather[y][j] maps post[f] to the row of (h.g).f, g the j-th of Out(y).
-    # A row with a hole gets None, so every pair through it is walked.
-    gather = {y: [_gather(row) for row in rows] for y, rows in post.items()}
+    # Byte rows need none: post[g].translate maps f's translate table there.
+    if wide:
+        gather = {y: [_gather(row) for row in rows] for y, rows in post.items()}
 
     # For g.f = p, h.p == (h.g).f for every h leaving z is one comparison.
     failures = report.associativity_failures
@@ -185,14 +205,16 @@ def verify_category(
         px = post[x]
         first = offset[(x, y)]
         rows = px[first : first + len(fs)]
+        # What f's gather reads: its row, or its translate table.
+        args = rows if wide else [row.ljust(256, b"\xff") for row in rows]
         for z, gs in successors.get(y, ()):
             o = offset[(y, z)]
             bad = []
             for c in range(o, o + len(gs)):
-                g_of = gather[y][c]
-                for i, row in enumerate(rows):
+                g_of = gather[y][c] if wide else post[y][c].translate
+                for i, (row, arg) in enumerate(zip(rows, args)):
                     p = row[c]
-                    if p is not None and (g_of is None or px[p] != g_of(row)):
+                    if p != hole and px[p] != g_of(arg):
                         bad.append((c, i))
             if not bad:
                 continue
@@ -203,8 +225,8 @@ def verify_category(
                     left, qs = px[row[c]], post[y][c]
                     for k, h in enumerate(hs, offset[(z, w)]):
                         a, q = left[k], qs[k]
-                        b = None if q is None else row[q]
-                        if a is not None and b is not None and a != b:
+                        b = hole if q == hole else row[q]
+                        if a != hole and b != hole and a != b:
                             push(failures, (h, gs[c - o], fs[i], out[x][a], out[x][b]))
     report.triples_checked = total_triples
 

@@ -191,6 +191,21 @@ def test_dump_certificate_quotes_as_json_dumps():
     assert "".join(dump_certificate(data)) == json.dumps(data, indent=2)
 
 
+def test_dump_certificate_quotes_table_labels_missing_from_homs():
+    # The table reuses the quotes of "homs"; a label no hom-set lists, as g,
+    # f or g.f, is quoted on its own, also with "homs" after the table or
+    # left out.
+    data, _ = make_certificate([[1, 2], [3, 7]])
+    data["table"][0][0] = "gh\u00f6st"
+    data["table"][1][1] = 'f"'
+    data["table"][2][2] = data["table"][2][2] + "\n"
+    assert "".join(dump_certificate(data)) == json.dumps(data, indent=2)
+    homs = data.pop("homs")
+    assert "".join(dump_certificate(data)) == json.dumps(data, indent=2)
+    data["homs"] = homs
+    assert "".join(dump_certificate(data)) == json.dumps(data, indent=2)
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.randoms(use_true_random=False), st.integers(0, 2))
 def test_dump_certificate_on_random_accepted(rng, copies):

@@ -320,6 +320,21 @@ def test_structurally_broken_certificate_is_bad_input(tmp_path, capsys, how, mes
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("n", [True, 1.0])
+def test_certificate_size_that_is_not_an_integer_is_bad_input(tmp_path, capsys, n):
+    # Both equal 1, the size of the one-object certificate they replace.
+    cert = tmp_path / "cert.json"
+    main(["witness", write(tmp_path, "m.txt", "1\n"), "--out", str(cert)])
+    data = json.loads(cert.read_text())
+    data["matrix"]["n"] = n
+    cert.write_text(json.dumps(data))
+    capsys.readouterr()
+    assert main(["verify", str(cert)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: bad matrix in certificate: size is not an integer: {n!r}\n"
+    assert captured.out == ""
+
+
 def test_integers_over_the_digit_limit_are_bad_input(tmp_path, capsys):
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
     if not limit:

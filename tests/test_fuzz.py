@@ -40,9 +40,11 @@ matrix_texts = st.one_of(
     st.integers(1, 4).map(lambda k: '{"n": 1, "entries": ' + "[" * 10**k),
 )
 
-M0 = HomMatrix.from_rows([[1, 2, 2], [3, 7, 7], [3, 7, 7]])
-CERT = build_certificate(build_witness(M0), M0, reduce(M0)[1])
-LABELS = sorted({label for labels in CERT["homs"].values() for label in labels})
+CERTS = [
+    build_certificate(build_witness(M), M, reduce(M)[1])
+    for M in (HomMatrix.from_rows([[1, 2, 2], [3, 7, 7], [3, 7, 7]]), HomMatrix.from_rows([[1]]))
+]
+LABELS = sorted({label for cert in CERTS for labels in cert["homs"].values() for label in labels})
 
 
 def slots(node, out):
@@ -57,11 +59,16 @@ def slots(node, out):
 @st.composite
 def certificates(draw):
     """A real certificate with one to three random edits (a value replaced
-    by any JSON value or by one of its labels, deleted or copied), or any
-    JSON value."""
+    by any JSON value or by one of its labels, deleted or copied), or with
+    only its size respelt (as a bool, float, string or any JSON value), or
+    any JSON value."""
     if draw(st.booleans()):
         return draw(json_values)
-    doc = copy.deepcopy(CERT)
+    doc = copy.deepcopy(draw(st.sampled_from(CERTS)))
+    if draw(st.booleans()):
+        n = doc["matrix"]["n"]
+        doc["matrix"]["n"] = draw(st.sampled_from([n == 1, float(n), str(n)]) | json_values)
+        return doc
     for _ in range(draw(st.integers(1, 3))):
         node, key = draw(st.sampled_from(slots(doc, [])))
         edit = draw(st.sampled_from(["replace", "label", "delete", "copy"]))

@@ -80,6 +80,10 @@ def test_constructor_validates():
         HomMatrix(2, ((1, 2),))
     with pytest.raises(ParseError):
         HomMatrix.from_rows([[1, -1], [0, 1]])
+    # True and 1.0 equal 1, so only a type check tells them from a size.
+    for n in (True, 1.0):
+        with pytest.raises(ParseError, match=f"size is not an integer: {n!r}"):
+            HomMatrix(n, ((1,),))
 
 
 def test_principal_submatrix():

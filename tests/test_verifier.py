@@ -11,6 +11,7 @@ from catmat import (
     build_witness,
     verify_category,
 )
+from catmat.cli import main
 
 
 def small_monoid(n):
@@ -175,9 +176,16 @@ def reference_report(C, M, cap):
 def random_mutants(seed, count):
     """Witnesses, some over duplicated objects, with 1-3 table entries changed
     to another member of the same hom-set, deleted, moved to another hom-set
-    or to a label of no hom-set, or added under a foreign key."""
+    or to a label of no hom-set, or added under a foreign key.  The last
+    base has 256 morphisms out of object 0, one over the byte rows' limit."""
     rng = random.Random(seed)
-    bases = ([[1, 2], [3, 7]], [[2, 2], [2, 2]], [[1, 1], [0, 3]], [[1, 1, 2], [1, 1, 2], [0, 0, 3]])
+    bases = (
+        [[1, 2], [3, 7]],
+        [[2, 2], [2, 2]],
+        [[1, 1], [0, 3]],
+        [[1, 1, 2], [1, 1, 2], [0, 0, 3]],
+        [[1, 255], [0, 1]],
+    )
     for _ in range(count):
         M = HomMatrix.from_rows(rng.choice(bases))
         M = helpers.duplicate_objects(rng, M, rng.randint(0, 2))
@@ -204,6 +212,24 @@ def random_mutants(seed, count):
 def test_report_matches_reference_walk(cap):
     for M, C in random_mutants(seed=cap, count=60):
         assert verify_category(C, M, failure_cap=cap) == reference_report(C, M, cap)
+
+
+@pytest.mark.parametrize(
+    "width, line",
+    [
+        (254, "VERIFIED (2 objects, 256 morphisms, 764 triples checked)"),
+        (255, "VERIFIED (2 objects, 257 morphisms, 767 triples checked)"),
+    ],
+)
+def test_either_side_of_the_byte_row_limit(tmp_path, capsys, width, line):
+    # Out(0) has 1 + width morphisms: 255 fit byte rows, 256 need tuple
+    # rows.  random_mutants compares failing reports on both with the walk.
+    matrix, cert = tmp_path / "m.txt", tmp_path / "cert.json"
+    matrix.write_text(f"1 {width}\n0 1\n")
+    assert main(["witness", str(matrix), "--out", str(cert)]) == 0
+    capsys.readouterr()
+    assert main(["verify", str(cert)]) == 0
+    assert capsys.readouterr().out == line + "\n"
 
 
 def test_broken_identity_detected():
