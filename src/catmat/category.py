@@ -1,10 +1,9 @@
 """Finite categories, given by per-block index rows or by a claimed table.
 
 Objects are 0..n-1.  Labels can be anything hashable but must be globally
-unique across hom-sets, because the label-keyed table is keyed by label pairs
-alone; a built category's labels must also sort, since `rows` renders its
-table in label order.  Witnesses use strings, which the certificate carries
-as they are, and the oracle uses integers.
+unique across hom-sets; a built category's labels must also sort, since
+`rows` renders its table in label order.  Witnesses use strings, which the
+certificate carries as they are, and the oracle uses integers.
 
 Every category the package builds (the witness, `inflate` and the oracle)
 comes from `from_blocks`: `blocks` maps each composable block (x, y, z),
@@ -13,20 +12,21 @@ index in hom(x, z) of g.f, for g indexing hom(y, z) and f indexing
 hom(x, y).  The identity of x is the first member of hom(x, x), index 0,
 which every builder lists first.  Labels are rendered only when a caller asks
 for them, by `rows` as sorted [g, f, g.f] triples, or as the label-keyed
-`table` mapping (g, f) to g.f.  The constructor takes a table and explicit
-identities instead: that is a *claimed* category, such as the one
-`load_certificate` returns, which has no blocks and which only the verifier
-reads.  Certificates and inflation take built categories.  Instances are
-immutable by convention: nothing in the package mutates a category after
-construction.
+`table` mapping (g, f) to g.f.  A *claimed* category has explicit
+identities and no blocks: only the verifier reads one, and certificates and
+inflation take built ones.  Every category has the verifier's layout (Out(x)
+and `offset`, successors[x] as (z, hom(x, z)) by z, `place`) and, as
+`filled`, its integer rows, which a built one fills from `rows` when first
+read.  Instances are immutable by convention.
 """
 
 from __future__ import annotations
 
 from functools import cached_property
-from typing import Hashable, Iterator, Mapping, Sequence
+from typing import Hashable, Iterable, Iterator, Mapping, Sequence
 
 Blocks = dict[tuple[int, int, int], list[list[int]]]
+BAD_ROW = "every table row must be three label strings"
 
 
 class FiniteCategory:
@@ -35,12 +35,17 @@ class FiniteCategory:
         n: int,
         homs: Mapping[tuple[int, int], Sequence[Hashable]],
         identity: Mapping[int, Hashable],
-        table: Mapping[tuple[Hashable, Hashable], Hashable],
+        table: Mapping[tuple[Hashable, Hashable], Hashable] | list,
     ):
-        """A claimed category, given by its label table; it has no blocks."""
+        """A claimed category, given by its label table, which it keeps (a
+        value of None is no entry), or by a certificate's list of rows."""
         self._set_homs(n, homs)
         self.identity = dict(identity)
-        self.table = dict(table)
+        if isinstance(table, list):
+            self.filled = self._fill(table, str)
+        else:
+            self.table = dict(table)
+            self.filled = self._fill([g, f, h] for (g, f), h in self.table.items() if h is not None)
 
     @classmethod
     def from_blocks(cls, n: int, homs: Mapping, blocks: Blocks) -> FiniteCategory:
@@ -56,14 +61,18 @@ class FiniteCategory:
     def _set_homs(self, n: int, homs: Mapping) -> None:
         self.n = n
         self.homs = {pair: tuple(labels) for pair, labels in homs.items() if labels}
-        self.hom_of: dict[Hashable, tuple[int, int]] = {}
-        for (x, y), labels in sorted(self.homs.items()):
-            if not (0 <= x < n and 0 <= y < n):
-                raise ValueError(f"hom key {(x, y)!r} is outside objects 0..{n - 1}")
+        self.out, self.successors, self.offset, self.place = {}, {}, {}, {}
+        for (x, z), labels in sorted(self.homs.items()):
+            if not (0 <= x < n and 0 <= z < n):
+                raise ValueError(f"hom key {(x, z)!r} is outside objects 0..{n - 1}")
+            self.successors.setdefault(x, []).append((z, labels))
+            out_x = self.out.setdefault(x, [])
+            self.offset[(x, z)] = len(out_x)
             for label in labels:
-                if label in self.hom_of:
+                if label in self.place:
                     raise ValueError(f"label appears in two hom-sets: {label!r}")
-                self.hom_of[label] = (x, y)
+                self.place[label] = (x, z, len(out_x))
+                out_x.append(label)
 
     @cached_property
     def table(self) -> dict[tuple[Hashable, Hashable], Hashable]:
@@ -105,7 +114,51 @@ class FiniteCategory:
         return self.homs.get((x, y), ())
 
     def morphism_count(self) -> int:
-        return len(self.hom_of)
+        return len(self.place)
+
+    @cached_property
+    def filled(self) -> tuple:
+        return self._fill(self.rows())
+
+    def _fill(self, rows: Iterable, label_type: type = object) -> tuple:
+        """(hole, post, stray, foreign), as verifier.py reads them, from rows
+        [g, f, g.f] of `label_type`; with every hom(z, z) nonempty, the pairs
+        charged against the triple budget first are no more than triples."""
+        from .verifier import BYTE_HOLE, require_triple_budget  # verifier imports this module
+        width = {x: len(out_x) for x, out_x in self.out.items()}
+        pairs = sum(len(fs) * width.get(y, 0) for (_, y), fs in self.homs.items())
+        require_triple_budget(pairs, what="composable pairs")
+        wide = any(w > BYTE_HOLE for w in width.values())
+        hole, new, freeze = (None, list, tuple) if wide else (BYTE_HOLE, bytearray, bytes)
+        post = {x: [new([hole] * width.get(z, 0)) for z, fs in zs for _ in fs]
+                for x, zs in self.successors.items()}
+        place, stray, foreign = self.place, {}, {}
+        for row in rows:  # an unhashable label raises TypeError
+            if type(row) is not list or len(row) != 3:
+                raise ValueError(BAD_ROW)
+            g, f, h = row
+            try:
+                (y, z, c), (x, fy, p), (hx, hz, q) = place[g], place[f], place[h]
+            except KeyError:
+                (y, z, c), (x, fy, p), (hx, hz, q) = (place.get(l, (None,) * 3) for l in row)
+                if not all(isinstance(label, label_type) for label in row):
+                    raise ValueError(BAD_ROW) from None
+            if fy is None or fy != y:
+                if (g, f) in foreign:
+                    raise ValueError(f"table defines ({g}, {f}) twice")
+                foreign[g, f] = None
+                continue
+            cells = post[x][p]
+            if cells[c] != hole or stray and (f, c) in stray:
+                raise ValueError(f"table defines ({g}, {f}) twice")
+            if hx == x and hz == z:
+                cells[c] = q
+            else:
+                stray[f, c] = h
+        for rows_x in post.values():  # one at a time, so each list is freed
+            for i, cells in enumerate(rows_x):
+                rows_x[i] = freeze(cells)
+        return hole, post, stray, foreign
 
 
 def composable(homs: Mapping[tuple[int, int], Sequence]) -> Iterator[tuple[int, int, int]]:

@@ -6,7 +6,8 @@ with their class coordinates, every hom-set's labels, the identities and the
 full composition table.  Labels travel as canonical strings and are treated
 as opaque tokens on load, so a verifier never needs the label structure.
 A certificate is written from a built category, whose composition is
-blocks; `load_certificate` returns a claimed one, given by its table.
+blocks; `load_certificate` returns a claimed one, filled from the table
+rows as they are validated, with no label-keyed table.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from __future__ import annotations
 import json
 from typing import Iterator
 
-from .category import FiniteCategory
+from .category import BAD_ROW, FiniteCategory
 from .errors import CertificateError, NotAcceptable
 from .matrix import HomMatrix
 from .partition import build_partition
@@ -112,8 +113,9 @@ def _key_objects(key: str, width: int) -> list[int] | None:
 def load_certificate(data: dict) -> tuple[HomMatrix, FiniteCategory]:
     """Rebuild the claimed matrix and the category with opaque string labels.
 
-    Structural problems raise CertificateError; semantic problems (a table
-    that is not actually a category) are left for verify_category to report.
+    Structural problems raise CertificateError, and composable pairs over
+    the triple budget TripleBudgetError; semantic problems (a table that is
+    not actually a category) are left for verify_category to report.
     """
     _require(isinstance(data, dict), "certificate is not a JSON object")
     for key in ("matrix", "reduction", "objects", "homs", "identities", "table"):
@@ -167,21 +169,11 @@ def load_certificate(data: dict) -> tuple[HomMatrix, FiniteCategory]:
         identities[x[0]] = label
     _require(len(identities) == n, "one identity per object required")
 
-    table: dict[tuple[str, str], str] = {}
     _require(isinstance(data["table"], list), '"table" must be a list of [g, f, h]')
-    bad_row = "every table row must be three label strings"
-    for row in data["table"]:
-        if not (isinstance(row, list) and len(row) == 3):
-            raise CertificateError(bad_row)
-        g, f, h = row
-        if not (isinstance(g, str) and isinstance(f, str) and isinstance(h, str)):
-            raise CertificateError(bad_row)
-        if (g, f) in table:
-            raise CertificateError(f"table defines ({g}, {f}) twice")
-        table[(g, f)] = h
-
     try:
-        C = FiniteCategory(n, homs, identities, table)
+        C = FiniteCategory(n, homs, identities, data["table"])
     except ValueError as exc:
         raise CertificateError(str(exc)) from None
+    except TypeError:  # an unhashable label
+        raise CertificateError(BAD_ROW) from None
     return M, C

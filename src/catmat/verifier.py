@@ -7,27 +7,29 @@ every composable triple.  Nothing here trusts the construction: labels are
 opaque tokens that are only hashed and compared, so the verifier doubles as
 the replay half of the certificate format.
 
-Closure and associativity run on one integer row per morphism.  Out(x) lists
-the morphisms leaving x: the nonempty hom(x, z) in order of z.  For f: x -> y
-the row post[f] holds, for each q in Out(y), the position of q.f in Out(x),
-or a hole when the table has no entry for (q, f) ("missing"), or its entry
-lies in another hom-set ("wrong-hom") or in none ("unknown"); building the
-rows is the closure pass.  For each composable pair (g, f) with p = g.f,
+All but the cardinality pass read C.filled, one row per morphism, which C
+fills from its table rows (load_certificate's as it reads them, a built
+category's when first read), each label looked up once in C.place, after
+charging the composable pairs against the triple budget.  Out(x) lists the
+morphisms leaving x, the nonempty hom(x, z) in order of z.  For f: x -> y,
+post[f] holds for each q in Out(y) the position of q.f in Out(x), or a hole
+when the table has no entry for (q, f) ("missing"), or its entry, kept in
+`stray`, lies in another hom-set ("wrong-hom") or in none ("unknown").  Rows
+for pairs that are not composable are kept in `foreign`, and a second row
+for one pair is an error.  For each composable pair (g, f) with p = g.f,
 associativity checks h.p == (h.g).f for every h leaving z in one comparison
 of post[p] with post[f] gathered at post[g].
 
-When every Out(x) has at most 255 morphisms, a position fits in a byte and
-the rows are bytes with the hole 255, which no position takes.  Each f then
-also has a 256-byte translate table, its row padded with holes, and the
-gather is post[g].translate(table[f]), one C call: a hole in post[g] reads
-the padding, so it stays a hole.  A pair whose two rows are equal has no
-failure to report.  At each h, either post[g] holds the position q of h.g,
-and then h.p and q.f = (h.g).f are one position or one hole, which the walk
-skips, or post[g] holds a hole, and the triple goes through a composite
-that closure reports.  Wider
-inputs keep tuple rows with the hole None, gathered by operator.itemgetter,
-since only they hold positions from 255 up; a tuple row with a hole gathers
-to None, which equals no row, so every pair through it is walked.
+When every Out(x) has at most 255 morphisms, the rows are bytes with the
+hole 255, which no position takes, and each f has a 256-byte translate
+table, its row padded with holes: the gather is post[g].translate(table[f]),
+one C call, and a hole in post[g] reads the padding.  At each h, either
+post[g] holds the position q of h.g, and then h.p and q.f = (h.g).f are one
+position or one hole, which the walk skips, or post[g] holds a hole, and
+the triple goes through a composite that closure reports; so a pair whose
+two rows are equal has no failure.  Wider inputs keep tuple rows with the
+hole None, gathered by operator.itemgetter; a row with a hole gathers to
+None, which equals no row, so every pair through it is walked.
 
 Closure names failures by (x, y) sorted, then z, g, f.  Associativity goes by
 block (x, y, z) in the order of C.homs and walks a block's differing pairs
@@ -127,21 +129,7 @@ def verify_category(
         if len(entries) < failure_cap:
             entries.append(item)
 
-    homs = C.homs
-    # successors[y] lists (z, hom(y,z)) for the nonempty hom-sets out of y, by
-    # z.  out[x] is Out(x), where hom(x, z) starts at offset[x, z]; at[x, z]
-    # maps its labels to their positions, but never None, a missing entry.
-    successors: dict[int, list] = {}
-    out: dict[int, list] = {}
-    offset = {}
-    at = {}
-    for (x, z), labels in sorted(homs.items()):
-        successors.setdefault(x, []).append((z, labels))
-        out_x = out.setdefault(x, [])
-        offset[(x, z)] = o = len(out_x)
-        at[(x, z)] = {label: o + i for i, label in enumerate(labels) if label is not None}
-        out_x.extend(labels)
-
+    homs, out, offset, successors, place = C.homs, C.out, C.offset, C.successors, C.place
     sizes = [[len(C.hom(x, y)) for y in range(C.n)] for x in range(C.n)]
     total_triples = count_triples(sizes)
     require_triple_budget(total_triples, triple_budget)
@@ -153,46 +141,33 @@ def verify_category(
             if expected != actual:
                 push(report.cardinality_mismatches, (i, j, expected, actual))
 
-    table = C.table
-    hom_of = C.hom_of
-    identity_ok = {}
+    hole, post, stray, foreign = C.filled  # post[x][i]: the row of the i-th of Out(x)
+    wide = hole is None
+    at = {}  # x -> the position in Out(x) of x's identity, if it lies in hom(x, x)
     for x in range(C.n):
         e = C.identity.get(x)
-        identity_ok[x] = e is not None and hom_of.get(e) == (x, x)
-        if not identity_ok[x]:
+        if e is not None and place.get(e, ())[:2] == (x, x):
+            at[x] = place[e][2]
+        else:
             push(report.identity_failures, (x, e))
-    for (x, y) in sorted(homs):
-        for f in homs[(x, y)]:
-            if identity_ok[y] and table.get((C.identity[y], f)) != f:
-                push(report.identity_failures, (y, f))
-            if identity_ok[x] and table.get((f, C.identity[x])) != f:
-                push(report.identity_failures, (x, f))
-
-    # post[x][i] is the row of the i-th morphism of Out(x): bytes with the
-    # hole 255 when every Out(x) fits, else a tuple with the hole None.
-    wide = any(len(out_x) > BYTE_HOLE for out_x in out.values())
-    hole, make_row = (None, tuple) if wide else (BYTE_HOLE, bytes)
-    get = table.get
     closure = report.closure_failures
-    post: dict[int, list] = {x: [] for x in out}
     for (x, y), fs in sorted(homs.items()):
-        cols = [(at.get((x, z), {}).get, g) for z, gs in successors.get(y, ()) for g in gs]
-        rows = [make_row([pos(get((g, f)), hole) for pos, g in cols]) for f in fs]
-        post[x].extend(rows)
+        first = offset[(x, y)]
+        rows = post[x][first : first + len(fs)]
+        for p, (f, row) in enumerate(zip(fs, rows), first):
+            if y in at and row[at[y]] != p:
+                push(report.identity_failures, (y, f))
+            if x in at and post[x][at[x]][p] != p:
+                push(report.identity_failures, (x, f))
         if any(hole in row for row in rows):
-            for c, (_, g) in enumerate(cols):
+            for c, g in enumerate(out.get(y, ())):
                 for f, row in zip(fs, rows):
                     if row[c] == hole:
-                        h = get((g, f))
-                        if h is None:
-                            push(closure, ("missing", g, f))
-                        else:
-                            push(closure, ("wrong-hom" if h in hom_of else "unknown", g, f, h))
-    for (g, f) in table:
-        sg = hom_of.get(g)
-        sf = hom_of.get(f)
-        if sg is None or sf is None or sf[1] != sg[0]:
-            push(closure, ("foreign", g, f))
+                        h = stray.get((f, c))
+                        kind = "missing" if h is None else "wrong-hom" if h in place else "unknown"
+                        push(closure, (kind, g, f) if h is None else (kind, g, f, h))
+    for g, f in foreign:
+        push(closure, ("foreign", g, f))
 
     # gather[y][j] maps post[f] to the row of (h.g).f, g the j-th of Out(y).
     # Byte rows need none: post[g].translate maps f's translate table there.

@@ -211,8 +211,8 @@ def test_criterion_9_mutation_soundness():
     mutants = 0
     for M, C in witness_stream(50):
         for (g, f), h in C.table.items():
-            x = C.hom_of[f][0]
-            y = C.hom_of[g][1]
+            x = C.place[f][0]
+            y = C.place[g][1]
             for other in C.hom(x, y):
                 if other == h:
                     continue

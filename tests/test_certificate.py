@@ -97,7 +97,9 @@ def test_malformed_certificates_rejected():
         load_certificate(data)
 
 
-@pytest.mark.parametrize("row", ["g", ["g", "f"], ["g", 5, "h"], ["g", "f", None]])
+@pytest.mark.parametrize(
+    "row", ["g", ["g", "f"], ["g", 5, "h"], ["g", "f", None], [["g"], "f", "h"], ["g", "f", {}]]
+)
 def test_malformed_table_row_message(row):
     data, _ = make_certificate([[1]])
     data["table"].append(row)
@@ -120,6 +122,35 @@ def test_table_reports_its_first_bad_row():
     with pytest.raises(CertificateError) as exc:
         load_certificate(broken)
     assert str(exc.value) == "every table row must be three label strings"
+
+
+@pytest.mark.parametrize("kind", ["composable", "wrong-hom", "unknown", "foreign", "foreign label"])
+def test_table_names_its_first_repeated_pair(kind):
+    # The first row for (g, f) fills its cell, leaves a hole with a
+    # wrong-hom or unknown composite recorded, or is kept as a foreign
+    # pair; any second row for (g, f) must raise, and the message names the
+    # first repeat in table order.
+    data, _ = make_certificate([[1, 2], [3, 7]])
+    table, homs = data["table"], data["homs"]
+    where = {label: key for key, labels in homs.items() for label in labels}
+    g, f, h = table[3]
+    right = h
+    if kind == "wrong-hom":
+        h = table[3][2] = next(l for l in where if where[l] != where[h])
+    elif kind == "unknown":
+        h = table[3][2] = "ghost"
+    elif kind in ("foreign", "foreign label"):
+        # Both in hom(0, 1), so f's target is not g's source.
+        g, f = ("ghost" if kind == "foreign label" else homs["0,1"][0]), homs["0,1"][1]
+        table.append([g, f, h])
+    other = table[0]  # a composable pair with its right composite
+    for again in ([g, f, h], [g, f, right]):
+        for repeats, named in (([again, other], (g, f)), ([other, again], other[:2])):
+            broken = json.loads(json.dumps(data))
+            broken["table"] += repeats
+            with pytest.raises(CertificateError) as exc:
+                load_certificate(broken)
+            assert str(exc.value) == "table defines ({}, {}) twice".format(*named)
 
 
 def test_labels_are_opaque_strings_on_load():
@@ -226,7 +257,7 @@ def test_label_built_category_certificate_round_trip():
     # apart from the oracle's integer order.
     M = HomMatrix.from_rows([[1, 2], [3, 7]])
     D = oracle_decide(M).category
-    name = {label: f"m{label}" for label in D.hom_of}
+    name = {label: f"m{label}" for label in D.place}
     C = FiniteCategory.from_blocks(
         D.n,
         {pair: [name[l] for l in labels] for pair, labels in D.homs.items()},
@@ -257,7 +288,7 @@ def test_witness_renders_no_label_table(tmp_path, monkeypatch):
     matrix, out = witness_to_file(tmp_path, 0, rows)
     assert calls == []
     assert main(["verify", str(out), str(matrix)]) == 0
-    assert calls == []  # the loaded category was given its table
+    assert calls == []  # verify through main never renders a label table
     # One entry per composable pair: the sum of the entries of M squared.
     assert len(build_witness(HomMatrix.from_rows(rows)).table) == 579
     assert calls == [3]  # asked for, the inflated witness renders it once

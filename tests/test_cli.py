@@ -236,6 +236,29 @@ def test_window_scan_refuses_over_budget_before_any_window(tmp_path, capsys, mon
     assert capsys.readouterr().out == "EXISTS\n"
 
 
+def test_verify_refuses_composable_pairs_over_budget(tmp_path, capsys, monkeypatch):
+    # hom(0, 1) and hom(1, 2) with 11 labels each and no hom-set on the
+    # diagonal: 121 composable pairs but no triple.  The loader must charge
+    # the pairs against the budget before it allocates a row for them.
+    cert = tmp_path / "cert.json"
+    main(["witness", write(tmp_path, "m.txt", "1 1 1\n0 1 1\n0 0 1\n"), "--out", str(cert)])
+    data = json.loads(cert.read_text())
+    data.update(homs={"0,1": [f"a{i}" for i in range(11)], "1,2": [f"b{i}" for i in range(11)]})
+    data.update(table=[])
+    cert.write_text(json.dumps(data))
+    capsys.readouterr()
+    monkeypatch.setenv("CATMAT_TRIPLE_BUDGET", "120")
+    assert main(["verify", str(cert)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: 121 composable pairs exceed the budget of 120\n"
+    assert captured.out == ""
+    # At the budget it loads, and the sizes and identities fail.
+    monkeypatch.setenv("CATMAT_TRIPLE_BUDGET", "121")
+    assert main(["verify", str(cert)]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "FAILED failed: 6 cardinality, 3 identity, 32 closure (0 triples checked)"
+
+
 def test_verify_against_wrong_matrix(tmp_path, capsys):
     matrix = write(tmp_path, "m.txt", "1 2\n3 7\n")
     other = write(tmp_path, "other.txt", "1 2\n3 8\n")

@@ -1,3 +1,4 @@
+import json
 import random
 
 import helpers
@@ -8,7 +9,10 @@ from catmat import (
     HomMatrix,
     TripleBudgetError,
     VerificationReport,
+    build_certificate,
     build_witness,
+    load_certificate,
+    reduce,
     verify_category,
 )
 from catmat.cli import main
@@ -116,7 +120,7 @@ def reference_report(C, M, cap):
             if want != have:
                 push(report.cardinality_mismatches, (i, j, want, have))
 
-    where = C.hom_of
+    where = {label: (x, y) for label, (x, y, _) in C.place.items()}
     ok = {}
     for x in range(C.n):
         e = C.identity.get(x)
@@ -174,10 +178,11 @@ def reference_report(C, M, cap):
 
 
 def random_mutants(seed, count):
-    """Witnesses, some over duplicated objects, with 1-3 table entries changed
-    to another member of the same hom-set, deleted, moved to another hom-set
-    or to a label of no hom-set, or added under a foreign key.  The last
-    base has 256 morphisms out of object 0, one over the byte rows' limit."""
+    """(M, witness, table): witnesses, some over duplicated objects, with 1-3
+    table entries changed to another member of the same hom-set, deleted,
+    moved to another hom-set or to a label of no hom-set, or added under a
+    foreign key.  The last base has 256 morphisms out of object 0, one over
+    the byte rows' limit."""
     rng = random.Random(seed)
     bases = (
         [[1, 2], [3, 7]],
@@ -190,13 +195,13 @@ def random_mutants(seed, count):
         M = HomMatrix.from_rows(rng.choice(bases))
         M = helpers.duplicate_objects(rng, M, rng.randint(0, 2))
         C = build_witness(M)
-        labels = list(C.hom_of)
+        labels = list(C.place)
         table = dict(C.table)
         for _ in range(rng.randint(1, 3)):
             key = rng.choice(sorted(table))
             kind = rng.randrange(5)
             if kind == 0:
-                table[key] = rng.choice(C.hom(*C.hom_of[table[key]]))
+                table[key] = rng.choice(C.hom(*C.place[table[key]][:2]))
             elif kind == 1:
                 del table[key]
             elif kind == 2:
@@ -205,13 +210,21 @@ def random_mutants(seed, count):
                 table[key] = "ghost"
             else:
                 table[(rng.choice(labels), rng.choice(labels + ["ghost"]))] = rng.choice(labels)
-        yield M, FiniteCategory(C.n, C.homs, C.identity, table)
+        yield M, C, table
 
 
 @pytest.mark.parametrize("cap", [3, 10**6])
 def test_report_matches_reference_walk(cap):
-    for M, C in random_mutants(seed=cap, count=60):
-        assert verify_category(C, M, failure_cap=cap) == reference_report(C, M, cap)
+    # The rows are filled from the table's items, and again from the same
+    # table as a certificate's [g, f, h] rows through the loader.
+    for M, W, table in random_mutants(seed=cap, count=60):
+        C = FiniteCategory(W.n, W.homs, W.identity, table)
+        want = reference_report(C, M, cap)
+        assert verify_category(C, M, failure_cap=cap) == want
+        data = build_certificate(W, M, reduce(M)[1])
+        data["table"] = [[g, f, h] for (g, f), h in table.items()]
+        _, loaded = load_certificate(json.loads(json.dumps(data)))
+        assert verify_category(loaded, M, failure_cap=cap) == want
 
 
 @pytest.mark.parametrize(
@@ -301,8 +314,8 @@ def test_identity_missing_or_outside_its_hom_set():
 
 
 def relabel(C, name):
-    """C with every label replaced by name(position in hom_of order)."""
-    new = {label: name(i) for i, label in enumerate(C.hom_of)}
+    """C with every label replaced by name(position in place order)."""
+    new = {label: name(i) for i, label in enumerate(C.place)}
     return FiniteCategory(
         C.n,
         {pair: [new[l] for l in labels] for pair, labels in C.homs.items()},
