@@ -15,25 +15,41 @@ from .errors import ParseError, ShapeError
 
 
 Rows = tuple[tuple[int, ...], ...]
+_INT = frozenset({int})
 
 
 @dataclass(frozen=True)
 class HomMatrix:
-    """Immutable square matrix of nonnegative integers."""
+    """Immutable square matrix of nonnegative integers.
+
+    `entries` is a tuple of n rows, each a tuple of n ints: bool is refused,
+    other int subclasses are taken, and list rows are refused since they
+    would leave the matrix unhashable.  Each row is checked whole, its set
+    of entry types against {int} and then its min, in that order since min
+    of mixed types raises TypeError; only a row that fails is walked entry
+    by entry, to name its first bad entry.
+    """
 
     n: int
     entries: Rows
 
     def __post_init__(self):
-        if not isinstance(self.n, int) or isinstance(self.n, bool):
-            raise ParseError(f"size is not an integer: {self.n!r}")
-        if self.n < 0:
-            raise ShapeError(f"negative size {self.n}")
-        if len(self.entries) != self.n:
-            raise ShapeError(f"expected {self.n} rows, got {len(self.entries)}")
+        n = self.n
+        if not isinstance(n, int) or isinstance(n, bool):
+            raise ParseError(f"size is not an integer: {n!r}")
+        if n < 0:
+            raise ShapeError(f"negative size {n}")
+        if not isinstance(self.entries, tuple):
+            raise ShapeError(f"entries must be a tuple of rows, not {type(self.entries).__name__}")
+        if len(self.entries) != n:
+            raise ShapeError(f"expected {n} rows, got {len(self.entries)}")
         for i, row in enumerate(self.entries):
-            if len(row) != self.n:
-                raise ShapeError(f"row {i} has {len(row)} entries, expected {self.n}")
+            if type(row) is tuple and len(row) == n and {*map(type, row)} == _INT and min(row) >= 0:
+                continue
+            if not isinstance(row, tuple):
+                raise ShapeError(f"row {i} must be a tuple, not {type(row).__name__}")
+            if len(row) != n:
+                raise ShapeError(f"row {i} has {len(row)} entries, expected {n}")
             for j, value in enumerate(row):
                 if not isinstance(value, int) or isinstance(value, bool):
                     raise ParseError(f"entry ({i},{j}) is not an integer: {value!r}")
@@ -42,7 +58,7 @@ class HomMatrix:
 
     @classmethod
     def from_rows(cls, rows: Iterable[Iterable[int]]) -> "HomMatrix":
-        entries = tuple(tuple(row) for row in rows)
+        entries = tuple(map(tuple, rows))
         return cls(len(entries), entries)
 
     def __getitem__(self, i: int) -> tuple[int, ...]:
@@ -52,37 +68,52 @@ class HomMatrix:
         return {"n": self.n, "entries": [list(row) for row in self.entries]}
 
 
+# Every entry in plain decimal form up to 255: "007", "-3" and "256" miss.
+_ENTRY = {str(k): k for k in range(256)}
+
+
 def parse_matrix(text: str) -> HomMatrix:
     """Parse whitespace-separated rows, or a JSON object {"n":..., "entries":...}.
 
     The two formats are distinguished by the first non-blank character:
     '{' selects JSON.  Empty input denotes the 0x0 matrix.  A text entry is
-    ASCII digits, with a leading "-" refused later as negative; int() would
-    also take "_", "+" and non-ASCII digits, so a line holding any of them
-    is searched for the token to refuse.
+    ASCII digits, with a leading "-" refused later as negative.  Each line
+    is read through the table `_ENTRY` of the decimal strings of 0..255;
+    only a line with a token outside it is read by `_parse_tokens`, with
+    int().  HomMatrix then checks the rows.
     """
     stripped = text.strip()
     if stripped.startswith("{"):
         return _parse_json(stripped)
     rows = []
+    entry = _ENTRY.__getitem__
     for line in text.splitlines():
         tokens = line.split()
-        if not tokens:
-            continue
-        if "_" in line or "+" in line or not line.isascii():
-            for tok in tokens:
-                if "_" in tok or "+" in tok or not tok.isascii():
-                    raise ParseError(f"not an integer: {tok!r} (entries are ASCII digits)")
-        row = []
-        for tok in tokens:
+        if tokens:
             try:
-                row.append(int(tok))
-            except ValueError:
-                if tok.removeprefix("-").isdigit():
-                    raise too_long(f"row {len(rows)}") from None
-                raise ParseError(f"not an integer: {tok!r}") from None
-        rows.append(row)
+                rows.append(list(map(entry, tokens)))
+            except KeyError:
+                rows.append(_parse_tokens(line, tokens, len(rows)))
     return HomMatrix.from_rows(rows)
+
+
+def _parse_tokens(line: str, tokens: list[str], i: int) -> list[int]:
+    """Row i, read token by token with int().  int() would also take "_",
+    "+" and non-ASCII digits, so a line holding any of them is searched
+    for the token to refuse."""
+    if "_" in line or "+" in line or not line.isascii():
+        for tok in tokens:
+            if "_" in tok or "+" in tok or not tok.isascii():
+                raise ParseError(f"not an integer: {tok!r} (entries are ASCII digits)")
+    row = []
+    for tok in tokens:
+        try:
+            row.append(int(tok))
+        except ValueError:
+            if tok.removeprefix("-").isdigit():
+                raise too_long(f"row {i}") from None
+            raise ParseError(f"not an integer: {tok!r}") from None
+    return row
 
 
 def too_long(where: str) -> ParseError:

@@ -130,7 +130,9 @@ def verify_category(
             entries.append(item)
 
     homs, out, offset, successors, place = C.homs, C.out, C.offset, C.successors, C.place
-    sizes = [[len(C.hom(x, y)) for y in range(C.n)] for x in range(C.n)]
+    sizes = [[0] * C.n for _ in range(C.n)]
+    for (x, y), fs in homs.items():
+        sizes[x][y] = len(fs)
     total_triples = count_triples(sizes)
     require_triple_budget(total_triples, triple_budget)
 

@@ -9,9 +9,11 @@ must not share logic with it.
 from __future__ import annotations
 
 import random
+import re
+import sys
 from typing import Sequence
 
-from catmat import HomMatrix, reduce
+from catmat import HomMatrix, ParseError, reduce
 
 
 def two_by_two_exists(a: int, b: int, c: int, d: int) -> bool:
@@ -184,6 +186,36 @@ def duplicate_objects(rng: random.Random, M: HomMatrix, copies: int) -> HomMatri
     return HomMatrix.from_rows(
         [[M[phi[i]][phi[j]] for j in range(size)] for i in range(size)]
     )
+
+
+DIGITS = re.compile(r"-?[0-9]+")
+
+
+def reference_parse(text: str) -> HomMatrix:
+    """parse_matrix on text input, token by token: an entry is what DIGITS
+    matches, read by int().  A line's first token that int() would read
+    but DIGITS does not ("_", "+", non-ASCII) is named before any other."""
+    rows = []
+    for line in text.splitlines():
+        tokens = line.split()
+        if not tokens:
+            continue
+        for tok in tokens:
+            if "_" in tok or "+" in tok or not tok.isascii():
+                raise ParseError(f"not an integer: {tok!r} (entries are ASCII digits)")
+        row = []
+        for tok in tokens:
+            if not DIGITS.fullmatch(tok):
+                raise ParseError(f"not an integer: {tok!r}")
+            try:
+                row.append(int(tok))
+            except ValueError:
+                limit = sys.get_int_max_str_digits()
+                raise ParseError(
+                    f"row {len(rows)} has an integer longer than the limit of {limit} digits"
+                ) from None
+        rows.append(row)
+    return HomMatrix.from_rows(rows)
 
 
 def principal_submatrix(M: HomMatrix, keep: Sequence[int]) -> HomMatrix:

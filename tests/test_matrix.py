@@ -1,9 +1,13 @@
+import enum
+import sys
+
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from catmat import HomMatrix, ParseError, ShapeError, parse_matrix
-from helpers import permute, principal_submatrix, transpose
+import catmat.matrix
+from catmat import HomMatrix, ParseError, ShapeError, decide, parse_matrix
+from helpers import permute, principal_submatrix, reference_parse, transpose
 
 matrices = st.integers(min_value=1, max_value=5).flatmap(
     lambda n: st.lists(
@@ -84,6 +88,100 @@ def test_constructor_validates():
     for n in (True, 1.0):
         with pytest.raises(ParseError, match=f"size is not an integer: {n!r}"):
             HomMatrix(n, ((1,),))
+    # Rows must be tuples: list entries would leave the matrix unhashable.
+    for entries, message in (
+        ([[1, 2], [0, 1]], "entries must be a tuple of rows, not list"),
+        (((1, 2), [0, 1]), "row 1 must be a tuple, not list"),
+    ):
+        with pytest.raises(ShapeError) as exc:
+            HomMatrix(2, entries)
+        assert str(exc.value) == message
+
+
+@pytest.mark.parametrize(
+    "row, message",
+    [
+        ((0, True), "entry (1,1) is not an integer: True"),
+        ((0, 1.0), "entry (1,1) is not an integer: 1.0"),
+        ((0, "1"), "entry (1,1) is not an integer: '1'"),
+        (("1", 0), "entry (1,0) is not an integer: '1'"),
+        ((0, None), "entry (1,1) is not an integer: None"),
+        ((0, -1), "entry (1,1) is negative: -1"),
+        ((-1, "x"), "entry (1,0) is negative: -1"),
+    ],
+)
+def test_constructor_names_the_first_bad_entry_of_a_later_row(row, message):
+    # A ParseError, never the TypeError of comparing a str with an int.
+    with pytest.raises(ParseError) as exc:
+        HomMatrix(2, ((1, 2), row))
+    assert str(exc.value) == message
+
+
+def test_constructor_accepts_int_subclasses_other_than_bool():
+    class Size(enum.IntEnum):
+        ONE = 1
+        TWO = 2
+
+    M = HomMatrix(2, ((Size.ONE, Size.TWO), (0, Size.ONE)))
+    assert M == HomMatrix.from_rows([[1, 2], [0, 1]])
+    assert decide(M).exists
+
+
+LONG = "1" * (sys.get_int_max_str_digits() + 1)
+ODD_TOKENS = ["256", "007", "00", "-0", "-3", "1_0", "+1", "\u0661", "\uff11", "x", "1.5", LONG]
+TABLE_TOKENS = st.integers(0, 255).map(str)
+
+
+@st.composite
+def matrix_texts(draw):
+    """Square texts, now and then with an odd token, a ragged row or a
+    blank line."""
+    n = draw(st.integers(0, 4))
+    lines = []
+    for _ in range(n + (draw(st.integers(0, 7)) == 0)):
+        if draw(st.integers(0, 5)) == 0:
+            lines.append(draw(st.sampled_from(["", "  ", "\t"])))
+        width = n if draw(st.integers(0, 7)) else draw(st.integers(1, 5))
+        tokens = [
+            draw(st.sampled_from(ODD_TOKENS) if draw(st.integers(0, 15)) == 0 else TABLE_TOKENS)
+            for _ in range(width)
+        ]
+        lines.append(draw(st.sampled_from([" ", "  ", "\t", "\u00a0"])).join(tokens))
+    return "\n".join(lines)
+
+
+def outcome(parse, text):
+    try:
+        return parse(text)
+    except (ParseError, ShapeError) as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=400, deadline=None)
+@given(matrix_texts())
+def test_parse_matches_reference_parser(text):
+    assert outcome(parse_matrix, text) == outcome(reference_parse, text)
+
+
+def test_parse_calls_int_only_past_the_table(monkeypatch):
+    # The table holds exactly the decimal forms of 0..255; every other
+    # token, a padded or signed one included, is read by int().
+    lines = []
+    real = catmat.matrix._parse_tokens
+
+    def spy(line, *args):
+        lines.append(line)
+        return real(line, *args)
+
+    monkeypatch.setattr(catmat.matrix, "_parse_tokens", spy)
+    square = "\n".join(" ".join(str(16 * i + j) for j in range(16)) for i in range(16))
+    assert parse_matrix(square)[15][15] == 255
+    assert lines == []
+    for token, value in (("007", 7), ("00", 0), ("-0", 0), ("256", 256), ("0256", 256)):
+        assert parse_matrix(f"1 {token}\n0 1") == HomMatrix.from_rows([[1, value], [0, 1]])
+    with pytest.raises(ParseError, match="negative"):
+        parse_matrix("1 -1\n0 1")
+    assert lines == [f"1 {token}" for token in ("007", "00", "-0", "256", "0256", "-1")]
 
 
 def test_principal_submatrix():
