@@ -25,6 +25,8 @@ from __future__ import annotations
 from functools import cached_property
 from typing import Hashable, Iterable, Iterator, Mapping, Sequence
 
+from .verifier import BYTE_HOLE, require_triple_budget
+
 Blocks = dict[tuple[int, int, int], list[list[int]]]
 BAD_ROW = "every table row must be three label strings"
 
@@ -124,7 +126,6 @@ class FiniteCategory:
         """(hole, post, stray, foreign), as verifier.py reads them, from rows
         [g, f, g.f] of `label_type`; with every hom(z, z) nonempty, the pairs
         charged against the triple budget first are no more than triples."""
-        from .verifier import BYTE_HOLE, require_triple_budget  # verifier imports this module
         width = {x: len(out_x) for x, out_x in self.out.items()}
         pairs = sum(len(fs) * width.get(y, 0) for (_, y), fs in self.homs.items())
         require_triple_budget(pairs, what="composable pairs")

@@ -23,8 +23,8 @@ one walk.
 The walk runs on a plain tuple of rows.  Only a yes from `decide` or
 `explain` builds the HomMatrix, ReductionMap and Partition it carries, from
 the tuples the walk computed; the window scan builds none of them.  The
-window scan walks only the windows that can fail: connected ones of up to
-three objects, then quadrant-shaped ones of four.
+window scan walks only the windows that can fail: those that hold a unit
+and a partner of it, or a broken chain, and quadrant-shaped ones of four.
 """
 
 from __future__ import annotations
@@ -272,60 +272,53 @@ def decide_by_submatrices(M: HomMatrix) -> Verdict:
     A yes verdict carries no witness payload: the decision came from the
     windows alone.
 
-    The scan walks only the windows that can fail (`_windows`), so a
-    window it skips would have passed, and the first failing window, its
-    subset and its Reason are those of the full scan.  Objects i and j are
-    linked when hom(i, j) or hom(j, i) is nonempty.
+    The scan walks only the windows that can fail (`_windows`), so the
+    first failing window, its subset and its Reason are those of the full
+    scan.  With units u (hom(u, u) = 1), partners p of u (hom-sets both
+    ways to and from u) and k linked to u (hom(u, k) or hom(k, u)
+    nonempty), it walks every object, the pairs {u, p}, the triples
+    {u, p, k} and those of a broken chain i -> j -> k without i -> k
+    (`acceptability_failures` on M), and the quadrant-shaped quadruples
+    {s, x, t, y}: units s and t with exactly one of hom(s, t) and
+    hom(t, s) nonempty, x a partner of s and y one of t.
 
-    A window of two or three objects is walked only when its links join it.
-    A window W that is not connected splits into nonempty blocks A and B
-    with empty hom-sets both ways between them, and its walk finds nothing,
-    because the scan reaches W only after every smaller window has passed,
-    A and B among them:
-    - the size-1 windows passed, so every diagonal entry is positive;
-    - so no object of A duplicates one of B: row a has hom(a, a) >= 1 where
-      row b has hom(b, a) = 0, and reduction never merges across blocks;
-    - a chain i -> j -> k never crosses between blocks, and neither do
-      classes, basepoints or the class order;
-    - so every transitivity, basepoint, U-class and cross-pair condition of
-      W lies inside A or inside B, and W's walk yields exactly what the
-      walks of A and B yield: nothing.
-
-    A window of four objects is walked only when it is quadrant-shaped:
-    units u and v (hom(u, u) = hom(v, v) = 1) with exactly one of hom(u, v)
-    and hom(v, u) nonempty, a partner x of u and a partner y of v, where a
-    partner of u is another object with hom-sets both ways to and from u.
-    Take a four-object window W once every window of three or fewer objects
-    has passed:
+    Take a window W of two to four objects once every smaller window has
+    passed; the size-1 windows passed, so every diagonal entry is positive.
     1. If W holds a duplicate pair, reduction merges it.  Dropping the
        pair's larger object leaves the same groups, less that object, with
-       the same representatives, so W's walk is the walk of a three-object
+       the same representatives, so W's walk is the walk of a smaller
        window that already passed.
     2. Otherwise W's rows are its reduced rows.  Each failure other than
-       CrossQuadrantFail names at most three objects and shows again in
-       their own window, after its reduction, because classes, units,
-       anchors and the class order are read off direct entries:
-       - a chain i -> j -> k without i -> k: no two of i, j, k merge, since
-         a merge would give i -> k;
-       - two units u and v of one class: they merge in {u, v} only when
-         hom(u, v) = hom(v, u) = 1, and then W holds a third object that
-         tells them apart and merges with neither;
+       CrossQuadrantFail shows again in the window of the at most three
+       objects named below, after its reduction, because classes, units,
+       anchors and the class order are read off direct entries; that
+       window passed unless it is W:
+       - a chain i -> j -> k without i -> k, a broken chain: no two of i,
+         j, k merge, since a merge would give i -> k;
+       - two units u and v of one class, partners: they merge in {u, v}
+         only when hom(u, v) = hom(v, u) = 1, and then W also holds an
+         object that tells them apart, so is linked to u or v, and merges
+         with neither;
        - with W acceptable and one unit per class, a leg x of a basepoint
-         bp is no unit and never merges with bp: (x, bp) for a U diagonal
-         floor, and (x, y, bp) for a U off-diagonal floor, which holds if x
-         and y merge there, as then hom(x, y) = hom(x, x) and
-         hom(bp, y) = hom(bp, x) and the diagonal floor of x passed;
-       - (x, y, t) for a column floor and (s, x, y) for a row floor: x and
-         y lie in different classes, and the anchor is the only unit of its
-         class in the window.
+         bp is a partner of bp, no unit, and never merges with bp: (x, bp)
+         for a U diagonal floor, and (x, y, bp), y another leg, for a U
+         off-diagonal floor, which holds if x and y merge there, as then
+         hom(x, y) = hom(x, x) and hom(bp, y) = hom(bp, x) and the
+         diagonal floor of x passed;
+       - (x, y, t) for a column floor, which fails only when
+         t = anchor(y) != y, a unit with partner y, and then
+         hom(x, t) > hom(x, y) links x to t; likewise (s, x, y) for a row
+         floor, with x a partner of s and y linked to s.  x and y lie in
+         different classes, and the anchor is the only unit of its class
+         in the window.
+       So W is a unit and a partner, or those and an object linked to the
+       unit, or a broken chain, and never four objects.
     3. A quadrant floor fails only when s = anchor(x) != x and
        t = anchor(y) != y: then s and t are units, x is a partner of s and
        y of t, and the classes are ordered, so hom(s, t) is nonempty and
-       hom(t, s) empty.  So W = {s, x, t, y} is shaped.
-    4. A shaped window is connected (u-x, v-y, u-v), so the block argument
-       above needs no size-4 case.
-    The scan walks the shaped windows in lexicographic order, so the first
-    one that fails is the first four-object window that fails.
+       hom(t, s) empty.  So W = {s, x, t, y} is quadrant-shaped.
+    Each size is walked in lexicographic order, so the first window the
+    scan finds failing is the first failing window of its size.
 
     The scan first counts every window, walked or not, sum of C(n, k) for
     k <= 4, and raises TripleBudgetError naming that count and the limit
@@ -347,18 +340,20 @@ def decide_by_submatrices(M: HomMatrix) -> Verdict:
 
 def _windows(rows: Rows) -> Iterator[tuple[int, ...]]:
     """The windows `decide_by_submatrices` walks, in scan order: every
-    object, the connected pairs and triples, then the quadrant-shaped
-    quadruples, found only once the scan gets that far."""
+    object; each unit with each partner; each such pair with an object
+    linked to the unit, and each broken chain; then the quadrant-shaped
+    quadruples.  Each size is found only once the scan gets that far."""
     n = len(rows)
-    link = [[bool(a or b) for a, b in zip(row, col)] for row, col in zip(rows, zip(*rows))]
     yield from combinations(range(n), 1)
-    yield from (keep for keep in combinations(range(n), 2) if link[keep[0]][keep[1]])
-    for keep in combinations(range(n), 3):
-        i, j, k = keep
-        if link[i][j] + link[i][k] + link[j][k] >= 2:
-            yield keep
     units = [u for u in range(n) if rows[u][u] == 1]
     partners = {u: [x for x in range(n) if x != u and rows[u][x] and rows[x][u]] for u in units}
+    yield from sorted({tuple(sorted((u, x))) for u in units for x in partners[u]})
+    # Every diagonal entry is positive by now, so each failure is a chain.
+    triples = {tuple(sorted(chain)) for _, chain in acceptability_failures(rows)}
+    for u in units:
+        linked = [k for k in range(n) if k != u and (rows[u][k] or rows[k][u])]
+        triples.update(tuple(sorted((u, x, k))) for x in partners[u] for k in linked if k != x)
+    yield from sorted(triples)
     shaped = set()
     for u, v in combinations(units, 2):
         if bool(rows[u][v]) != bool(rows[v][u]):

@@ -42,10 +42,13 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, field
 from operator import itemgetter
+from typing import TYPE_CHECKING
 
-from .category import FiniteCategory
 from .errors import TripleBudgetError
 from .matrix import HomMatrix
+
+if TYPE_CHECKING:
+    from .category import FiniteCategory
 
 DEFAULT_FAILURE_CAP = 32
 DEFAULT_TRIPLE_BUDGET = 10**8

@@ -17,6 +17,7 @@ from catmat import (
     decide_by_submatrices,
     reduce,
 )
+from catmat import decider
 from catmat.decider import _Walk, explain
 from helpers import (
     duplicate_objects,
@@ -327,6 +328,23 @@ def shaped(M, keep):
     )
 
 
+def unit_anchored(M, keep):
+    """Whether the window scan's rule walks keep, searched plainly: one
+    object; a unit u, an object with hom-sets both ways to and from u and,
+    in three, an object linked to u either way; a chain i -> j -> k without
+    i -> k; or four objects of quadrant shape."""
+    if len(keep) == 4:
+        return shaped(M, keep)
+    return (
+        len(keep) == 1
+        or any(
+            M[u][u] == 1 and M[u][p] and M[p][u] and all(M[u][k] or M[k][u] for k in rest)
+            for u, p, *rest in permutations(keep)
+        )
+        or any(M[i][j] and M[j][k] and not M[i][k] for i, j, k in permutations(keep, 3))
+    )
+
+
 def window_cases():
     """Matrices of up to eight objects for the window scan: 400 of the five
     shapes, then each of those beside accepted blocks, duplicates added;
@@ -349,15 +367,28 @@ def window_cases():
             yield M
 
 
-def test_decide_by_submatrices_matches_reference_scan():
+def test_decide_by_submatrices_matches_reference_scan(monkeypatch):
+    walked, windows = [], decider._windows
+
+    def recorded(rows):
+        for keep in windows(rows):
+            walked.append(keep)
+            yield keep
+
+    monkeypatch.setattr(decider, "_windows", recorded)
     kinds, split_kinds = set(), set()
     duplicated = yes = split_yes = four = 0
     for M in window_cases():
         assert M.n <= 8
         decision, subset, reason = reference_scan(M)
         four += subset is not None and len(subset) == 4
+        walked.clear()
         verdict = decide_by_submatrices(M)
         assert (verdict.decision, verdict.subset) == (decision, subset), M
+        # Each window walked is one that a scan of the connected windows of
+        # up to three objects and the shaped ones of four walks too.
+        for keep in walked:
+            assert connected(M, keep) if len(keep) < 4 else shaped(M, keep), (M, keep)
         assert verdict.reason == reason, M
         split = not connected(M, range(M.n))
         if reason is None:
@@ -378,7 +409,8 @@ def test_decide_by_submatrices_matches_reference_scan():
 
 @given(small_matrices, small_matrices, st.randoms(use_true_random=False))
 def test_walk_of_disjoint_union_fails_exactly_when_a_block_fails(A, B, rng):
-    """The lemma the window scan's skip rests on, zero diagonals included."""
+    """A disjoint union fails exactly when one of its blocks fails, zero
+    diagonals included: `beside_accepted_blocks` rests on this."""
     W = disjoint_union([A, B], rng)
     assert any(_Walk(W.entries)) == (any(_Walk(A.entries)) or any(_Walk(B.entries)))
 
@@ -433,23 +465,17 @@ def test_window_scan_builds_no_matrix_map_or_partition(monkeypatch):
     assert built == {"HomMatrix": 1, "ReductionMap": 1, "Partition": 1}
 
 
-def test_window_scan_walks_only_connected_windows(monkeypatch):
-    """The scan walks, in scan order, exactly the connected windows of up to
-    three objects and the shaped windows of four."""
-    # An accepted matrix of three blocks, two objects duplicated, interleaved.
+def test_window_scan_walks_only_unit_anchored_windows(monkeypatch):
+    """The scan walks, in scan order, exactly the windows its rule names, up
+    to the first that fails."""
+    # An accepted matrix of three blocks, then the same beside a broken
+    # chain with no unit; two objects duplicated, interleaved.
     blocks = [
         [[1, 1, 1, 1], [1, 2, 1, 1], [0, 0, 1, 1], [0, 0, 1, 2]],
         [[1, 2], [3, 7]],
         [[2]],
     ]
-    M = disjoint_union([HomMatrix.from_rows(B) for B in blocks], random.Random(7))
-    M = duplicate_objects(random.Random(7), M, 2)
-    assert reduce(M)[1].m < M.n
-    windows = [keep for size in range(1, 5) for keep in combinations(range(M.n), size)]
-    linked = [keep for keep in windows if connected(M, keep)]
-    expected = [keep for keep in linked if len(keep) < 4 or shaped(M, keep)]
-    assert any(len(keep) == 4 and not shaped(M, keep) for keep in linked)
-    assert any(len(keep) == 4 for keep in expected)
+    chain = [[2, 2, 0], [0, 2, 2], [0, 0, 2]]
     walked = []
 
     def counted(self, rows, _init=_Walk.__init__):
@@ -457,6 +483,22 @@ def test_window_scan_walks_only_connected_windows(monkeypatch):
         _init(self, rows)
 
     monkeypatch.setattr(_Walk, "__init__", counted)
-    assert decide_by_submatrices(M).exists
-    assert walked == [tuple(tuple(M[i][j] for j in keep) for i in keep) for keep in expected]
-    assert 3 * len(linked) < len(windows)
+    for extra in ([], [chain]):
+        M = disjoint_union([HomMatrix.from_rows(B) for B in blocks + extra], random.Random(7))
+        M = duplicate_objects(random.Random(7), M, 2)
+        assert reduce(M)[1].m < M.n
+        windows = [keep for size in range(1, 5) for keep in combinations(range(M.n), size)]
+        expected = [keep for keep in windows if unit_anchored(M, keep)]
+        assert any(connected(M, keep) and not unit_anchored(M, keep) for keep in windows)
+        walked.clear()
+        verdict = decide_by_submatrices(M)
+        if extra:
+            assert verdict.reason.kind == "NotAcceptable"
+            stop = expected.index(verdict.subset) + 1
+            assert any(len(keep) == 3 for keep in expected[stop:])
+            expected = expected[:stop]
+        else:
+            assert verdict.exists
+            assert any(len(keep) == 4 for keep in expected)
+            assert 3 * len(expected) < len(windows)
+        assert walked == [tuple(tuple(M[i][j] for j in keep) for i in keep) for keep in expected]
