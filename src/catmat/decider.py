@@ -30,7 +30,7 @@ and a partner of it, or a broken chain, and quadrant-shaped ones of four.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from itertools import combinations
+from itertools import combinations, compress
 from math import comb
 from operator import itemgetter
 from typing import Iterator
@@ -277,8 +277,9 @@ def decide_by_submatrices(M: HomMatrix) -> Verdict:
     scan.  With units u (hom(u, u) = 1), partners p of u (hom-sets both
     ways to and from u) and k linked to u (hom(u, k) or hom(k, u)
     nonempty), it walks every object, the pairs {u, p}, the triples
-    {u, p, k} and those of a broken chain i -> j -> k without i -> k
-    (`acceptability_failures` on M), and the quadrant-shaped quadruples
+    {u, p, k} and the least triple of a broken chain i -> j -> k without
+    i -> k (`_least_chain`; the window of any broken chain fails, so the
+    scan stops at the least), and the quadrant-shaped quadruples
     {s, x, t, y}: units s and t with exactly one of hom(s, t) and
     hom(t, s) nonempty, x a partner of s and y one of t.
 
@@ -341,15 +342,18 @@ def decide_by_submatrices(M: HomMatrix) -> Verdict:
 def _windows(rows: Rows) -> Iterator[tuple[int, ...]]:
     """The windows `decide_by_submatrices` walks, in scan order: every
     object; each unit with each partner; each such pair with an object
-    linked to the unit, and each broken chain; then the quadrant-shaped
+    linked to the unit, and the least broken chain; then the quadrant-shaped
     quadruples.  Each size is found only once the scan gets that far."""
     n = len(rows)
     yield from combinations(range(n), 1)
     units = [u for u in range(n) if rows[u][u] == 1]
     partners = {u: [x for x in range(n) if x != u and rows[u][x] and rows[x][u]] for u in units}
     yield from sorted({tuple(sorted((u, x))) for u in units for x in partners[u]})
-    # Every diagonal entry is positive by now, so each failure is a chain.
-    triples = {tuple(sorted(chain)) for _, chain in acceptability_failures(rows)}
+    # Every diagonal entry is positive by now, so each failure is a chain,
+    # and a chain's window fails: the scan reaches only the least of them.
+    triples = set()
+    if next(acceptability_failures(rows), None) is not None:
+        triples.add(_least_chain(rows))
     for u in units:
         linked = [k for k in range(n) if k != u and (rows[u][k] or rows[k][u])]
         triples.update(tuple(sorted((u, x, k))) for x in partners[u] for k in linked if k != x)
@@ -362,3 +366,26 @@ def _windows(rows: Rows) -> Iterator[tuple[int, ...]]:
                     if len({u, x, v, y}) == 4:
                         shaped.add(tuple(sorted((u, x, v, y))))
     yield from sorted(shaped)
+
+
+def _least_chain(rows: Rows) -> tuple[int, int, int] | None:
+    """The least a < b < c such that some order of a, b, c is a broken chain
+    i -> j -> k without i -> k, or None.  Pairs a < b go in ascending order,
+    each with the bitmask of the c that close such a chain, from the reach
+    out of (row) and into (column) a and b."""
+    n = len(rows)
+    bits = [1 << k for k in range(n)]
+    out = [sum(compress(bits, row)) for row in rows]
+    into = [sum(compress(bits, column)) for column in zip(*rows)]
+    for a, row in enumerate(rows):
+        oa, ia = out[a], into[a]
+        for b in range(a + 1, n):
+            ob, ib = out[b], into[b]
+            # a -> b -> c, c -> a -> b; else a -> c -> b.
+            close = ob & ~oa | ia & ~ib if row[b] else oa & ib
+            # b -> a -> c, c -> b -> a; else b -> c -> a.
+            close |= oa & ~ob | ib & ~ia if rows[b][a] else ob & ia
+            close >>= b + 1
+            if close:
+                return a, b, b + (close & -close).bit_length()
+    return None

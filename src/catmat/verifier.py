@@ -27,9 +27,18 @@ one C call, and a hole in post[g] reads the padding.  At each h, either
 post[g] holds the position q of h.g, and then h.p and q.f = (h.g).f are one
 position or one hole, which the walk skips, or post[g] holds a hole, and
 the triple goes through a composite that closure reports; so a pair whose
-two rows are equal has no failure.  Wider inputs keep tuple rows with the
-hole None, gathered by operator.itemgetter; a row with a hole gathers to
-None, which equals no row, so every pair through it is walked.
+two rows are equal has no failure.
+
+On byte rows, one comparison covers every pair through f: x -> y whose
+row has no hole: the rows of g.f for each g in Out(y), end to end, against
+the rows of Out(y), end to end (one string per y, made once), translated
+by f's table.  Each g.f then lies in hom(x, z) for g: y -> z, so the c-th
+segment of either side has |Out(z)| bytes, and the strings are equal
+exactly when every pair (g, f) is.  A hom-set whose every f passes is done;
+any other goes through the pair walk below.  Wider inputs keep tuple rows
+with the hole None, gathered by operator.itemgetter, and walk every
+hom-set by pairs; a row with a hole gathers to None, which equals no row,
+so every pair through it is walked.
 
 Closure names failures by (x, y) sorted, then z, g, f.  Associativity goes by
 block (x, y, z) in the order of C.homs and walks a block's differing pairs
@@ -175,16 +184,29 @@ def verify_category(
         push(closure, ("foreign", g, f))
 
     # gather[y][j] maps post[f] to the row of (h.g).f, g the j-th of Out(y).
-    # Byte rows need none: post[g].translate maps f's translate table there.
+    # Byte rows need none: post[g].translate maps f's translate table there;
+    # they keep joined[y], the rows of Out(y) end to end.
     if wide:
         gather = {y: [_gather(row) for row in rows] for y, rows in post.items()}
+    else:
+        joined = {y: b"".join(rows) for y, rows in post.items()}
 
-    # For g.f = p, h.p == (h.g).f for every h leaving z is one comparison.
     failures = report.associativity_failures
     for (x, y), fs in homs.items():
         px = post[x]
         first = offset[(x, y)]
         rows = px[first : first + len(fs)]
+        if not wide:
+            # Every pair through a hole-free f at once: the rows of g.f for
+            # each g in Out(y), end to end, against joined[y] gathered at f.
+            w = joined.get(y, b"")
+            if all(
+                hole not in row
+                and b"".join(map(px.__getitem__, row)) == w.translate(row.ljust(256, b"\xff"))
+                for row in rows
+            ):
+                continue
+        # For g.f = p, h.p == (h.g).f for every h leaving z is one comparison.
         # What f's gather reads: its row, or its translate table.
         args = rows if wide else [row.ljust(256, b"\xff") for row in rows]
         for z, gs in successors.get(y, ()):

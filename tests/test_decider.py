@@ -19,6 +19,7 @@ from catmat import (
 )
 from catmat import decider
 from catmat.decider import _Walk, explain
+from catmat.partition import acceptability_failures
 from helpers import (
     duplicate_objects,
     permute,
@@ -405,6 +406,33 @@ def test_decide_by_submatrices_matches_reference_scan(monkeypatch):
     assert kinds == split_kinds == set(CONDITION_OF_KIND)
     assert yes >= 20 and split_yes >= 20 and duplicated >= 100
     assert four >= 100
+
+
+def test_least_chain_is_the_least_broken_chain_triple():
+    """The scan's one broken-chain window is the least sorted triple of
+    three objects among every chain `acceptability_failures` yields."""
+
+    def least(rows):
+        chains = {tuple(sorted(chain)) for _, chain in acceptability_failures(rows)}
+        return min((t for t in chains if len(set(t)) == 3), default=None)
+
+    rng = random.Random(25)
+    cases = [M.entries for M in window_cases()]
+    for t in range(300):
+        n = rng.randint(3, 24)
+        p = rng.random()
+        low = 1 if t % 2 else 2  # units allowed on odd t, none on even t
+        cases.append(tuple(
+            tuple(rng.randint(low, 3) if i == j else rng.randint(1, 3) * (rng.random() < p)
+                  for j in range(n))
+            for i in range(n)
+        ))
+    found = 0
+    for rows in cases:
+        want = least(rows)
+        found += want is not None
+        assert decider._least_chain(rows) == want, rows
+    assert found >= 300
 
 
 @given(small_matrices, small_matrices, st.randoms(use_true_random=False))

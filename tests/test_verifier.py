@@ -15,6 +15,7 @@ from catmat import (
     reduce,
     verify_category,
 )
+from catmat.verifier import DEFAULT_FAILURE_CAP
 from catmat.cli import main
 
 
@@ -181,14 +182,16 @@ def random_mutants(seed, count):
     """(M, witness, table): witnesses, some over duplicated objects, with 1-3
     table entries changed to another member of the same hom-set, deleted,
     moved to another hom-set or to a label of no hom-set, or added under a
-    foreign key.  The last base has 256 morphisms out of object 0, one over
-    the byte rows' limit."""
+    foreign key.  The fifth base is a chain of three classes, whose hom-sets
+    mostly pass while one fails; the last has 256 morphisms out of object
+    0, one over the byte rows' limit."""
     rng = random.Random(seed)
     bases = (
         [[1, 2], [3, 7]],
         [[2, 2], [2, 2]],
         [[1, 1], [0, 3]],
         [[1, 1, 2], [1, 1, 2], [0, 0, 3]],
+        [[2, 2, 3, 4, 4], [0, 1, 1, 2, 2], [0, 2, 5, 3, 3], [0, 0, 0, 2, 2], [0, 0, 0, 2, 2]],
         [[1, 255], [0, 1]],
     )
     for _ in range(count):
@@ -201,7 +204,8 @@ def random_mutants(seed, count):
             key = rng.choice(sorted(table))
             kind = rng.randrange(5)
             if kind == 0:
-                table[key] = rng.choice(C.hom(*C.place[table[key]][:2]))
+                if table[key] in C.place:  # not "ghost" from an earlier change
+                    table[key] = rng.choice(C.hom(*C.place[table[key]][:2]))
             elif kind == 1:
                 del table[key]
             elif kind == 2:
@@ -225,6 +229,33 @@ def test_report_matches_reference_walk(cap):
         data["table"] = [[g, f, h] for (g, f), h in table.items()]
         _, loaded = load_certificate(json.loads(json.dumps(data)))
         assert verify_category(loaded, M, failure_cap=cap) == want
+
+
+def test_wrong_hom_composite_through_a_hole_free_row():
+    # h.g lands in hom(1, 0): post[g] has a hole at h, while every f into
+    # object 1 keeps a row with none, so f's one comparison differs and the
+    # pair walk runs; it names no triple through h.g, and closure names h.g.
+    g, h = "Pair(0,1,1,1,1)", "Pair(0,1,1,1,2)"
+    M, broken = mutated_witness([[1, 2], [3, 7]], h, g, "Pair(0,1,0,1,1)")
+    report = verify_category(broken, M)
+    assert report == reference_report(broken, M, DEFAULT_FAILURE_CAP)
+    assert report.closure_failures == [("wrong-hom", h, g, "Pair(0,1,0,1,1)")]
+    assert report.associativity_failures == [] and report.identity_failures == []
+
+
+def test_one_bad_composite_among_many():
+    # hom(1, 1) has 20 morphisms; one composite g.f, g the last of Out(1),
+    # moves to another member of hom(1, 1), so one hom-set of many f fails.
+    M = HomMatrix.from_rows([[1, 2], [3, 20]])
+    W = build_witness(M)
+    g, f = W.hom(1, 1)[-1], W.hom(1, 1)[7]
+    p = W.table[(g, f)]
+    M, broken = mutated_witness(M.entries, g, f, next(l for l in W.hom(1, 1) if l != p))
+    report = verify_category(broken, M, failure_cap=10**6)
+    assert report == reference_report(broken, M, 10**6)
+    assert report.associativity_failures and not report.closure_failures
+    # Each failing triple (h, g', f') composes g.f on one side.
+    assert all((g, f) in (t[:2], t[1:3]) for t in report.associativity_failures)
 
 
 @pytest.mark.parametrize(
