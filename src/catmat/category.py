@@ -9,10 +9,12 @@ Every category the package builds (the witness, `inflate` and the oracle)
 comes from `from_blocks`: `blocks` maps each composable block (x, y, z),
 where hom(x, y) and hom(y, z) are nonempty, to rows with rows[g][f] the
 index in hom(x, z) of g.f, for g indexing hom(y, z) and f indexing
-hom(x, y).  The identity of x is the first member of hom(x, x), index 0,
-which every builder lists first.  Labels are rendered only when a caller asks
-for them, by `rows` as sorted [g, f, g.f] triples, or as the label-keyed
-`table` mapping (g, f) to g.f.  A *claimed* category has explicit
+hom(x, y); blocks may share rows (the witness by block shape, `inflate` by
+class), so rows are read-only.  The identity of x is the first member of
+hom(x, x), index 0, which every builder lists first.  Labels are rendered
+only on request, by `walk` in sorted order as the caller renders them: as
+they are for `rows`, the sorted [g, f, g.f] triples, and the label-keyed
+`table`, quoted for the certificate writer.  A *claimed* category has explicit
 identities and no blocks: only the verifier reads one, and certificates and
 inflation take built ones.  Every category has the verifier's layout (Out(x)
 and `offset`, successors[x] as (z, hom(x, z)) by z, `place`) and, as
@@ -23,6 +25,8 @@ read.  Instances are immutable by convention.
 from __future__ import annotations
 
 from functools import cached_property
+from itertools import repeat
+from operator import itemgetter
 from typing import Hashable, Iterable, Iterator, Mapping, Sequence
 
 from .verifier import BYTE_HOLE, require_triple_budget
@@ -82,35 +86,35 @@ class FiniteCategory:
         return {(g, f): h for g, f, h in self.rows()}
 
     def rows(self) -> list[list]:
-        """sorted([g, f, g.f] for every composable pair), made from the blocks.
+        """sorted([g, f, g.f] for every composable pair), made from the blocks."""
+        return [[g, f, h] for g, fs, hs in self.walk(self.homs) for f, h in zip(fs, hs)]
 
-        Each g: y -> z comes in label order, and with it each f ending at y in
-        label order; as (g, f) is unique, that is the sorted order.  Every
-        composite g.f is looked up once, into a list per g that follows
-        into[y].
-        """
+    def walk(self, shown: Mapping[tuple[int, int], Sequence]) -> Iterator[tuple]:
+        """(g, fs, hs) for each g in label order: fs lists the f ending at g's
+        source in label order and hs the composites g.f in that order, every
+        label rendered as shown[(x, y)] renders hom(x, y).  The f ending at y
+        are sorted once, and each g.f is looked up once."""
         homs, blocks = self.homs, self.blocks
-        into: dict[int, list] = {}  # y -> [(x, hom(x, y))] for the nonempty ones, by x
-        for (x, y), fs in sorted(homs.items()):
-            into.setdefault(y, []).append((x, fs))
-        by_label = {}  # y -> (f, k) in label order, k the place of f in into[y]
-        for y, sources in into.items():
-            fs = [f for _, labels in sources for f in labels]
-            by_label[y] = sorted(zip(fs, range(len(fs))))
-        composites = {}  # g -> (by_label[y], g.f for each f in into[y]'s order)
+        into: dict[int, list[int]] = {}  # y -> [x with hom(x, y) nonempty], ascending
+        for x, y in sorted(homs):
+            into.setdefault(y, []).append(x)
+        order = {}  # y -> (places of the f ending at y in label order, those f as shown)
+        for y, xs in into.items():
+            fs = [f for x in xs for f in homs[x, y]]
+            places = sorted(range(len(fs)), key=fs.__getitem__)
+            fs = [f for x in xs for f in shown[x, y]]
+            order[y] = places, [fs[k] for k in places]
+        composites = []  # (g, g as shown, order[y], g.f for each f in into[y]'s order)
         for (y, z), gs in homs.items():
             gfs = [[] for _ in gs]
-            for x, _ in into.get(y, ()):
-                label = homs[(x, z)].__getitem__
-                for gf, row in zip(gfs, blocks[(x, y, z)]):
+            for x in into[y]:
+                label = shown[x, z].__getitem__
+                for gf, row in zip(gfs, blocks[x, y, z]):
                     gf += map(label, row)
-            order = by_label.get(y, ())
-            composites.update((g, (order, gf)) for g, gf in zip(gs, gfs))
-        rows = []
-        for g in sorted(composites):
-            order, hs = composites[g]
-            rows += [[g, f, hs[k]] for f, k in order]
-        return rows
+            composites += zip(gs, shown[y, z], repeat(order[y]), gfs)
+        composites.sort(key=itemgetter(0))
+        for _, g, (places, fs), gf in composites:
+            yield g, fs, map(gf.__getitem__, places)
 
     def hom(self, x: int, y: int) -> tuple:
         return self.homs.get((x, y), ())

@@ -25,57 +25,56 @@ from .reduction import ReductionMap, reduce
 def build_certificate(C: FiniteCategory, M: HomMatrix, rmap: ReductionMap) -> dict:
     """The certificate of a built category whose labels are strings, such as
     a witness; its table is C.rows()."""
-    return {
-        "matrix": M.to_json(),
-        "reduction": _reduction_json(rmap),
-        "objects": _objects_json(M),
-        "homs": {f"{x},{y}": list(labels) for (x, y), labels in sorted(C.homs.items())},
-        "identities": {str(x): C.identity[x] for x in range(C.n)},
-        "table": C.rows(),
-    }
+    homs = sorted(C.homs.items())
+    return _certificate(C, M, rmap, {f"{x},{y}": list(ls) for (x, y), ls in homs}, C.rows())
+
+
+def _certificate(C: FiniteCategory, M: HomMatrix, rmap: ReductionMap, homs, table) -> dict:
+    identities = {str(x): C.identity[x] for x in range(C.n)}
+    return {"matrix": M.to_json(), "reduction": _reduction_json(rmap), "objects": _objects_json(M),
+            "homs": homs, "identities": identities, "table": table}
 
 
 _quote = json.encoder.encode_basestring_ascii  # the C quoting json.dumps uses
 
 
-def dump_certificate(cert: dict) -> Iterator[str]:
-    """The chunks of exactly json.dumps(cert, indent=2), for a certificate
-    of build_certificate's shape (every listed hom-set is nonempty).
+def dump_certificate(C: FiniteCategory, M: HomMatrix, rmap: ReductionMap) -> Iterator[str]:
+    """The chunks of exactly json.dumps(build_certificate(C, M, rmap), indent=2).
 
-    The two large collections, nonempty "homs" and "table", are written by
-    hand, one chunk per entry; everything else is small and goes through
-    json.dumps.  Each label of "homs" is quoted once, and the table reuses
-    the quotes; a table label that no hom-set lists is quoted where it is.
+    The two large collections, "homs" and "table", are written by hand,
+    straight from C's hom-sets and blocks, one chunk per hom-set and one per
+    g of the table; each label is quoted once, and the table is C.walk of
+    the quoted labels, with no [g, f, h] lists.  The rest is small and goes
+    through json.dumps.
     """
-    quoted: dict[str, str] = {}
+    quoted = {xy: [*map(_quote, labels)] for xy, labels in C.homs.items()}
+    homs = (
+        f',\n    "{x},{y}": [\n      ' + ",\n      ".join(quoted[x, y]) + "\n    ]"
+        for x, y in sorted(quoted)
+    )
+    table = (
+        "".join(f",\n    [\n      {g},\n      {f},\n      {h}\n    ]" for f, h in zip(fs, hs))
+        for g, fs, hs in C.walk(quoted)
+    )
     sep = "{\n  "
-    for key, value in cert.items():
-        yield f"{sep}{_quote(key)}: "
+    for key, value in _certificate(C, M, rmap, homs, table).items():
+        yield f'{sep}"{key}": '
         sep = ",\n  "
-        if not value or key not in ("homs", "table"):
-            yield json.dumps(value, indent=2).replace("\n", "\n  ")
-        elif key == "homs":
-            quoted = {label: _quote(label) for labels in value.values() for label in labels}
-            yield from _nested("{}", (
-                f",\n    {_quote(xy)}: [\n      " + ",\n      ".join(map(quoted.get, labels)) + "\n    ]"
-                for xy, labels in value.items()
-            ))
+        if value is homs or value is table:
+            yield from _nested("{}" if value is homs else "[]", value)
         else:
-            q = quoted.get
-            yield from _nested("[]", (
-                f",\n    [\n      {q(g) or _quote(g)},\n      {q(f) or _quote(f)},"
-                f"\n      {q(h) or _quote(h)}\n    ]"
-                for g, f, h in value
-            ))
+            yield json.dumps(value, indent=2).replace("\n", "\n  ")
     yield "\n}"
 
 
 def _nested(brackets: str, entries: Iterator[str]) -> Iterator[str]:
-    """A nonempty collection one level deep, from entries that each start
-    with the separator ",\n    " (dropped from the first)."""
-    yield brackets[0] + next(entries)[1:]
-    yield from entries
-    yield "\n  " + brackets[1]
+    """A collection one level deep, from entries that each start with the
+    separator ",\n    " (dropped from the first); empty, just the brackets."""
+    first = next(entries, None)
+    yield brackets if first is None else brackets[0] + first[1:]
+    if first is not None:
+        yield from entries
+        yield "\n  " + brackets[1]
 
 
 def _reduction_json(rmap: ReductionMap) -> dict:

@@ -20,7 +20,7 @@ import json
 import os
 import sys
 
-from .certificate import build_certificate, dump_certificate, load_certificate
+from .certificate import dump_certificate, load_certificate
 from .decider import condition_report, decide, decide_by_submatrices, explain
 from .errors import CertificateError, ParseError, Rejected, ShapeError, TripleBudgetError
 from .matrix import HomMatrix, parse_matrix, too_long
@@ -168,7 +168,7 @@ def cmd_witness(args) -> int:
     except Rejected as exc:
         print(f"ABSENT ({exc.verdict.reason})", file=sys.stderr)
         return EXIT_ABSENT
-    chunks = dump_certificate(build_certificate(C, M, reduce(M)[1]))
+    chunks = dump_certificate(C, M, reduce(M)[1])
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.writelines(chunks)

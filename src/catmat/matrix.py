@@ -57,6 +57,13 @@ class HomMatrix:
                     raise ParseError(f"entry ({i},{j}) is negative: {value}")
 
     @classmethod
+    def _trusted(cls, rows: Rows) -> "HomMatrix":
+        """The matrix of rows cut from a checked matrix, not checked again."""
+        M = cls.__new__(cls)
+        M.__dict__.update(n=len(rows), entries=rows)
+        return M
+
+    @classmethod
     def from_rows(cls, rows: Iterable[Iterable[int]]) -> "HomMatrix":
         entries = tuple(map(tuple, rows))
         return cls(len(entries), entries)

@@ -70,8 +70,8 @@ def reduce(M: HomMatrix) -> tuple[HomMatrix, ReductionMap]:
 def reduced_pair(
     M: HomMatrix, rows: Rows, class_of: tuple[int, ...], representative: tuple[int, ...]
 ) -> tuple[HomMatrix, ReductionMap]:
-    """`reduce(M)` built from reduce_rows(M.entries), already computed."""
-    N = M if rows is M.entries else HomMatrix(len(rows), rows)
+    """`reduce(M)` from reduce_rows(M.entries), already computed; rows cut from M need no check."""
+    N = M if rows is M.entries else HomMatrix._trusted(rows)
     return N, ReductionMap(M.n, N.n, class_of, representative)
 
 

@@ -14,10 +14,11 @@ leaves the floor parts, which is what makes the table associative.
 Labels are the certificate's strings, rendered once by build_hom_labels,
 which numbers each hom-set 0..k-1, the identity first (`from_blocks` takes it
 from there), and checks each hom-set's size once.  Composition is a fixed
-index map per block (x, y, z), computed by _block from the matrix alone for
-every composable block when the witness is built; its docstring says exactly
-which part indices survive a composition.  The category keeps these blocks,
-and its label-keyed table is rendered only if a caller asks for it.
+index map per block (x, y, z), which _block_rows builds from the few numbers
+_block_shape reads off the matrix, so build_witness builds each shape once
+for the blocks that share it; _block_rows says exactly which part indices
+survive a composition.  The category keeps these blocks, and its
+label-keyed table is rendered only if a caller asks for it.
 """
 
 from __future__ import annotations
@@ -88,9 +89,36 @@ def build_hom_labels(N: HomMatrix, part: Partition) -> dict[tuple[int, int], tup
     return homs
 
 
-def _block(N: HomMatrix, part: Partition, x: int, y: int, z: int) -> list[list[int]]:
+def _block_shape(N: HomMatrix, part: Partition, x: int, y: int, z: int) -> tuple:
+    """_block_rows' arguments for block (x, y, z): its kind, the sizes of
+    hom(x, y), hom(y, z) and hom(x, z), whether x = y and whether y = z, then
+    the numbers its kind reads."""
+    (c, i), (d, _), (e, k) = part.local_of[x], part.local_of[y], part.local_of[z]
+    Nx, hom, anchor, units = N[x], N.entries, part.anchor, part.basepoints
+    sizes = (Nx[y], hom[y][z], Nx[z], x == y, y == z)
+    if c != d:
+        if d != e or units[d] is None:
+            return ("onto", *sizes, 0)
+        return ("f crosses", *sizes, Nx[anchor[y]])
+    if units[c] is None:
+        return ("onto", *sizes, int(d == e and i == k))
+    if d != e:
+        s, t = anchor[y], anchor[z]
+        base, start = hom[s][t], hom[y][t]
+        return ("g crosses", *sizes, base, start, Nx[t] - start, start + hom[s][z] - base)
+    if i == k == 0:
+        return ("onto", *sizes, 0)
+    bp = anchor[x]
+    a, bj, bk = Nx[bp], hom[bp][y], hom[bp][z]
+    pf = 0 if x == y == bp else a * bj
+    pg = 0 if y == z == bp else hom[y][bp] * bk
+    return ("U", *sizes, i == k, a, bj, bk, pf, pg)
+
+
+def _block_rows(kind: str, mf: int, mg: int, m: int, xy: bool, yz: bool, *own) -> list[list[int]] | None:
     """rows[g][f]: the index in hom(x,z) of g after f, for f indexing hom(x,y)
-    and g indexing hom(y,z) in build_hom_labels' order.
+    and g indexing hom(y,z) in build_hom_labels' order, in every block of
+    this shape; None if one falls outside hom(x,z), which has m members.
 
     Within a class the composite keeps f's inbound coordinate u and g's
     outbound one v; a Pad stands for the maximal Pair as the right factor and
@@ -101,56 +129,43 @@ def _block(N: HomMatrix, part: Partition, x: int, y: int, z: int) -> list[list[i
     pre-composition); everything else lands on the first Base morphism, and
     crossing two ordered gaps always does.  The part boundaries are read off
     the anchors as in cross_part_sizes: Base and Row of hom(x, y) are its
-    first hom(x, anchor[y]) indices.  An identity on either side passes the
-    other factor through.  Every index is checked against hom(x,z).
+    first `keep` = hom(x, anchor[y]) indices.  An identity on either side
+    passes the other factor through.
     """
-    (c, i), (d, j), (e, k) = part.local_of[x], part.local_of[y], part.local_of[z]
-    mf, mg = N[x][y], N[y][z]
-    first_pad = mf  # of hom(x,y), when x = y = z
-    if c != d and d != e:
-        rows = [[0] * mf] * mg
-    elif c != d:  # f crosses into class d, g stays inside it
-        keep = N[x][part.anchor[y]] if part.is_u(d) else 0
+    if kind == "onto":  # Collapsed, a basepoint's identity or the first Base
+        (h,) = own
+        rows = [[h] * mf for _ in range(mg)]
+        first_pad = 2  # of hom(x,y) when x = y = z: after Identity and Collapsed
+    elif kind == "f crosses":  # into class d, g stays inside it
+        (keep,) = own
         rows = [[f if f < keep else 0 for f in range(mf)]] * mg
-    elif d != e:  # f stays inside class c, g crosses out of it
-        kept = [0] * mg
-        if part.is_u(c):
-            # Col of hom(y, z) spans [hom(y, t), hom(y, t) + hom(s, z) - base)
-            # and moves by the difference of the Row sizes into hom(x, z).
-            s, t = part.anchor[y], part.anchor[z]
-            base, start = N[s][t], N[y][t]
-            shift, end = N[x][t] - start, start + N[s][z] - base
-            kept = [g if g < base else g + shift if start <= g < end else 0 for g in range(mg)]
-        rows = [[h] * mf for h in kept]
-    elif not part.is_u(c):
-        rows = [[int(i == k)] * mf for _ in range(mg)]
-        first_pad = 1 + (i == j)
-    elif i == k == 0:
-        rows = [[0] * mf for _ in range(mg)]
+    elif kind == "g crosses":  # f stays inside class c, g crosses out of it
+        base, start, shift, end = own  # Col of hom(y,z) is [start, end), moved by shift
+        rows = [[g if g < base else g + shift if start <= g < end else 0] * mf for g in range(mg)]
     else:
-        bp = part.anchor[x]
-        a, bj, bk = N[x][bp], N[bp][y], N[bp][z]
-        idf, idg = int(i == j), int(j == k)
-        pf = 0 if x == y == bp else a * bj
-        pg = 0 if y == z == bp else N[y][bp] * bk
-        first_pad = idf + pf
-        us = [0] * idf + [p // bj * bk for p in range(pf)] + [(a - 1) * bk] * (mf - first_pad)
-        vs = [0] * idg + [q % bk for q in range(pg)] + [0] * (mg - idg - pg)
-        off = int(i == k)
-        # Pair (u, v) of hom(x,z) sits at off + (u-1)*b(k) + (v-1); us holds
+        xz, a, bj, bk, pf, pg = own
+        first_pad = xy + pf
+        us = [0] * xy + [p // bj * bk for p in range(pf)] + [(a - 1) * bk] * (mf - first_pad)
+        vs = [0] * yz + [q % bk for q in range(pg)] + [0] * (mg - yz - pg)
+        # Pair (u, v) of hom(x,z) sits at xz + (u-1)*b(k) + (v-1); us holds
         # (u-1)*b(k) for each f and vs holds v-1 for each g.
-        rows = [[off + u + v for u in us] for v in vs]
-    if x == y:
+        rows = [[xz + u + v for u in us] for v in vs]
+    if xy:
         for g, r in enumerate(rows):
             r[0] = g
-    if y == z:
+    if yz:
         rows[0] = list(range(mf))
-    if x == y == z:
+    if xy and yz:
         for p in range(first_pad, mf):
             rows[p][p] = p
-    m = N[x][z]
-    if min(map(min, rows)) < 0 or max(map(max, rows)) >= m:
-        raise CountError(f"a composite of block {(x, y, z)} falls outside hom({x},{z})={m}")
+    return rows if min(map(min, rows)) >= 0 and max(map(max, rows)) < m else None
+
+
+def _block(N: HomMatrix, part: Partition, x: int, y: int, z: int) -> list[list[int]]:
+    """Block (x, y, z) built alone; CountError if it leaves hom(x, z)."""
+    rows = _block_rows(*_block_shape(N, part, x, y, z))
+    if rows is None:
+        raise CountError(f"a composite of block {(x, y, z)} falls outside hom({x},{z})={N[x][z]}")
     return rows
 
 
@@ -168,6 +183,11 @@ def build_witness(M: HomMatrix) -> FiniteCategory:
     require_triple_budget(count_triples(M.entries))
     N, rmap, part = verdict.reduced, verdict.rmap, verdict.partition
     homs = build_hom_labels(N, part)
-    blocks = {xyz: _block(N, part, *xyz) for xyz in composable(homs)}
+    built, blocks = {}, {}  # built: shape -> the rows its blocks share
+    for xyz in composable(homs):
+        shape = _block_shape(N, part, *xyz)
+        if shape not in built:
+            built[shape] = _block(N, part, *xyz)
+        blocks[xyz] = built[shape]
     B = FiniteCategory.from_blocks(N.n, homs, blocks)
     return B if rmap.m == rmap.n else inflate(B, rmap, expected=M)

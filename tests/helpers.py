@@ -294,3 +294,54 @@ def check_category_axioms(C, M) -> bool:
                 if C.table[(h, C.table[(g, f)])] != C.table[(C.table[(h, g)], f)]:
                     return False
     return True
+
+
+def reference_block(N: HomMatrix, part, x: int, y: int, z: int) -> list[list[int]]:
+    """Block (x, y, z) of the witness, read straight off N and part with no
+    shape in between: rows[g][f] is the index in hom(x, z) of g after f.
+
+    This is the witness's composition rule as one function, kept apart from
+    `catmat.witness`, which splits it into the numbers a block reads and
+    rows built from those numbers alone; a number missing from that split
+    shows as a block that differs from this one.  No range check.
+    """
+    (c, i), (d, j), (e, k) = part.local_of[x], part.local_of[y], part.local_of[z]
+    mf, mg = N[x][y], N[y][z]
+    first_pad = mf  # of hom(x,y), when x = y = z
+    if c != d and d != e:
+        rows = [[0] * mf for _ in range(mg)]
+    elif c != d:  # f crosses into class d: Base and Row of hom(x, y) survive
+        keep = N[x][part.anchor[y]] if part.is_u(d) else 0
+        rows = [[f if f < keep else 0 for f in range(mf)] for _ in range(mg)]
+    elif d != e:  # g crosses out of class c: Base and Col of hom(y, z) survive
+        kept = [0] * mg
+        if part.is_u(c):
+            s, t = part.anchor[y], part.anchor[z]
+            base, start = N[s][t], N[y][t]
+            shift, end = N[x][t] - start, start + N[s][z] - base
+            kept = [g if g < base else g + shift if start <= g < end else 0 for g in range(mg)]
+        rows = [[h] * mf for h in kept]
+    elif not part.is_u(c):
+        rows = [[int(i == k)] * mf for _ in range(mg)]
+        first_pad = 1 + (i == j)
+    elif i == k == 0:
+        rows = [[0] * mf for _ in range(mg)]
+    else:
+        bp = part.anchor[x]
+        a, bj, bk = N[x][bp], N[bp][y], N[bp][z]
+        idf, idg = int(i == j), int(j == k)
+        pf = 0 if x == y == bp else a * bj
+        pg = 0 if y == z == bp else N[y][bp] * bk
+        first_pad = idf + pf
+        us = [0] * idf + [p // bj * bk for p in range(pf)] + [(a - 1) * bk] * (mf - first_pad)
+        vs = [0] * idg + [q % bk for q in range(pg)] + [0] * (mg - idg - pg)
+        rows = [[int(i == k) + u + v for u in us] for v in vs]
+    if x == y:
+        for g, r in enumerate(rows):
+            r[0] = g
+    if y == z:
+        rows[0] = list(range(mf))
+    if x == y == z:
+        for p in range(first_pad, mf):
+            rows[p][p] = p
+    return rows

@@ -201,40 +201,68 @@ def test_golden_certificates(tmp_path):
     }
 
 
-def assert_dump_is_json_dumps(rows):
-    data, _ = make_certificate(rows)
-    assert "".join(dump_certificate(data)) == json.dumps(data, indent=2)
+def reference_rows(C):
+    """sorted([g, f, g.f]) for a built category, read off its blocks one
+    composite at a time."""
+    return sorted(
+        [C.homs[y, z][g], C.homs[x, y][f], C.homs[x, z][h]]
+        for (x, y, z), rows in C.blocks.items()
+        for g, row in enumerate(rows)
+        for f, h in enumerate(row)
+    )
+
+
+def dumped(C, M):
+    return "".join(dump_certificate(C, M, reduce(M)[1]))
+
+
+def assert_dump_is_json_dumps(C, M):
+    data = build_certificate(C, M, reduce(M)[1])
+    assert data["table"] == reference_rows(C)
+    text = dumped(C, M)
+    assert text == json.dumps(data, indent=2)
+    return text
 
 
 # The 0x0 matrix has empty "homs", "identities" and "table": {}, {} and [].
 @pytest.mark.parametrize("rows", [[], [[1]]] + [rows for rows, _ in GOLDEN])
 def test_dump_certificate_is_json_dumps(rows):
-    assert_dump_is_json_dumps(rows)
+    M = HomMatrix.from_rows(rows)
+    text = assert_dump_is_json_dumps(build_witness(M), M)
+    assert ('"table": []' in text) == (rows == [])
+
+
+# Labels are opaque strings: escapes, non-ASCII and astral characters must
+# be quoted as json.dumps quotes them, and they sort apart from their quotes
+# ("~" sorts before "é" but after its quote, "\u00e9").
+ODD = ['Pa"d\\', "caf\u00e9\n", "\u2218", "\t\U0001d400", "~"]
+
+
+def relabeled(C):
+    """C with the same blocks, its k-th morphism renamed ODD[k % 5] + str(k)."""
+    name = {label: f"{ODD[k % len(ODD)]}{k}" for k, label in enumerate(C.place)}
+    return FiniteCategory.from_blocks(
+        C.n, {xy: [name[l] for l in labels] for xy, labels in C.homs.items()}, C.blocks
+    )
 
 
 def test_dump_certificate_quotes_as_json_dumps():
-    # Labels are opaque strings: escapes and non-ASCII must be quoted as
-    # json.dumps quotes them.
-    data, _ = make_certificate([[1, 2], [3, 7]])
-    data["homs"]["0,0"] = ['Pa"d\\', "caf\u00e9\n"]
-    data["identities"]["1"] = "\u2218"
-    data["table"][0][2] = "\t\U0001d400"
-    assert "".join(dump_certificate(data)) == json.dumps(data, indent=2)
+    M = HomMatrix.from_rows([[1, 2, 2], [3, 7, 7], [3, 7, 7]])
+    C = relabeled(build_witness(M))
+    assert_dump_is_json_dumps(C, M)
+    table = build_certificate(C, M, reduce(M)[1])["table"]
+    for position in range(3):  # every odd label kind as g, as f and as g.f
+        assert {row[position][0] for row in table} == {odd[0] for odd in ODD}
 
 
-def test_dump_certificate_quotes_table_labels_missing_from_homs():
-    # The table reuses the quotes of "homs"; a label no hom-set lists, as g,
-    # f or g.f, is quoted on its own, also with "homs" after the table or
-    # left out.
-    data, _ = make_certificate([[1, 2], [3, 7]])
-    data["table"][0][0] = "gh\u00f6st"
-    data["table"][1][1] = 'f"'
-    data["table"][2][2] = data["table"][2][2] + "\n"
-    assert "".join(dump_certificate(data)) == json.dumps(data, indent=2)
-    homs = data.pop("homs")
-    assert "".join(dump_certificate(data)) == json.dumps(data, indent=2)
-    data["homs"] = homs
-    assert "".join(dump_certificate(data)) == json.dumps(data, indent=2)
+def test_dump_certificate_sorts_table_by_label_not_by_quote():
+    # The table follows the order of the labels, as json.dumps(build_certificate)
+    # writes it, not the order of their quotes, which differs here.
+    M = HomMatrix.from_rows([[1, 2], [3, 7]])
+    C = relabeled(build_witness(M))
+    table = build_certificate(C, M, reduce(M)[1])["table"]
+    assert sorted(table, key=lambda row: [json.dumps(l) for l in row]) != table
+    assert_dump_is_json_dumps(C, M)
 
 
 @settings(max_examples=60, deadline=None)
@@ -246,9 +274,8 @@ def test_dump_certificate_on_random_accepted(rng, copies):
     M = helpers.duplicate_objects(rng, M, copies)
     assume(decide(M).exists)
     C = build_witness(M)
-    data = build_certificate(C, M, reduce(M)[1])
-    assert data["table"] == sorted([g, f, h] for (g, f), h in C.table.items())
-    assert "".join(dump_certificate(data)) == json.dumps(data, indent=2)
+    assert C.rows() == sorted([g, f, h] for (g, f), h in C.table.items())
+    assert_dump_is_json_dumps(C, M)
 
 
 def test_label_built_category_certificate_round_trip():
@@ -268,7 +295,7 @@ def test_label_built_category_certificate_round_trip():
     data = build_certificate(C, M, reduce(M)[1])
     assert data["table"] == sorted([g, f, h] for (g, f), h in C.table.items())
     assert data["table"] != [[name[g], name[f], name[h]] for (g, f), h in sorted(D.table.items())]
-    claimed, L = load_certificate(json.loads("".join(dump_certificate(data))))
+    claimed, L = load_certificate(json.loads(assert_dump_is_json_dumps(C, M)))
     assert claimed == M
     assert verify_category(L, M).passed
 

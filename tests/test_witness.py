@@ -6,10 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import helpers
+import sweep_4x4
 from catmat import HomMatrix, Rejected, build_witness, decide, verify_category
+from catmat.category import composable
 from catmat.errors import CountError
 from catmat.partition import build_partition
-from catmat.witness import _block, build_hom_labels, cross_part_sizes
+from catmat.witness import _block, _block_shape, build_hom_labels, cross_part_sizes
+from test_decider import window_cases
 
 
 def setup_for(rows):
@@ -110,6 +113,82 @@ def test_count_tripwires_catch_every_failed_floor():
     # A composite past the end of hom(1, 1).
     with pytest.raises(CountError, match=r"block \(1, 0, 1\) falls outside hom\(1,1\)=1"):
         _block(H([[1, 2], [3, 1]]), build_partition(H([[1, 2], [3, 7]])), 1, 0, 1)
+
+
+def accepted_corpus():
+    """(source, reduced matrix, partition) of every accepted window_cases()
+    matrix, of the accepted matrices of 40 quadrant families, and of a
+    seeded sample of 500 yeses of the exhaustive 4x4 sweep."""
+    rng = random.Random(26)
+    families = [
+        M for t in range(40)
+        for M in helpers.quadrant_family(rng, ((2, 2), (3, 2), (2, 3), (3, 3))[t % 4], slack=2)
+    ]
+    sweep = [
+        HomMatrix.from_rows(flat[i : i + 4] for i in range(0, 16, 4))
+        for flat in sweep_4x4.canonical_matrices(4, 2)
+    ]
+    yeses = [M for M in sweep if decide(M).exists]
+    assert len(yeses) == sweep_4x4.EXPECTED_COUNTS["yes"]
+    for source, matrices in (("window", window_cases()), ("quadrant", families),
+                             ("sweep", rng.sample(yeses, 500))):
+        for M in matrices:
+            verdict = decide(M)
+            if verdict.exists:
+                yield source, verdict.reduced, verdict.partition
+
+
+def test_shared_blocks_equal_the_blocks_built_alone():
+    """build_witness's blocks against _block's, built alone, and against the
+    one-function reference rule, on every composable block; the blocks of
+    one shape share one set of rows."""
+    accepted, blocks, shapes = Counter(), 0, 0
+    for source, N, part in accepted_corpus():
+        accepted[source] += 1
+        B = build_witness(N)
+        assert list(B.blocks) == list(composable(B.homs))
+        by_shape = {}
+        for xyz, rows in B.blocks.items():
+            assert rows == _block(N, part, *xyz) == helpers.reference_block(N, part, *xyz), (N, xyz)
+            assert by_shape.setdefault(_block_shape(N, part, *xyz), rows) is rows
+        blocks += len(B.blocks)
+        shapes += len(by_shape)
+    assert accepted == {"window": 731, "quadrant": 149, "sweep": 500}, accepted
+    assert shapes < 0.8 * blocks, (shapes, blocks)
+
+
+# The two matrices differ only in N[1][2], which is N[x][anchor[y]] for the
+# f-crossing block (1, 3, 3): Base and Row of hom(1, 3) are its first
+# N[1][2] indices, and only they survive post-composition.
+KEEP_PAIR = (
+    [[1, 1, 1, 2], [1, 2, 2, 3], [0, 0, 1, 1], [0, 0, 1, 2]],
+    [[1, 1, 1, 2], [1, 2, 1, 3], [0, 0, 1, 1], [0, 0, 1, 2]],
+)
+# A reduced matrix whose build has two f-crossing blocks of equal sizes,
+# both with y = z, that differ only in N[x][anchor[y]].
+KEEP_BUILD = [[6, 6, 6, 1, 1], [0, 6, 0, 0, 1], [9, 6, 12, 3, 2], [2, 1, 3, 1, 1], [0, 4, 0, 0, 1]]
+
+
+def test_block_shape_holds_every_number_the_rows_read():
+    """A shape that left N[x][anchor[y]] out would give both matrices of
+    KEEP_PAIR one block (1, 3, 3), and the two blocks of KEEP_BUILD one set
+    of rows; each must equal the reference rule's."""
+    pair = []
+    for rows in KEEP_PAIR:
+        N, part = setup_for(rows)
+        pair.append(build_witness(N).blocks[1, 3, 3])
+        assert pair[-1] == _block(N, part, 1, 3, 3) == helpers.reference_block(N, part, 1, 3, 3)
+    assert pair[0] != pair[1]
+    N, part = setup_for(KEEP_BUILD)
+    B = build_witness(N)
+    keeps = {}  # the numbers of an f-crossing block but keep -> {keep: rows}
+    for (x, y, z), rows in B.blocks.items():
+        assert rows == helpers.reference_block(N, part, x, y, z)
+        (c, _), (d, _), (e, _) = part.local_of[x], part.local_of[y], part.local_of[z]
+        if c != d == e:
+            sizes = (N[x][y], N[y][z], N[x][z], y == z)
+            keeps.setdefault(sizes, {})[N[x][part.anchor[y]]] = rows
+    assert any(len({repr(rows) for rows in by_keep.values()}) > 1 for by_keep in keeps.values())
 
 
 def test_compose_basepoint_and_pad_cases():
