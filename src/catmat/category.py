@@ -1,4 +1,4 @@
-"""Finite categories, given by per-block index rows or by a claimed table.
+"""Finite categories, given by per-block index rows or by claimed table rows.
 
 Objects are 0..n-1.  Labels can be anything hashable but must be globally
 unique across hom-sets; a built category's labels must also sort, since
@@ -15,11 +15,12 @@ hom(x, x), index 0, which every builder lists first.  Labels are rendered
 only on request, by `walk` in sorted order as the caller renders them: as
 they are for `rows`, the sorted [g, f, g.f] triples, and the label-keyed
 `table`, quoted for the certificate writer.  A *claimed* category has explicit
-identities and no blocks: only the verifier reads one, and certificates and
-inflation take built ones.  Every category has the verifier's layout (Out(x)
-and `offset`, successors[x] as (z, hom(x, z)) by z, `place`) and, as
-`filled`, its integer rows, which a built one fills from `rows` when first
-read.  Instances are immutable by convention.
+identities, no blocks and no table: it is given a certificate's [g, f, g.f]
+rows, only the verifier reads it, and certificates and inflation take built
+ones.  Every category has the verifier's layout (Out(x) and `offset`,
+successors[x] as (z, hom(x, z)) by z, `place`) and, as `filled`, its
+integer rows, which a built one fills from `rows` when first read.
+Instances are immutable by convention.
 """
 
 from __future__ import annotations
@@ -41,17 +42,13 @@ class FiniteCategory:
         n: int,
         homs: Mapping[tuple[int, int], Sequence[Hashable]],
         identity: Mapping[int, Hashable],
-        table: Mapping[tuple[Hashable, Hashable], Hashable] | list,
+        table: list,
     ):
-        """A claimed category, given by its label table, which it keeps (a
-        value of None is no entry), or by a certificate's list of rows."""
+        """A claimed category, given by a certificate's [g, f, g.f] rows,
+        which it fills as it reads and does not keep."""
         self._set_homs(n, homs)
         self.identity = dict(identity)
-        if isinstance(table, list):
-            self.filled = self._fill(table, str)
-        else:
-            self.table = dict(table)
-            self.filled = self._fill([g, f, h] for (g, f), h in self.table.items() if h is not None)
+        self.filled = self._fill(table, str)
 
     @classmethod
     def from_blocks(cls, n: int, homs: Mapping, blocks: Blocks) -> FiniteCategory:

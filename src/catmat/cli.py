@@ -24,7 +24,7 @@ from .certificate import dump_certificate, load_certificate
 from .decider import condition_report, decide, decide_by_submatrices, explain
 from .errors import CertificateError, ParseError, Rejected, ShapeError, TripleBudgetError
 from .matrix import HomMatrix, parse_matrix, too_long
-from .oracle import SearchBudget, oracle_decide
+from .oracle import DEFAULT_MAX_ASSIGNMENTS, oracle_decide
 from .reduction import reduce
 from .verifier import verify_category
 from .witness import build_witness
@@ -213,7 +213,7 @@ def cmd_verify(args) -> int:
 
 def cmd_oracle(args) -> int:
     M = _load_matrix(args.matrix)
-    result = oracle_decide(M, SearchBudget(args.budget))
+    result = oracle_decide(M, args.budget)
     if args.json:
         print(json.dumps({"decision": result.decision, "assignments": result.assignments}))
     elif result.decision == "yes":
@@ -267,7 +267,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("oracle", help="brute-force search independent of the decider")
     p.add_argument("matrix", help="matrix file, - for stdin")
-    p.add_argument("--budget", type=_budget, default=SearchBudget().max_assignments,
+    p.add_argument("--budget", type=_budget, default=DEFAULT_MAX_ASSIGNMENTS,
                    help="assignment budget before giving up (default %(default)s)")
     p.add_argument("--json", action="store_true")
     p.set_defaults(fn=cmd_oracle)

@@ -81,7 +81,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from .category import FiniteCategory
+from .category import FiniteCategory, composable
 from .matrix import HomMatrix
 from .verifier import require_triple_budget
 
@@ -336,10 +336,7 @@ def _category(n: int, homs: dict, table: list[list[int]]) -> FiniteCategory:
     """The category of a filled table.  Each hom-set's ids are contiguous, so
     row g of block (x, y, z) is table[g] over hom(x, y), less hom(x, z)'s first id."""
     blocks = {}
-    for (x, y), fs in homs.items():
-        for z in range(n):
-            gs = homs.get((y, z))
-            if gs:
-                h0 = homs[(x, z)][0]
-                blocks[(x, y, z)] = [[h - h0 for h in table[g][fs[0] : fs[-1] + 1]] for g in gs]
+    for x, y, z in composable(homs):
+        fs, h0 = homs[x, y], homs[x, z][0]
+        blocks[x, y, z] = [[h - h0 for h in table[g][fs[0] : fs[-1] + 1]] for g in homs[y, z]]
     return FiniteCategory.from_blocks(n, homs, blocks)

@@ -67,7 +67,9 @@ def structure(rows: Rows) -> Structure:
     tuples: classes, basepoints, locals, order, multiple_units and anchor.
 
     Each field is the Partition attribute of the same name, except that
-    locals[c] is locals_of(c) and order is a tuple in ascending order.
+    locals[c] lists the pairs (local index, object) of class c ascending,
+    from which Partition derives local_of, and order is a tuple in
+    ascending order.
     """
     n = len(rows)
     anchor: list[int | None] = [None] * n
@@ -130,14 +132,9 @@ class Partition:
         self.order = frozenset(order)
         self.multiple_units = multiple_units
         self.anchor = anchor
-        self._locals = locals_
 
     def is_u(self, c: int) -> bool:
         return self.basepoints[c] is not None
-
-    def locals_of(self, c: int) -> tuple[tuple[int, int], ...]:
-        """Pairs (local index, object) of class c, ascending in local index."""
-        return self._locals[c]
 
 
 def build_partition(M: HomMatrix) -> Partition:

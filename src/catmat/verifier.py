@@ -5,7 +5,10 @@ both unit laws, closure of the table (every composable pair has an entry in
 the right hom-set and the table holds nothing else), and associativity over
 every composable triple.  Nothing here trusts the construction: labels are
 opaque tokens that are only hashed and compared, so the verifier doubles as
-the replay half of the certificate format.
+the replay half of the certificate format.  `verify_category(C, M)` keeps
+at most DEFAULT_FAILURE_CAP failures of each kind.  Every count of work is
+charged against CATMAT_TRIPLE_BUDGET, the one budget setting (an
+environment variable; default DEFAULT_TRIPLE_BUDGET).
 
 All but the cardinality pass read C.filled, one row per morphism, which C
 fills from its table rows (load_certificate's as it reads them, a built
@@ -92,18 +95,14 @@ class VerificationReport:
         return f"failed: {', '.join(bits)} ({self.triples_checked} triples checked)"
 
 
-def require_triple_budget(
-    triples: int, triple_budget: int | None = None, what: str = "associativity triples"
-) -> None:
+def require_triple_budget(triples: int, what: str = "associativity triples") -> None:
     """Raise TripleBudgetError naming `triples` as `what` if it exceeds the budget:
-    triple_budget if given, else CATMAT_TRIPLE_BUDGET, else DEFAULT_TRIPLE_BUDGET."""
-    budget = triple_budget
-    if budget is None:
-        raw = os.environ.get(TRIPLE_BUDGET_ENV)
-        try:
-            budget = int(raw) if raw else DEFAULT_TRIPLE_BUDGET
-        except ValueError:
-            raise TripleBudgetError(f"{TRIPLE_BUDGET_ENV}={raw!r} is not an integer") from None
+    CATMAT_TRIPLE_BUDGET if set, else DEFAULT_TRIPLE_BUDGET."""
+    raw = os.environ.get(TRIPLE_BUDGET_ENV)
+    try:
+        budget = int(raw) if raw else DEFAULT_TRIPLE_BUDGET
+    except ValueError:
+        raise TripleBudgetError(f"{TRIPLE_BUDGET_ENV}={raw!r} is not an integer") from None
     if triples > budget:
         raise TripleBudgetError(f"{triples} {what} exceed the budget of {budget}")
 
@@ -128,17 +127,13 @@ def _gather(row: tuple):
     return itemgetter(slice(row[0], row[0] + 1) if row else slice(0))
 
 
-def verify_category(
-    C: FiniteCategory,
-    M: HomMatrix,
-    failure_cap: int = DEFAULT_FAILURE_CAP,
-    triple_budget: int | None = None,
-) -> VerificationReport:
-    """Check every axiom of C against M; failure lists are capped per kind."""
+def verify_category(C: FiniteCategory, M: HomMatrix) -> VerificationReport:
+    """Check every axiom of C against M; each failure list keeps at most
+    DEFAULT_FAILURE_CAP entries."""
     report = VerificationReport()
 
     def push(entries: list, item) -> None:
-        if len(entries) < failure_cap:
+        if len(entries) < DEFAULT_FAILURE_CAP:
             entries.append(item)
 
     homs, out, offset, successors, place = C.homs, C.out, C.offset, C.successors, C.place
@@ -146,7 +141,7 @@ def verify_category(
     for (x, y), fs in homs.items():
         sizes[x][y] = len(fs)
     total_triples = count_triples(sizes)
-    require_triple_budget(total_triples, triple_budget)
+    require_triple_budget(total_triples)
 
     for i in range(max(C.n, M.n)):
         for j in range(max(C.n, M.n)):

@@ -161,14 +161,6 @@ def _block_rows(kind: str, mf: int, mg: int, m: int, xy: bool, yz: bool, *own) -
     return rows if min(map(min, rows)) >= 0 and max(map(max, rows)) < m else None
 
 
-def _block(N: HomMatrix, part: Partition, x: int, y: int, z: int) -> list[list[int]]:
-    """Block (x, y, z) built alone; CountError if it leaves hom(x, z)."""
-    rows = _block_rows(*_block_shape(N, part, x, y, z))
-    if rows is None:
-        raise CountError(f"a composite of block {(x, y, z)} falls outside hom({x},{z})={N[x][z]}")
-    return rows
-
-
 def build_witness(M: HomMatrix) -> FiniteCategory:
     """Build and return a category realizing M; raises Rejected if none exists.
 
@@ -186,8 +178,12 @@ def build_witness(M: HomMatrix) -> FiniteCategory:
     built, blocks = {}, {}  # built: shape -> the rows its blocks share
     for xyz in composable(homs):
         shape = _block_shape(N, part, *xyz)
-        if shape not in built:
-            built[shape] = _block(N, part, *xyz)
-        blocks[xyz] = built[shape]
+        rows = built.get(shape)
+        if rows is None:
+            rows = built[shape] = _block_rows(*shape)
+            if rows is None:
+                x, _, z = xyz
+                raise CountError(f"a composite of block {xyz} falls outside hom({x},{z})={N[x][z]}")
+        blocks[xyz] = rows
     B = FiniteCategory.from_blocks(N.n, homs, blocks)
     return B if rmap.m == rmap.n else inflate(B, rmap, expected=M)

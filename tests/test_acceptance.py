@@ -10,7 +10,6 @@ import time
 
 import helpers
 from catmat import (
-    FiniteCategory,
     HomMatrix,
     build_witness,
     decide,
@@ -218,10 +217,10 @@ def test_criterion_9_mutation_soundness():
                     continue
                 mutated = dict(C.table)
                 mutated[(g, f)] = other
-                D = FiniteCategory(C.n, C.homs, C.identity, mutated)
+                D = helpers.claimed(C.n, C.homs, C.identity, mutated)
                 mutants += 1
                 verdict = verify_category(D, M).passed
-                independent = helpers.check_category_axioms(D, M)
+                independent = helpers.check_category_axioms(D, mutated, M)
                 if verdict != independent:
                     escapes.append((M.entries, g, f, other, verdict, independent))
     assert escapes == []

@@ -15,17 +15,22 @@ from catmat import (
     reduce,
     verify_category,
 )
+from catmat import verifier
 from catmat.verifier import DEFAULT_FAILURE_CAP
 from catmat.cli import main
 
 
-def small_monoid(n):
-    """Cyclic monoid on one object with n elements, table (i+j) mod n."""
+def monoid_table(n):
+    """The table of the cyclic monoid on one object with n elements, (i+j) mod n."""
+    return {(f"m{i}", f"m{j}"): f"m{(i + j) % n}" for i in range(n) for j in range(n)}
+
+
+def small_monoid(n, table=None):
+    """The claimed category of `table`, by default the cyclic monoid's, over
+    the one hom-set of the cyclic monoid with n elements."""
     labels = tuple(f"m{i}" for i in range(n))
-    table = {
-        (labels[i], labels[j]): labels[(i + j) % n] for i in range(n) for j in range(n)
-    }
-    return FiniteCategory(1, {(0, 0): labels}, {0: labels[0]}, table)
+    table = monoid_table(n) if table is None else table
+    return helpers.claimed(1, {(0, 0): labels}, {0: labels[0]}, table)
 
 
 def test_passing_reports():
@@ -60,10 +65,9 @@ def test_cardinality_mismatch():
 
 
 def test_broken_associativity_detected():
-    C = small_monoid(3)
-    bad = dict(C.table)
+    bad = monoid_table(3)
     bad[("m1", "m1")] = "m1"  # 1+1 = 1 breaks (1+1)+2 = 1+(1+2)
-    broken = FiniteCategory(1, C.homs, C.identity, bad)
+    broken = small_monoid(3, bad)
     report = verify_category(broken, HomMatrix.from_rows([[3]]))
     assert not report.passed
     # (h, g, f, h.(g.f), (h.g).f), in the walk order g, f, h.
@@ -77,21 +81,23 @@ def test_broken_associativity_detected():
 
 
 def mutated_witness(rows, g, f, h):
-    """The witness of rows with its composite g.f replaced by h."""
+    """(M, table, category): the witness of rows with its composite g.f
+    replaced by h, as a label table and as the claimed category of it."""
     M = HomMatrix.from_rows(rows)
     C = build_witness(M)
     table = dict(C.table)
     assert (g, f) in table
     table[(g, f)] = h
-    return M, FiniteCategory(C.n, C.homs, C.identity, table)
+    return M, table, helpers.claimed(C.n, C.homs, C.identity, table)
 
 
-def test_associativity_failures_keep_block_order():
+def test_associativity_failures_keep_block_order(monkeypatch):
     # The composite stays in hom(1,1), so only associativity fails, in three
     # blocks (x,y,z,w) = (0,1,1,1), (1,0,1,1), (1,1,0,1), visited in that order.
     p11 = "Pair(0,1,1,1,1)"
-    M, broken = mutated_witness([[1, 2], [3, 7]], p11, p11, "Identity(0,1)")
-    report = verify_category(broken, M, failure_cap=3)
+    M, _, broken = mutated_witness([[1, 2], [3, 7]], p11, p11, "Identity(0,1)")
+    monkeypatch.setattr(verifier, "DEFAULT_FAILURE_CAP", 3)
+    report = verify_category(broken, M)
     assert report.closure_failures == [] and report.identity_failures == []
     assert report.associativity_failures == [
         (p11, p11, "Pair(0,0,1,1,2)", "Pair(0,0,1,1,1)", "Pair(0,0,1,1,2)"),
@@ -100,8 +106,9 @@ def test_associativity_failures_keep_block_order():
     ]
 
 
-def reference_report(C, M, cap):
-    """verify_category's report, by a plain walk over every triple.
+def reference_report(C, table, M, cap):
+    """verify_category's report on the claimed category C of the label table
+    `table`, by a plain walk over every triple, each failure list capped at cap.
 
     Closure visits (x, y) sorted, then z, g, f; associativity visits (x, y)
     in homs order, then z, w, g, f, h, and skips a triple through a missing,
@@ -130,14 +137,14 @@ def reference_report(C, M, cap):
             push(report.identity_failures, (x, e))
     for x, y in sorted(C.homs):
         for f in C.homs[(x, y)]:
-            if ok[y] and C.table.get((C.identity[y], f)) != f:
+            if ok[y] and table.get((C.identity[y], f)) != f:
                 push(report.identity_failures, (y, f))
-            if ok[x] and C.table.get((f, C.identity[x])) != f:
+            if ok[x] and table.get((f, C.identity[x])) != f:
                 push(report.identity_failures, (x, f))
 
     def composite(g, f):
         """g.f when the table holds it in hom(source f, target g), else None."""
-        h = C.table.get((g, f))
+        h = table.get((g, f))
         if h is not None and where.get(h) == (where[f][0], where[g][1]):
             return h
         return None
@@ -147,7 +154,7 @@ def reference_report(C, M, cap):
             for g in C.hom(y, z):
                 for f in C.homs[(x, y)]:
                     if composite(g, f) is None:
-                        h = C.table.get((g, f))
+                        h = table.get((g, f))
                         if h is None:
                             failure = ("missing", g, f)
                         elif h in where:
@@ -155,7 +162,7 @@ def reference_report(C, M, cap):
                         else:
                             failure = ("unknown", g, f, h)
                         push(report.closure_failures, failure)
-    for g, f in C.table:
+    for g, f in table:
         if g not in where or f not in where or where[f][1] != where[g][0]:
             push(report.closure_failures, ("foreign", g, f))
 
@@ -218,17 +225,18 @@ def random_mutants(seed, count):
 
 
 @pytest.mark.parametrize("cap", [3, 10**6])
-def test_report_matches_reference_walk(cap):
+def test_report_matches_reference_walk(cap, monkeypatch):
     # The rows are filled from the table's items, and again from the same
     # table as a certificate's [g, f, h] rows through the loader.
+    monkeypatch.setattr(verifier, "DEFAULT_FAILURE_CAP", cap)
     for M, W, table in random_mutants(seed=cap, count=60):
-        C = FiniteCategory(W.n, W.homs, W.identity, table)
-        want = reference_report(C, M, cap)
-        assert verify_category(C, M, failure_cap=cap) == want
+        C = helpers.claimed(W.n, W.homs, W.identity, table)
+        want = reference_report(C, table, M, cap)
+        assert verify_category(C, M) == want
         data = build_certificate(W, M, reduce(M)[1])
         data["table"] = [[g, f, h] for (g, f), h in table.items()]
         _, loaded = load_certificate(json.loads(json.dumps(data)))
-        assert verify_category(loaded, M, failure_cap=cap) == want
+        assert verify_category(loaded, M) == want
 
 
 def test_wrong_hom_composite_through_a_hole_free_row():
@@ -236,23 +244,24 @@ def test_wrong_hom_composite_through_a_hole_free_row():
     # object 1 keeps a row with none, so f's one comparison differs and the
     # pair walk runs; it names no triple through h.g, and closure names h.g.
     g, h = "Pair(0,1,1,1,1)", "Pair(0,1,1,1,2)"
-    M, broken = mutated_witness([[1, 2], [3, 7]], h, g, "Pair(0,1,0,1,1)")
+    M, table, broken = mutated_witness([[1, 2], [3, 7]], h, g, "Pair(0,1,0,1,1)")
     report = verify_category(broken, M)
-    assert report == reference_report(broken, M, DEFAULT_FAILURE_CAP)
+    assert report == reference_report(broken, table, M, DEFAULT_FAILURE_CAP)
     assert report.closure_failures == [("wrong-hom", h, g, "Pair(0,1,0,1,1)")]
     assert report.associativity_failures == [] and report.identity_failures == []
 
 
-def test_one_bad_composite_among_many():
+def test_one_bad_composite_among_many(monkeypatch):
     # hom(1, 1) has 20 morphisms; one composite g.f, g the last of Out(1),
     # moves to another member of hom(1, 1), so one hom-set of many f fails.
     M = HomMatrix.from_rows([[1, 2], [3, 20]])
     W = build_witness(M)
     g, f = W.hom(1, 1)[-1], W.hom(1, 1)[7]
     p = W.table[(g, f)]
-    M, broken = mutated_witness(M.entries, g, f, next(l for l in W.hom(1, 1) if l != p))
-    report = verify_category(broken, M, failure_cap=10**6)
-    assert report == reference_report(broken, M, 10**6)
+    M, table, broken = mutated_witness(M.entries, g, f, next(l for l in W.hom(1, 1) if l != p))
+    monkeypatch.setattr(verifier, "DEFAULT_FAILURE_CAP", 10**6)
+    report = verify_category(broken, M)
+    assert report == reference_report(broken, table, M, 10**6)
     assert report.associativity_failures and not report.closure_failures
     # Each failing triple (h, g', f') composes g.f on one side.
     assert all((g, f) in (t[:2], t[1:3]) for t in report.associativity_failures)
@@ -277,26 +286,24 @@ def test_either_side_of_the_byte_row_limit(tmp_path, capsys, width, line):
 
 
 def test_broken_identity_detected():
-    C = small_monoid(2)
-    bad = dict(C.table)
+    bad = monoid_table(2)
     bad[("m1", "m0")] = "m0"
-    broken = FiniteCategory(1, C.homs, C.identity, bad)
+    broken = small_monoid(2, bad)
     report = verify_category(broken, HomMatrix.from_rows([[2]]))
     assert not report.passed
     assert any(f == (0, "m1") for f in report.identity_failures)
 
 
 def test_missing_and_foreign_entries_detected():
-    C = small_monoid(2)
-    partial = dict(C.table)
+    partial = monoid_table(2)
     del partial[("m1", "m1")]
-    broken = FiniteCategory(1, C.homs, C.identity, partial)
+    broken = small_monoid(2, partial)
     report = verify_category(broken, HomMatrix.from_rows([[2]]))
     assert ("missing", "m1", "m1") in report.closure_failures
 
-    extra = dict(C.table)
+    extra = monoid_table(2)
     extra[("m1", "ghost")] = "m0"
-    broken = FiniteCategory(1, C.homs, C.identity, extra)
+    broken = small_monoid(2, extra)
     report = verify_category(broken, HomMatrix.from_rows([[2]]))
     assert ("foreign", "m1", "ghost") in report.closure_failures
 
@@ -305,21 +312,21 @@ def test_hom_key_outside_objects_rejected():
     # Caught at construction, before verify_category could index object 3.
     for key in ((0, 3), (-1, 0)):
         with pytest.raises(ValueError, match="outside objects"):
-            FiniteCategory(1, {(0, 0): ("e",), key: ("a",)}, {0: "e"}, {("e", "e"): "e"})
+            FiniteCategory(1, {(0, 0): ("e",), key: ("a",)}, {0: "e"}, [["e", "e", "e"]])
 
 
-def test_none_entry_reads_as_missing():
-    # None is a valid label here, but a table value of None cannot be told
-    # apart from a missing entry, so it is reported as one.
-    table = {("e", "e"): "e", ("e", None): None, (None, "e"): None, (None, None): None}
-    C = FiniteCategory(1, {(0, 0): ("e", None)}, {0: "e"}, table)
+def test_none_is_an_opaque_label():
+    # In the rows None is a label like any other: with None idempotent the
+    # table is a monoid, and without the row for (None, None) that pair is
+    # missing, while the rows whose composite is None still count.
+    rows = [["e", "e", "e"], ["e", None, None], [None, "e", None], [None, None, None]]
+    C = FiniteCategory(1, {(0, 0): ("e", None)}, {0: "e"}, rows)
+    assert verify_category(C, HomMatrix.from_rows([[2]])).passed
+    C = FiniteCategory(1, {(0, 0): ("e", None)}, {0: "e"}, rows[:-1])
     report = verify_category(C, HomMatrix.from_rows([[2]]))
     assert not report.passed
-    assert report.closure_failures == [
-        ("missing", "e", None),
-        ("missing", None, "e"),
-        ("missing", None, None),
-    ]
+    assert report.closure_failures == [("missing", None, None)]
+    assert report.identity_failures == [] and report.associativity_failures == []
 
 
 def test_escaping_composite_detected():
@@ -328,7 +335,7 @@ def test_escaping_composite_detected():
     bad = dict(C.table)
     arrow = C.hom(0, 1)[0]
     bad[(arrow, C.identity[0])] = C.identity[0]  # lands in hom(0,0), not hom(0,1)
-    broken = FiniteCategory(C.n, C.homs, C.identity, bad)
+    broken = helpers.claimed(C.n, C.homs, C.identity, bad)
     report = verify_category(broken, M)
     assert report.closure_failures == [("wrong-hom", arrow, C.identity[0], C.identity[0])]
 
@@ -339,73 +346,74 @@ def test_identity_missing_or_outside_its_hom_set():
     arrow = C.hom(0, 1)[0]
     for e in (None, "ghost", arrow):
         identity = {1: C.identity[1]} if e is None else {0: e, 1: C.identity[1]}
-        report = verify_category(FiniteCategory(C.n, C.homs, identity, C.table), M)
+        report = verify_category(FiniteCategory(C.n, C.homs, identity, C.rows()), M)
         assert not report.passed
         assert report.identity_failures[0] == (0, e)
 
 
-def relabel(C, name):
-    """C with every label replaced by name(position in place order)."""
+def relabel(C, table, name):
+    """The claimed category of C's label table `table`, every label
+    replaced by name(position in C's place order)."""
     new = {label: name(i) for i, label in enumerate(C.place)}
-    return FiniteCategory(
+    return helpers.claimed(
         C.n,
         {pair: [new[l] for l in labels] for pair, labels in C.homs.items()},
         {x: new[e] for x, e in C.identity.items()},
-        {(new[g], new[f]): new[h] for (g, f), h in C.table.items()},
+        {(new[g], new[f]): new[h] for (g, f), h in table.items()},
     )
 
 
 @pytest.mark.parametrize("name", [lambda i: i, lambda i: (i, "a")])
 def test_labels_are_opaque(name):
     M = HomMatrix.from_rows([[1, 2], [3, 7]])
-    C = relabel(build_witness(M), name)
+    W = build_witness(M)
+    C = relabel(W, W.table, name)
     assert verify_category(C, M).passed
     p11 = "Pair(0,1,1,1,1)"
-    M, broken = mutated_witness([[1, 2], [3, 7]], p11, p11, "Identity(0,1)")
-    report = verify_category(relabel(broken, name), M)
+    M, table, broken = mutated_witness([[1, 2], [3, 7]], p11, p11, "Identity(0,1)")
+    report = verify_category(relabel(broken, table, name), M)
     assert not report.passed
     assert report.closure_failures == [] and report.associativity_failures
 
 
-def test_failure_cap():
+def test_failure_cap(monkeypatch):
     n = 6
-    labels = tuple(f"m{i}" for i in range(n))
     # Constant table: every composite is m1, identity laws fail all over.
-    table = {(g, f): labels[1] for g in labels for f in labels}
-    C = FiniteCategory(1, {(0, 0): labels}, {0: labels[0]}, table)
-    report = verify_category(C, HomMatrix.from_rows([[n]]), failure_cap=5)
+    C = small_monoid(n, {(g, f): "m1" for g, f in monoid_table(n)})
+    monkeypatch.setattr(verifier, "DEFAULT_FAILURE_CAP", 5)
+    report = verify_category(C, HomMatrix.from_rows([[n]]))
     assert not report.passed
     assert len(report.identity_failures) == 5
-    report = verify_category(C, HomMatrix.from_rows([[n]]), failure_cap=1000)
+    monkeypatch.setattr(verifier, "DEFAULT_FAILURE_CAP", 1000)
+    report = verify_category(C, HomMatrix.from_rows([[n]]))
     assert len(report.identity_failures) > 5
 
 
 def test_triple_budget_guard(monkeypatch):
     C = small_monoid(4)
-    with pytest.raises(TripleBudgetError):
-        verify_category(C, HomMatrix.from_rows([[4]]), triple_budget=10)
+    monkeypatch.delenv("CATMAT_TRIPLE_BUDGET", raising=False)
+    assert verify_category(C, HomMatrix.from_rows([[4]])).passed
     monkeypatch.setenv("CATMAT_TRIPLE_BUDGET", "10")
-    with pytest.raises(TripleBudgetError):
+    with pytest.raises(TripleBudgetError, match="64 associativity triples exceed the budget of 10"):
         verify_category(C, HomMatrix.from_rows([[4]]))
     monkeypatch.setenv("CATMAT_TRIPLE_BUDGET", "100")
     assert verify_category(C, HomMatrix.from_rows([[4]])).passed
-    # An explicit argument wins over the environment.
-    monkeypatch.setenv("CATMAT_TRIPLE_BUDGET", "10")
-    assert verify_category(C, HomMatrix.from_rows([[4]]), triple_budget=100).passed
     # A value that is not an integer is an error, not a silent default.
     monkeypatch.setenv("CATMAT_TRIPLE_BUDGET", "abc")
     with pytest.raises(TripleBudgetError, match="CATMAT_TRIPLE_BUDGET='abc'"):
         verify_category(C, HomMatrix.from_rows([[4]]))
 
 
-def test_triple_budget_comes_before_closure():
-    # Over 50,000 triples and no table at all: the budget refuses the work
-    # instead of reporting missing composites.
+def test_triple_budget_comes_before_closure(monkeypatch):
+    # Over 50,000 triples and no table at all: the budget, lowered once the
+    # category is filled, refuses the work instead of reporting missing
+    # composites.
     homs = {
         (0, 0): [f"e{i}" for i in range(2)],
         (0, 1): [f"a{i}" for i in range(30)],
         (1, 1): [f"b{i}" for i in range(30)],
     }
-    C = FiniteCategory(2, homs, {0: "e0", 1: "b0"}, {})
-    with pytest.raises(TripleBudgetError, match="exceed the budget of 10"):
-        verify_category(C, HomMatrix.from_rows([[2, 30], [0, 30]]), triple_budget=10)
+    C = FiniteCategory(2, homs, {0: "e0", 1: "b0"}, [])
+    monkeypatch.setenv("CATMAT_TRIPLE_BUDGET", "10")
+    with pytest.raises(TripleBudgetError, match="associativity triples exceed the budget of 10"):
+        verify_category(C, HomMatrix.from_rows([[2, 30], [0, 30]]))

@@ -11,7 +11,8 @@ from catmat import HomMatrix, Rejected, build_witness, decide, verify_category
 from catmat.category import composable
 from catmat.errors import CountError
 from catmat.partition import build_partition
-from catmat.witness import _block, _block_shape, build_hom_labels, cross_part_sizes
+from catmat import witness
+from catmat.witness import _block_rows, _block_shape, build_hom_labels, cross_part_sizes
 from test_decider import window_cases
 
 
@@ -95,7 +96,8 @@ def test_hom_labels_sizes_always_match():
 
 def test_count_tripwires_catch_every_failed_floor():
     """The builders' two CountError sites, fed what the decider rejects: the
-    size tripwire in build_hom_labels and the range check in _block."""
+    size tripwire in build_hom_labels and the range check in _block_rows,
+    which build_witness raises as CountError (see the test below)."""
     H = HomMatrix.from_rows
 
     def labels(rows, partition_of=None):
@@ -111,8 +113,20 @@ def test_count_tripwires_catch_every_failed_floor():
     with pytest.raises(CountError, match=r"hom\(0,1\) got 0 labels, the matrix says 1"):
         labels([[1, 1], [0, 1]], partition_of=[[1, 0], [0, 1]])
     # A composite past the end of hom(1, 1).
-    with pytest.raises(CountError, match=r"block \(1, 0, 1\) falls outside hom\(1,1\)=1"):
-        _block(H([[1, 2], [3, 1]]), build_partition(H([[1, 2], [3, 7]])), 1, 0, 1)
+    shape = _block_shape(H([[1, 2], [3, 1]]), build_partition(H([[1, 2], [3, 7]])), 1, 0, 1)
+    assert _block_rows(*shape) is None
+
+
+def test_build_witness_names_the_block_whose_rows_leave_hom_xz(monkeypatch):
+    """When _block_rows finds a composite outside hom(x, z), build_witness
+    raises CountError naming the block and hom(x, z)."""
+    N, part = setup_for([[1, 2], [3, 7]])
+    bad = _block_shape(N, part, 1, 0, 1)
+    rows_of = witness._block_rows
+    monkeypatch.setattr(witness, "_block_rows", lambda *s: None if s == bad else rows_of(*s))
+    message = r"^a composite of block \(1, 0, 1\) falls outside hom\(1,1\)=7$"
+    with pytest.raises(CountError, match=message):
+        build_witness(N)
 
 
 def accepted_corpus():
@@ -139,7 +153,7 @@ def accepted_corpus():
 
 
 def test_shared_blocks_equal_the_blocks_built_alone():
-    """build_witness's blocks against _block's, built alone, and against the
+    """build_witness's blocks against _block_rows', built alone, and against the
     one-function reference rule, on every composable block; the blocks of
     one shape share one set of rows."""
     accepted, blocks, shapes = Counter(), 0, 0
@@ -149,8 +163,9 @@ def test_shared_blocks_equal_the_blocks_built_alone():
         assert list(B.blocks) == list(composable(B.homs))
         by_shape = {}
         for xyz, rows in B.blocks.items():
-            assert rows == _block(N, part, *xyz) == helpers.reference_block(N, part, *xyz), (N, xyz)
-            assert by_shape.setdefault(_block_shape(N, part, *xyz), rows) is rows
+            shape = _block_shape(N, part, *xyz)
+            assert rows == _block_rows(*shape) == helpers.reference_block(N, part, *xyz), (N, xyz)
+            assert by_shape.setdefault(shape, rows) is rows
         blocks += len(B.blocks)
         shapes += len(by_shape)
     assert accepted == {"window": 731, "quadrant": 149, "sweep": 500}, accepted
@@ -177,7 +192,8 @@ def test_block_shape_holds_every_number_the_rows_read():
     for rows in KEEP_PAIR:
         N, part = setup_for(rows)
         pair.append(build_witness(N).blocks[1, 3, 3])
-        assert pair[-1] == _block(N, part, 1, 3, 3) == helpers.reference_block(N, part, 1, 3, 3)
+        alone = _block_rows(*_block_shape(N, part, 1, 3, 3))
+        assert pair[-1] == alone == helpers.reference_block(N, part, 1, 3, 3)
     assert pair[0] != pair[1]
     N, part = setup_for(KEEP_BUILD)
     B = build_witness(N)
