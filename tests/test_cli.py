@@ -2,10 +2,16 @@ import contextlib
 import json
 import os
 import resource
+import signal
+import subprocess
 import sys
+import threading
+import time
+import types
 
 import pytest
 
+import catmat.cli
 import catmat.decider
 from catmat.cli import build_parser, main
 
@@ -542,3 +548,189 @@ def test_internal_error_is_not_a_verdict(tmp_path, capsys, monkeypatch):
     out = capsys.readouterr()
     assert out.out == ""
     assert out.err.strip() == "internal error: KeyError: 'lost'"
+
+
+# --batch on several CPUs: each case runs once on the CPUs of a monkeypatched
+# affinity mask and once on a mask of one CPU, which forks no child.
+
+def batch_dir(tmp_path):
+    """EXISTS, ABSENT and every kind of ERROR file, in one directory."""
+    d = tmp_path / "mixed"
+    d.mkdir()
+    for name, text in [
+        ("a.txt", "1 2\n3 7\n"),
+        ("b.txt", "1 2\n3 6\n"),
+        ("c.json", '{"n": 3, "entries": [[2,0,0],[0,1,2],[0,3,6]]}'),
+        ("d.txt", "not a matrix"),
+        ("e.txt", "1 1 1 1 1 1 1 1 1 1\n" * 10),
+        ("f.txt", "1\n"),
+        ("g.txt", "2 2 0\n0 2 2\n0 0 2\n"),
+        ("h.txt", "1 2 2\n3 7 7\n3 7 7\n"),
+    ]:
+        (d / name).write_text(text)
+    (d / "u.txt").write_bytes(b"\xff\xfe\n")
+    return d
+
+
+def batch_run(argv, capsys, cpus):
+    """(exit code, stdout, stderr, forks) of main(argv) on `cpus` CPUs."""
+    forks = []
+    real_fork = os.fork
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        mp.setattr(os, "fork", lambda: forks.append(1) or real_fork())
+        code = main(argv)
+        out, err = capsys.readouterr()
+    # No child outlives main.
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    return code, out, err, len(forks)
+
+
+def assert_batch_equivalent(argv, capsys, cpus, forks):
+    parallel = batch_run(argv, capsys, cpus)
+    serial = batch_run(argv, capsys, 1)
+    assert serial[3] == 0 and parallel[3] == forks
+    assert parallel[:3] == serial[:3]
+    return serial[:3]
+
+
+@pytest.mark.parametrize("flags", [[], ["--json"], ["--via-submatrices"], ["--json", "--via-submatrices"]])
+def test_parallel_batch_is_the_serial_batch(tmp_path, capsys, monkeypatch, flags):
+    monkeypatch.setenv("CATMAT_TRIPLE_BUDGET", "384")
+    d = str(batch_dir(tmp_path))
+    code, out, err = assert_batch_equivalent(["decide", "--batch", d, *flags], capsys, 3, 2)
+    assert code == 2 and err == ""
+    listed = [e["file"] for e in json.loads(out)] if "--json" in flags else [
+        line.split(":")[0] for line in out.splitlines()]
+    assert listed == sorted(os.listdir(d))
+    if "--via-submatrices" in flags and "--json" not in flags:
+        assert "e.txt: ERROR 385 submatrix windows exceed the budget of 384\n" in out
+
+
+@pytest.mark.parametrize("flags", [[], ["--json"]])
+def test_parallel_batch_of_no_file_or_one_file(tmp_path, capsys, monkeypatch, flags):
+    empty = tmp_path / "empty"
+    empty.mkdir()
+    code, out, err = assert_batch_equivalent(["decide", "--batch", str(empty), *flags],
+                                             capsys, 4, 0)
+    assert (code, out, err) == (0, "[]\n" if flags else "", "")
+    one = tmp_path / "one"
+    one.mkdir()
+    (one / "m.txt").write_text("1 2\n3 6\n")
+    code, out, _ = assert_batch_equivalent(["decide", "--batch", str(one), *flags],
+                                           capsys, 4, 0)
+    assert code == 1 and "ABSENT" in out.upper()
+
+
+def test_parallel_batch_with_more_cpus_than_files(tmp_path, capsys, monkeypatch):
+    for name in "abc":
+        write(tmp_path, name + ".txt", "1 2\n3 7\n")
+    code, out, _ = assert_batch_equivalent(["decide", "--batch", str(tmp_path)],
+                                           capsys, 8, 2)
+    assert (code, out) == (0, "a.txt: EXISTS\nb.txt: EXISTS\nc.txt: EXISTS\n")
+
+
+@pytest.mark.parametrize("crash", ["g.txt", "h.txt"])  # this process's share, a child's
+def test_batch_crash_in_any_share_is_the_serial_internal_error(tmp_path, capsys, monkeypatch, crash):
+    d = batch_dir(tmp_path)
+    rows = (d / crash).read_text()
+    real = catmat.cli.decide
+
+    def decide(M):
+        if "".join(" ".join(map(str, row)) + "\n" for row in M.entries) == rows:
+            raise ValueError("boom")
+        return real(M)
+
+    monkeypatch.setattr(catmat.cli, "decide", decide)
+    code, out, err = assert_batch_equivalent(["decide", "--batch", str(d)], capsys, 3, 2)
+    assert code == 4 and err == "internal error: ValueError: boom\n"
+    before = sorted(name for name in os.listdir(d) if name < crash)
+    assert [line.split(":")[0] for line in out.splitlines()] == before
+
+
+@pytest.mark.parametrize("fault", ["exit", "signal", "truncated", "late"])
+def test_batch_child_without_a_whole_share_is_an_internal_error(tmp_path, capsys, monkeypatch, fault):
+    d = str(batch_dir(tmp_path))
+    parent = os.getpid()
+    real = catmat.cli._decide_share
+
+    def share(args, names):
+        if os.getpid() != parent and fault == "exit":
+            os._exit(3)
+        if os.getpid() != parent and fault == "signal":
+            os.kill(os.getpid(), signal.SIGKILL)
+        return real(args, names)
+
+    monkeypatch.setattr(catmat.cli, "_decide_share", share)
+    if fault == "late":  # the whole share is sent, then the child fails
+        real_exit = os._exit
+        monkeypatch.setattr(os, "_exit", lambda status: real_exit(5))
+    if fault == "truncated":
+        monkeypatch.setattr(catmat.cli, "json", types.SimpleNamespace(
+            dumps=lambda obj: json.dumps(obj)[:-1], loads=json.loads))
+    code, out, err, forks = batch_run(["decide", "--batch", d], capsys, 2)
+    status = {"exit": 3, "signal": -signal.SIGKILL, "truncated": 0, "late": 5}[fault]
+    assert (code, out, forks) == (4, "", 1)
+    assert err.startswith("internal error: RuntimeError: batch worker ")
+    assert err.endswith(f" ended with status {status} without sending its share\n")
+
+
+def test_interrupted_batch_kills_and_reaps_its_children(tmp_path, capsys, monkeypatch):
+    d = str(batch_dir(tmp_path))
+    parent = os.getpid()
+    real = catmat.cli._decide_share
+
+    def share(args, names):
+        if os.getpid() == parent:
+            raise KeyboardInterrupt
+        time.sleep(60)
+        return real(args, names)
+
+    monkeypatch.setattr(catmat.cli, "_decide_share", share)
+    t = time.perf_counter()
+    with pytest.raises(KeyboardInterrupt):
+        batch_run(["decide", "--batch", d], capsys, 3)
+    assert time.perf_counter() - t < 30
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_batch_forks_no_child_while_another_thread_runs(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
+    assert catmat.cli._batch_workers(10) == 4
+    assert catmat.cli._batch_workers(2) == 2
+    stop = threading.Event()
+    thread = threading.Thread(target=stop.wait)
+    thread.start()
+    try:
+        assert catmat.cli._batch_workers(10) == 1
+    finally:
+        stop.set()
+        thread.join()
+    monkeypatch.delattr(os, "fork")
+    assert catmat.cli._batch_workers(10) == 1
+
+
+def test_batch_skips_subdirectories_and_follows_symlinks(tmp_path, capsys, monkeypatch):
+    d = tmp_path / "batch"
+    d.mkdir()
+    write(d, "a.txt", "1 2\n3 7\n")
+    (d / "sub").mkdir()
+    write(d / "sub", "x.txt", "1 2\n3 6\n")
+    outside = write(tmp_path, "outside.txt", "1 2\n3 6\n")
+    (d / "link.txt").symlink_to(outside)
+    (d / "dangling.txt").symlink_to(tmp_path / "missing.txt")
+    code, out, _ = assert_batch_equivalent(["decide", "--batch", str(d)], capsys, 2, 1)
+    assert code == 1
+    assert out == "a.txt: EXISTS\nlink.txt: ABSENT (UDiagonalFail objects=[1] required>=7 actual=6)\n"
+
+
+def test_importing_the_cli_loads_no_process_pool_module(tmp_path):
+    # --batch forks with os alone: importing the CLI stays as cheap as it was.
+    code = ("import sys, catmat.cli; print(sorted(set(sys.modules) & "
+            "{'pickle', 'multiprocessing', 'concurrent.futures', 'signal', 'subprocess'}))")
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    out = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+                         capture_output=True, text=True, check=True).stdout
+    assert out == "[]\n"
