@@ -20,7 +20,7 @@ from .errors import (
 )
 from .matrix import HomMatrix, parse_matrix
 from .oracle import OracleResult, oracle_decide
-from .partition import Partition, build_partition
+from .partition import Partition
 from .reduction import ReductionMap, inflate, reduce
 from .verifier import VerificationReport, verify_category
 from .witness import build_witness
@@ -42,7 +42,6 @@ __all__ = [
     "VerificationReport",
     "Verdict",
     "build_certificate",
-    "build_partition",
     "build_witness",
     "condition_report",
     "decide",

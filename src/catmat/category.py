@@ -48,7 +48,7 @@ class FiniteCategory:
         which it fills as it reads and does not keep."""
         self._set_homs(n, homs)
         self.identity = dict(identity)
-        self.filled = self._fill(table, str)
+        self.filled = self._fill(table)
 
     @classmethod
     def from_blocks(cls, n: int, homs: Mapping, blocks: Blocks) -> FiniteCategory:
@@ -123,10 +123,11 @@ class FiniteCategory:
     def filled(self) -> tuple:
         return self._fill(self.rows())
 
-    def _fill(self, rows: Iterable, label_type: type = object) -> tuple:
+    def _fill(self, rows: Iterable) -> tuple:
         """(hole, post, stray, foreign), as verifier.py reads them, from rows
-        [g, f, g.f] of `label_type`; with every hom(z, z) nonempty, the pairs
-        charged against the triple budget first are no more than triples."""
+        [g, f, g.f]; a row with a label in no hom-set must be three strings.
+        With every hom(z, z) nonempty, the pairs charged against the triple
+        budget first are no more than triples."""
         width = {x: len(out_x) for x, out_x in self.out.items()}
         pairs = sum(len(fs) * width.get(y, 0) for (_, y), fs in self.homs.items())
         require_triple_budget(pairs, what="composable pairs")
@@ -143,7 +144,7 @@ class FiniteCategory:
                 (y, z, c), (x, fy, p), (hx, hz, q) = place[g], place[f], place[h]
             except KeyError:
                 (y, z, c), (x, fy, p), (hx, hz, q) = (place.get(l, (None,) * 3) for l in row)
-                if not all(isinstance(label, label_type) for label in row):
+                if not all(isinstance(label, str) for label in row):
                     raise ValueError(BAD_ROW) from None
             if fy is None or fy != y:
                 if (g, f) in foreign:

@@ -16,10 +16,10 @@ import json
 from typing import Iterator
 
 from .category import BAD_ROW, FiniteCategory
-from .errors import CertificateError, NotAcceptable
-from .matrix import HomMatrix
-from .partition import build_partition
-from .reduction import ReductionMap, reduce
+from .errors import CertificateError
+from .matrix import HomMatrix, Rows
+from .partition import acceptability_failures, structure
+from .reduction import ReductionMap, reduce_rows
 
 
 def build_certificate(C: FiniteCategory, M: HomMatrix, rmap: ReductionMap) -> dict:
@@ -31,8 +31,9 @@ def build_certificate(C: FiniteCategory, M: HomMatrix, rmap: ReductionMap) -> di
 
 def _certificate(C: FiniteCategory, M: HomMatrix, rmap: ReductionMap, homs, table) -> dict:
     identities = {str(x): C.identity[x] for x in range(C.n)}
-    return {"matrix": M.to_json(), "reduction": _reduction_json(rmap), "objects": _objects_json(M),
-            "homs": homs, "identities": identities, "table": table}
+    objects = _objects_json(*reduce_rows(M.entries)[:2])
+    return {"matrix": M.to_json(), "reduction": _reduction_json(rmap.class_of, rmap.representative),
+            "objects": objects, "homs": homs, "identities": identities, "table": table}
 
 
 _quote = json.encoder.encode_basestring_ascii  # the C quoting json.dumps uses
@@ -77,20 +78,19 @@ def _nested(brackets: str, entries: Iterator[str]) -> Iterator[str]:
         yield "\n  " + brackets[1]
 
 
-def _reduction_json(rmap: ReductionMap) -> dict:
-    return {"class_of": list(rmap.class_of), "representative": list(rmap.representative)}
+def _reduction_json(class_of: tuple[int, ...], representative: tuple[int, ...]) -> dict:
+    return {"class_of": list(class_of), "representative": list(representative)}
 
 
-def _objects_json(M: HomMatrix) -> list[dict]:
-    """Each object's class and local index in the partition of the reduced matrix."""
-    N, rmap = reduce(M)
-    try:
-        local_of = build_partition(N).local_of
-    except NotAcceptable:
-        raise CertificateError('"matrix" is not acceptable, so it has no classes') from None
+def _objects_json(rows: Rows, class_of: tuple[int, ...]) -> list[dict]:
+    """Each object's class and local index in the partition of the reduced
+    rows, onto which class_of maps the objects."""
+    if next(acceptability_failures(rows), None) is not None:
+        raise CertificateError('"matrix" is not acceptable, so it has no classes')
+    local_of = structure(rows).local_of
     return [
         {"id": x, "class": local_of[a][0], "local_index": local_of[a][1]}
-        for x, a in enumerate(rmap.class_of)
+        for x, a in enumerate(class_of)
     ]
 
 
@@ -130,16 +130,17 @@ def load_certificate(data: dict) -> tuple[HomMatrix, FiniteCategory]:
     except (ValueError, TypeError) as exc:
         raise CertificateError(f"bad matrix in certificate: {exc}") from None
 
+    rows, class_of, representative = reduce_rows(M.entries)
     reduction = data["reduction"]
     _require(
-        reduction == _reduction_json(reduce(M)[1])
+        reduction == _reduction_json(class_of, representative)
         and all(type(v) is int for values in reduction.values() for v in values),
         '"reduction" does not match the reduction of "matrix"',
     )
 
     objects = data["objects"]
     _require(
-        objects == _objects_json(M)
+        objects == _objects_json(rows, class_of)
         and all(type(v) is int for entry in objects for v in entry.values()),
         '"objects" does not match the classes of the reduced "matrix"',
     )

@@ -20,23 +20,25 @@ there.  `condition_report` runs the whole walk and groups the instances by
 condition, spelling out the first few of each.  `explain` gives both from
 one walk.
 
-The walk runs on a plain tuple of rows.  Only a yes from `decide` or
-`explain` builds the HomMatrix, ReductionMap and Partition it carries, from
-the tuples the walk computed; the window scan builds none of them.  The
-window scan walks only the windows that can fail: those that hold a unit
-and a partner of it, or a broken chain, and quadrant-shaped ones of four.
+The walk runs on a plain tuple of rows.  A yes from `decide` or `explain`
+carries the walk's own Partition, and builds the HomMatrix and ReductionMap
+it carries from the tuples the walk computed; the window scan builds
+neither.  The window scan walks only the windows that can fail: those that
+hold a unit and a partner of it, or a broken chain, and quadrant-shaped
+ones of four.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import reduce
 from itertools import combinations, compress
 from math import comb
-from operator import itemgetter
+from operator import itemgetter, or_
 from typing import Iterator
 
 from .matrix import HomMatrix, Rows
-from .partition import Partition, Structure, acceptability_failures, structure
+from .partition import Partition, acceptability_failures, structure
 from .reduction import ReductionMap, reduce_rows, reduced_pair
 from .verifier import require_triple_budget
 
@@ -137,14 +139,14 @@ class _Walk:
     Iterating yields every failing instance in walk order as the positional
     fields of its Reason (kind, objects, classes, coords, required, actual),
     objects already in the input's indices, so that callers build only the
-    Reasons they use.  Reduction and class structure are plain tuples
-    (`reduce_rows`, `structure`), computed once; `shape` holds the structure
-    once the walk gets past acceptability.
+    Reasons they use.  Reduction and class structure are computed once, on
+    tuples (`reduce_rows`, `structure`); `shape` holds the Partition once the
+    walk gets past acceptability.
     """
 
     def __init__(self, rows: Rows):
         self.rows, self.class_of, self.rep = reduce_rows(rows)
-        self.shape: Structure | None = None
+        self.shape: Partition | None = None
 
     def __iter__(self) -> Iterator[tuple]:
         rows, rep = self.rows, self.rep
@@ -159,7 +161,7 @@ class _Walk:
         if not acceptable:
             return
 
-        classes, basepoints, locals_, order, multiple_units, anchor = self.shape = structure(rows)
+        _, basepoints, locals_, order, multiple_units, anchor, _ = self.shape = structure(rows)
         for c, units in multiple_units:
             yield "MultipleUnits", tuple([rep[u] for u in units]), (c,), (), None, None
 
@@ -205,11 +207,11 @@ class _Walk:
 
     def verdict(self, M: HomMatrix, reason: Reason | None) -> Verdict:
         """The Verdict on M, whose rows the walk ran on; a yes builds its
-        payload from the walk's own tuples."""
+        payload from the walk's own tuples and Partition."""
         if reason is not None:
             return Verdict("no", reason)
         N, rmap = reduced_pair(M, self.rows, self.class_of, self.rep)
-        return Verdict("yes", None, N, rmap, Partition(N, self.shape))
+        return Verdict("yes", None, N, rmap, self.shape)
 
 
 def decide(M: HomMatrix) -> Verdict:
@@ -263,9 +265,9 @@ def decide_by_submatrices(M: HomMatrix) -> Verdict:
     Realizability is equivalent to realizability of every principal submatrix
     of size <= 4.  Subsets are scanned in ascending size, lexicographically;
     each window's rows are cut straight from M's and go through the same
-    condition walk as `decide`, with no HomMatrix, ReductionMap or Partition
-    built.  The first rejected window is reported with its indices in
-    `subset` and the inner reason's objects remapped to the enclosing matrix.
+    condition walk as `decide`, with no HomMatrix or ReductionMap built.
+    The first rejected window is reported with its indices in `subset` and
+    the inner reason's objects remapped to the enclosing matrix.
     Classes, local coordinates and the detail text stay relative to the
     window: a NotAcceptable detail "transitivity fails along [2, 0, 1]"
     lists positions in the window, while its objects are indices into M.
@@ -351,9 +353,8 @@ def _windows(rows: Rows) -> Iterator[tuple[int, ...]]:
     yield from sorted({tuple(sorted((u, x))) for u in units for x in partners[u]})
     # Every diagonal entry is positive by now, so each failure is a chain,
     # and a chain's window fails: the scan reaches only the least of them.
-    triples = set()
-    if next(acceptability_failures(rows), None) is not None:
-        triples.add(_least_chain(rows))
+    chain = _least_chain(rows)
+    triples = set() if chain is None else {chain}
     for u in units:
         linked = [k for k in range(n) if k != u and (rows[u][k] or rows[k][u])]
         triples.update(tuple(sorted((u, x, k))) for x in partners[u] for k in linked if k != x)
@@ -376,6 +377,9 @@ def _least_chain(rows: Rows) -> tuple[int, int, int] | None:
     n = len(rows)
     bits = [1 << k for k in range(n)]
     out = [sum(compress(bits, row)) for row in rows]
+    # No chain is broken when each row's reach holds the reach of all it reaches.
+    if all(reduce(or_, compress(out, row), o) == o for row, o in zip(rows, out)):
+        return None
     into = [sum(compress(bits, column)) for column in zip(*rows)]
     for a, row in enumerate(rows):
         oa, ia = out[a], into[a]

@@ -9,15 +9,18 @@ of its class, or the object itself in a V class.
 
 `acceptability_failures` and `structure` work on a plain tuple of rows, so
 the decider's condition walk runs them on every window without building a
-HomMatrix or a Partition; `check_acceptable` and `Partition` are the same
-computations on a HomMatrix.
+HomMatrix.  `structure` returns the Partition record, the one form of the
+class structure: a yes from the decider carries the walk's own, and the
+witness and the certificate read it.  `check_acceptable` and
+`build_partition` are the same on a HomMatrix; only the benchmark's replay
+calls them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import compress
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .errors import NotAcceptable
 from .matrix import HomMatrix, Rows
@@ -59,20 +62,41 @@ def check_acceptable(M: HomMatrix) -> AcceptabilityCounterexample | None:
     return None if first is None else AcceptabilityCounterexample(*first)
 
 
-Structure = tuple  # (classes, basepoints, locals, order, multiple_units, anchor)
+class Partition(NamedTuple):
+    """Class structure of an acceptable square tuple of rows, as `structure`
+    returns it.
 
-
-def structure(rows: Rows) -> Structure:
-    """The class structure of an acceptable square tuple of rows, as plain
-    tuples: classes, basepoints, locals, order, multiple_units and anchor.
-
-    Each field is the Partition attribute of the same name, except that
-    locals[c] lists the pairs (local index, object) of class c ascending,
-    from which Partition derives local_of, and order is a tuple in
-    ascending order.
+    classes[c] lists members ascending; classes are ordered by smallest member.
+    basepoints[c] is the basepoint of a U class and None for a V class.
+    Local indices: the basepoint of a U class is 0 and the remaining members
+    count up from 1; V class members count up from 1.  locals[c] lists class
+    c's pairs (local index, object) ascending; local_of[x] is x's (c, index).
+    order holds the pairs (c, d), ascending, with class c strictly above class
+    d, meaning morphisms flow from c's objects to d's and never back.
+    multiple_units lists (class, members-with-one-endomorphism) for classes
+    where the basepoint is not unique; such matrices are never realizable but
+    the partition is still returned for reporting.
+    anchor[x] is the basepoint of x's class, or x itself in a V class, so
+    that every floor between classes is one formula in the anchors.
     """
+
+    classes: tuple[tuple[int, ...], ...]
+    basepoints: tuple[int | None, ...]
+    locals: tuple[tuple[tuple[int, int], ...], ...]
+    order: tuple[tuple[int, int], ...]
+    multiple_units: tuple[tuple[int, tuple[int, ...]], ...]
+    anchor: tuple[int, ...]
+    local_of: tuple[tuple[int, int], ...]
+
+    def is_u(self, c: int) -> bool:
+        return self.basepoints[c] is not None
+
+
+def structure(rows: Rows) -> Partition:
+    """The Partition of an acceptable square tuple of rows."""
     n = len(rows)
     anchor: list[int | None] = [None] * n
+    local_of: list[tuple[int, int] | None] = [None] * n
     classes, basepoints, locals_, multiple_units = [], [], [], []
     for i, row in enumerate(rows):
         if anchor[i] is not None:  # i joined the class of a smaller member
@@ -80,61 +104,28 @@ def structure(rows: Rows) -> Structure:
         members = [j for j in range(i, n) if row[j] and rows[j][i]]
         classes.append(tuple(members))
         units = [x for x in members if rows[x][x] == 1]
-        for j in members:
-            anchor[j] = units[0] if units else j
+        c = len(basepoints)
         if units:
+            bp = units[0]
             if len(units) > 1:
-                multiple_units.append((len(basepoints), tuple(units)))
-            members.remove(units[0])
-            basepoints.append(units[0])
-            locals_.append(((0, units[0]), *enumerate(members, 1)))
+                multiple_units.append((c, tuple(units)))
+            members.remove(bp)
+            pairs = ((0, bp), *enumerate(members, 1))
         else:
-            basepoints.append(None)
-            locals_.append(tuple(enumerate(members, 1)))
+            bp = None
+            pairs = tuple(enumerate(members, 1))
+        basepoints.append(bp)
+        locals_.append(pairs)
+        for k, x in pairs:
+            anchor[x] = x if bp is None else bp
+            local_of[x] = c, k
 
     heads = [members[0] for members in classes]
     order = tuple([
         (c, d) for c, h in enumerate(heads) for d, k in enumerate(heads) if c != d and rows[h][k]
     ])
-    return tuple(classes), tuple(basepoints), tuple(locals_), order, tuple(multiple_units), tuple(anchor)
-
-
-class Partition:
-    """Class structure of a matrix already known to be acceptable
-    (build_partition checks that first).
-
-    The attributes are those of `structure(M.entries)`, which the
-    constructor computes unless `shape` passes in that result already
-    computed; local_of and the frozenset order are derived from it.
-
-    classes[c] lists members ascending; classes are ordered by smallest member.
-    basepoints[c] is the basepoint of a U class and None for a V class.
-    anchor[x] is the basepoint of x's class, or x itself in a V class, so
-    that every floor between classes is one formula in the anchors.  Local
-    indices: the basepoint of a U class is 0 and the remaining members count up
-    from 1; V class members count up from 1.
-    order holds the pairs (c, d) with class c strictly above class d, meaning
-    morphisms flow from c's objects to d's and never back.
-    multiple_units lists (class, members-with-one-endomorphism) for classes
-    where the basepoint is not unique; such matrices are never realizable but
-    the partition is still returned for reporting.
-    """
-
-    def __init__(self, M: HomMatrix, shape: Structure | None = None):
-        classes, basepoints, locals_, order, multiple_units, anchor = shape or structure(M.entries)
-        local_of: list[tuple[int, int]] = [(-1, -1)] * M.n
-        for c, pairs in enumerate(locals_):
-            for i, x in pairs:
-                local_of[x] = (c, i)
-        self.classes = classes
-        self.basepoints = basepoints
-        self.local_of = tuple(local_of)
-        self.order = frozenset(order)
-        self.multiple_units = multiple_units
-        self.anchor = anchor
-
-    def is_u(self, c: int) -> bool:
-        return self.basepoints[c] is not None
+    return Partition(tuple(classes), tuple(basepoints), tuple(locals_), order,
+                     tuple(multiple_units), tuple(anchor), tuple(local_of))
 
 
 def build_partition(M: HomMatrix) -> Partition:
@@ -142,4 +133,4 @@ def build_partition(M: HomMatrix) -> Partition:
     cex = check_acceptable(M)
     if cex is not None:
         raise NotAcceptable(cex)
-    return Partition(M)
+    return structure(M.entries)

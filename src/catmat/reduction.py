@@ -84,8 +84,8 @@ def inflate(
     hom(i, j) carries one copy Infl(i,j,<beta>) of each morphism beta of
     B.hom(class_of[i], class_of[j]), in B's order, and block (i, j, k) of the
     composition is block (class_of[i], class_of[j], class_of[k]) of B's, the
-    same rows.  When `expected` is given the resulting hom-set sizes are
-    checked against it.
+    same rows.  The sizes are M's by the reduction's definition; only the
+    benchmark's replay passes `expected`, to check them against it.
     """
     if B.n != rmap.m:
         raise CardinalityError(f"category has {B.n} objects, map expects {rmap.m}")

@@ -54,8 +54,9 @@ def build_hom_labels(N: HomMatrix, part: Partition) -> dict[tuple[int, int], tup
     The decider checked the floors; the one check here is a size tripwire,
     CountError unless hom(x, y) gets exactly N[x][y] labels.  It catches a
     failed floor: a negative Pad count or cross part adds no labels, so the
-    count exceeds N[x][y] by that amount, and a nonzero entry between
-    unordered classes gets none, so the count falls short.
+    count exceeds N[x][y] by that amount.  Between two classes, hom(x, y) is
+    nonempty exactly when x's class is above y's, by transitivity through
+    the class heads, so a nonzero entry is all that marks an ordered pair.
     """
     homs: dict[tuple[int, int], tuple[str, ...]] = {}
     for x in range(N.n):
@@ -78,7 +79,7 @@ def build_hom_labels(N: HomMatrix, part: Partition) -> dict[tuple[int, int], tup
                 else:
                     labels.append(f"Collapsed({cx},{i},{j})")
                 labels += [f"Pad({cx},{i},{j},{k})" for k in range(1, m - len(labels) + 1)]
-            elif (cx, cy) in part.order:
+            elif m:
                 sizes = cross_part_sizes(N, part, x, y)
                 for kind, size in zip(("Base", "Row", "Col", "Extra"), sizes):
                     labels += [f"Cross{kind}({cx},{i},{cy},{j},{k})" for k in range(1, size + 1)]
@@ -186,4 +187,4 @@ def build_witness(M: HomMatrix) -> FiniteCategory:
                 raise CountError(f"a composite of block {xyz} falls outside hom({x},{z})={N[x][z]}")
         blocks[xyz] = rows
     B = FiniteCategory.from_blocks(N.n, homs, blocks)
-    return B if rmap.m == rmap.n else inflate(B, rmap, expected=M)
+    return B if rmap.m == rmap.n else inflate(B, rmap)

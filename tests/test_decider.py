@@ -9,9 +9,7 @@ from hypothesis import strategies as st
 
 from catmat import (
     HomMatrix,
-    Partition,
     ReductionMap,
-    build_partition,
     condition_report,
     decide,
     decide_by_submatrices,
@@ -19,7 +17,7 @@ from catmat import (
 )
 from catmat import decider
 from catmat.decider import _Walk, explain
-from catmat.partition import acceptability_failures
+from catmat.partition import acceptability_failures, build_partition
 from helpers import (
     duplicate_objects,
     permute,
@@ -444,14 +442,11 @@ def test_walk_of_disjoint_union_fails_exactly_when_a_block_fails(A, B, rng):
 
 
 def assert_yes_payload(M, verdict):
-    """A yes carries what reduce(M) and build_partition give, field by field."""
+    """A yes carries what reduce(M) and build_partition give."""
     N, rmap = reduce(M)
-    part = build_partition(N)
     assert verdict.reduced == N
     assert verdict.rmap == rmap
-    got = verdict.partition
-    for field in ("classes", "basepoints", "local_of", "order", "multiple_units", "anchor"):
-        assert getattr(got, field) == getattr(part, field), field
+    assert verdict.partition == build_partition(N)
 
 
 def test_yes_payload_matches_reduce_and_partition():
@@ -473,12 +468,14 @@ def test_yes_payload_matches_reduce_and_partition_on_random_matrices(M, rng):
             assert_yes_payload(M, verdict)
 
 
-def test_window_scan_builds_no_matrix_map_or_partition(monkeypatch):
+def test_window_scan_builds_no_matrix_or_map(monkeypatch):
+    """No window builds a HomMatrix or ReductionMap; a yes builds one of
+    each and carries the Partition its walk computed."""
     base = [[1, 1, 1, 1], [1, 2, 1, 1], [0, 0, 1, 1], [0, 0, 1, 2]]
     phi = [0, 1, 2, 3, 1, 3]  # objects 4 and 5 duplicate 1 and 3
     M = HomMatrix.from_rows([[base[a][b] for b in phi] for a in phi])
     built = Counter()
-    for cls in (HomMatrix, ReductionMap, Partition):
+    for cls in (HomMatrix, ReductionMap):
         def counted(self, *args, _init=cls.__init__, _name=cls.__name__, **kwargs):
             built[_name] += 1
             _init(self, *args, **kwargs)
@@ -490,10 +487,20 @@ def test_window_scan_builds_no_matrix_map_or_partition(monkeypatch):
         return _make(cls, rows)
 
     monkeypatch.setattr(HomMatrix, "_trusted", classmethod(trusted))
+    shapes = []
+
+    def recorded(rows, _structure=decider.structure):
+        shapes.append(_structure(rows))
+        return shapes[-1]
+
+    monkeypatch.setattr(decider, "structure", recorded)
     assert decide_by_submatrices(M).exists
-    assert not built
-    assert decide(M).exists  # the counters do see the payload of a yes
-    assert built == {"HomMatrix": 1, "ReductionMap": 1, "Partition": 1}
+    assert not built and shapes
+    shapes.clear()
+    verdict = decide(M)
+    assert verdict.exists  # the counters do see the payload of a yes
+    assert built == {"HomMatrix": 1, "ReductionMap": 1}
+    assert len(shapes) == 1 and verdict.partition is shapes[0]
 
 
 def test_window_scan_walks_only_unit_anchored_windows(monkeypatch):

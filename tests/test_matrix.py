@@ -82,6 +82,8 @@ def test_parse_json_checks_n_and_entries():
 def test_constructor_validates():
     with pytest.raises(ShapeError):
         HomMatrix(2, ((1, 2),))
+    with pytest.raises(ShapeError, match="^negative size -1$"):
+        HomMatrix(-1, ())
     with pytest.raises(ParseError):
         HomMatrix.from_rows([[1, -1], [0, 1]])
     # True and 1.0 equal 1, so only a type check tells them from a size.

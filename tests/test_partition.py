@@ -2,8 +2,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from catmat import HomMatrix, NotAcceptable, build_partition, reduce
-from catmat.partition import acceptability_failures, check_acceptable, structure
+from catmat import HomMatrix, NotAcceptable, reduce
+from catmat.partition import acceptability_failures, build_partition, check_acceptable, structure
 
 positive_matrices = st.integers(min_value=1, max_value=4).flatmap(
     lambda n: st.lists(
@@ -51,7 +51,7 @@ def test_partition_kinds_and_order():
     assert part.classes == ((0,), (1,))
     assert part.basepoints == (None, None)  # both classes are V
     assert not part.is_u(0) and not part.is_u(1)
-    assert part.order == frozenset({(0, 1)})
+    assert part.order == ((0, 1),)
     assert part.local_of == ((0, 1), (1, 1))  # V-class locals start at 1
 
 
@@ -79,9 +79,9 @@ def test_partition_block_matrix():
     part = build_partition(M)
     assert part.classes == ((0, 1), (2, 3))
     assert part.basepoints == (0, 2) and part.is_u(0) and part.is_u(1)
-    assert part.order == frozenset({(0, 1)})
+    assert part.order == ((0, 1),)
     assert part.local_of == ((0, 0), (0, 1), (1, 0), (1, 1))
-    assert structure(M.entries)[2][1] == ((0, 2), (1, 3))
+    assert part.locals[1] == ((0, 2), (1, 3))
 
 
 def test_partition_locals_count_up_past_the_basepoint():
@@ -89,7 +89,7 @@ def test_partition_locals_count_up_past_the_basepoint():
     part = build_partition(M)
     assert part.basepoints == (1,)
     assert part.local_of == ((0, 1), (0, 0), (0, 2))
-    assert structure(M.entries)[2][0] == ((0, 1), (1, 0), (2, 2))
+    assert part.locals[0] == ((0, 1), (1, 0), (2, 2))
 
 
 def test_partition_rejects_unacceptable():
@@ -103,9 +103,10 @@ def test_partition_rejects_unacceptable():
 def test_local_coordinates_are_a_bijection(M):
     # Strictly positive matrices are always acceptable with a single class.
     N, _ = reduce(M)
-    part = build_partition(N)
+    part = structure(N.entries)
+    assert part == build_partition(N)
     assert len(part.classes) == 1
-    locals_ = structure(N.entries)[2]
+    locals_ = part.locals
     seen = set()
     for x in range(N.n):
         c, i = part.local_of[x]

@@ -42,6 +42,8 @@ def test_passing_reports():
     terminal = build_witness(HomMatrix.from_rows([[1]]))
     report = verify_category(terminal, HomMatrix.from_rows([[1]]))
     assert report.passed and report.triples_checked == 1
+    assert report.summary() == "passed (1 triples checked)"
+    assert VerificationReport().summary() == "passed (0 triples checked)"
 
 
 def test_triples_checked_counts_all_chains():
