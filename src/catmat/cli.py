@@ -12,9 +12,10 @@ verification, 2 bad input or usage, 3 oracle budget exhausted, 4 internal
 error (any other exception, reported on stderr and never read as a verdict).
 
 `decide --batch` decides its files on every CPU in the process's affinity
-mask (`taskset` limits them), in forked workers; it prints once every file is
-decided, in the order and with the text of a one-CPU run, and its peak memory
-is up to one file's per worker.
+mask (`taskset` limits them), in forked workers, and decides a worker's share
+itself when the fork fails; it prints once every file is decided, in the
+order and with the text of a one-CPU run, and its peak memory is up to one
+file's per worker.
 """
 
 from __future__ import annotations
@@ -186,14 +187,22 @@ def _decide_share(args, names: list[str]) -> list[list]:
 
 
 def _decide_shares(args, names: list[str], k: int) -> list[list[list]]:
-    """Share w of k is names[w::k]. This process decides share 0; a forked
-    child decides each other share and sends its records back as JSON
-    through a pipe. Every child is reaped before this returns or raises."""
-    children = []  # (pid, read end of its pipe), for each child not yet reaped
+    """Share w of k is names[w::k]. This process decides share 0, and each
+    share it cannot fork a child for; a forked child decides each other share
+    and sends its records back as JSON through a pipe. Every child is reaped
+    before this returns or raises."""
+    children = []  # (w, pid, read end of its pipe), for each child not yet reaped
     try:
+        here = [0]  # the shares this process decides
         for w in range(1, k):
             r, wr = os.pipe()
-            pid = os.fork()
+            try:
+                pid = os.fork()
+            except OSError:  # EAGAIN or ENOMEM, say: decide this share here
+                os.close(r)
+                os.close(wr)
+                here.append(w)
+                continue
             if pid == 0:  # the child: send its share, and never return
                 status = 1
                 try:
@@ -204,16 +213,18 @@ def _decide_shares(args, names: list[str], k: int) -> list[list[list]]:
                 finally:
                     os._exit(status)
             os.close(wr)
-            children.append((pid, open(r, "rb")))
-        shares = [_decide_share(args, names[::k])]
+            children.append((w, pid, open(r, "rb")))
+        shares = [None] * k
+        for w in here:
+            shares[w] = _decide_share(args, names[w::k])
         while children:
-            pid, pipe = children[0]
+            w, pid, pipe = children[0]
             with pipe:
                 data = pipe.read()
             status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
             children.pop(0)
             try:  # a child that failed may have sent nothing, or part of its share
-                shares.append(json.loads(data if status == 0 else b""))
+                shares[w] = json.loads(data if status == 0 else b"")
             except ValueError:
                 raise RuntimeError(
                     f"batch worker {pid} ended with status {status} without sending its share"
@@ -223,7 +234,7 @@ def _decide_shares(args, names: list[str], k: int) -> list[list[list]]:
         if children:
             from signal import SIGKILL
 
-            for pid, pipe in children:
+            for _, pid, pipe in children:
                 pipe.close()
                 os.kill(pid, SIGKILL)
                 os.waitpid(pid, 0)

@@ -3,10 +3,11 @@
 Morphisms are numbered 0..T-1 hom-set by hom-set, visiting objects with one
 endomorphism first and then the rest by falling endomorphism count (ties by
 index).  The identity of each object is pinned to the first morphism of its
-diagonal hom-set (any category can be relabeled into that form), unit laws
-fill in the forced cells, and a depth-first search decides the rest in
-(cell, candidate) order of those numbers.  The object order changes how soon
-the search ends, never its answer; it was chosen by measurement before
+diagonal hom-set (any category can be relabeled into that form), the
+unit-law cells are written into the table, the cells whose hom-set has one
+member are forced, and a depth-first search decides the rest in (cell,
+candidate) order of those numbers.  The object order changes how soon the
+search ends, never its answer; it was chosen by measurement before
 propagation (of the 625 2x2 matrices with entries <= 4, 3 needed over 10^6
 assignments with it and 16 in index order).
 
@@ -25,8 +26,35 @@ other cell.  A fully placed table is therefore a category with no further
 checking, and a propagated value is one that every category agreeing with
 the cells placed before it has.  Placements go on one trail and are undone
 to the mark of the decision that made them; free cells already filled are
-skipped.  `assignments` counts the forced cells, the decisions tried and the
-probes (below), not the cells placed by propagation.
+skipped.
+
+Unit laws.  The 2T - n unit-law cells, g.id = id.g = g for each g and the
+identities at its source and target, are written into the table when it is
+allocated.  They never go on the trail or among the cells holding a value,
+and the lists of morphisms leaving and entering each object leave the
+identities out, so propagation never visits a triple with an identity in
+it.  This is exact.  A triple with an identity holds once the unit cells are
+in the table: if f is the identity both sides are h.g, if g is both are h.f,
+and if h is both are g.f, so it forces no value and meets no clash.  A
+triple with no identity has inputs (g, f) and (h, g) that are not unit
+cells, and neither is any cell `place` fills (a unit cell is never empty).
+Its rule fires once both inputs and one of (h, p), (q, f) are known, and the
+last of these to become known is a placed cell: an input, which meets the
+triple in its first or second role over a non-identity h or f, or (h, p) or
+(q, f), which meets it through the cells holding p or q, the input among
+them.  The rules are monotone, so the fixpoint propagation reaches, or its
+clash, does not depend on the order of placements, and is that of
+four-role propagation over every triple with the unit cells placed as
+forced cells.  So the fixpoint after the forced cells, the free cells, the
+candidates, the probes and the first table found are all unchanged.
+
+Counting.  `assignments` counts the 2T - n unit-law cells together and
+first, then each forced cell as it is placed, each decision tried and each
+probe (below); cells placed by propagation are not counted.  A budget that
+runs out stops the call "unknown" with exactly the budget spent.  A search
+that gets past the forced cells counts all of them, whatever their order; a
+"no" found among the forced cells counts the unit cells and the forced cells
+placed up to the clash.
 
 Symmetry breaking (the least-number heuristic of finite model search: Zhang &
 Zhang, SEM, 1995; McCune, Mace4, 2003).  A morphism is *used* if it is an
@@ -38,14 +66,13 @@ C completes the partial table and puts an unused v != v0 of H in (g, f).
 Swapping v and v0 within H relabels C into a category C'.  The swap fixes
 every used morphism, so C' agrees with C on every cell placed after the
 up-front phase, propagated ones included, and on g and f, and C'(g, f) = v0.
-The forced cells are the unit-law cells and the cells whose hom-set has one
-member; the swap maps that set of cells onto itself, and C' satisfies the
-same unit laws and hom-sets, so C' agrees with the forced table too, and so
-with the cells propagated from it.  Hence some completion puts v0 in (g, f)
-whenever any completion puts an unused morphism there.  Since v0 < v is
-tried first, and propagation only cuts subtrees without a completion, the
-first table found is the one the unpruned search in the same order would
-find.
+The unit-law cells and the forced cells, those whose hom-set has one member,
+form a set the swap maps onto itself, and C' satisfies the same unit laws and
+hom-sets, so C' agrees with those cells too, and so with the cells
+propagated from them.  Hence some completion puts v0 in (g, f) whenever any
+completion puts an unused morphism there.  Since v0 < v is tried first, and
+propagation only cuts subtrees without a completion, the first table found
+is the one the unpruned search in the same order would find.
 
 Lookahead (failed-value probing, or singleton consistency: Debruyne &
 Bessiere, "Some practicable filtering techniques for the constraint
@@ -145,39 +172,43 @@ def oracle_decide(M: HomMatrix, budget: SearchBudget | int | None = None) -> Ora
                 tgt += [y] * k
     id_of = [homs_to[x][x][0] for x in range(n)]
 
+    # The morphisms other than identities, by source and by target.
     leaving: list[list[int]] = [[] for _ in range(n)]
     entering: list[list[int]] = [[] for _ in range(n)]
     for m in range(T):
-        leaving[src[m]].append(m)
-        entering[tgt[m]].append(m)
+        if m != id_of[src[m]]:
+            leaving[src[m]].append(m)
+            entering[tgt[m]].append(m)
 
-    # Composable cells in (g, f) order: the unit-law cells and those with a
-    # one-member hom-set are forced, (g, f, value), and the rest are free,
+    # Composable cells with no identity in them, in (g, f) order: those with
+    # a one-member hom-set are forced, (g, f, value), and the rest are free,
     # (g, f, candidates).  An empty hom-set is an immediate rejection (a
     # composite has nowhere to go).
     forced = []
     free = []
     for g in range(T):
+        if g == id_of[src[g]]:
+            continue
         into = homs_to[tgt[g]]
-        unit = id_of[src[g]]
         for f in entering[src[g]]:
             options = into[src[f]]
             if not options:
                 return OracleResult("no", 0)
-            if f == unit:
-                forced.append((g, f, g))
-            elif g == unit:
-                forced.append((g, f, f))
-            elif len(options) == 1:
+            if len(options) == 1:
                 forced.append((g, f, options[0]))
             else:
                 free.append((g, f, options))
 
-    table: list[list[int | None]] = [[None] * T for _ in range(T)]  # table[g][f] = g.f
+    assignments = 2 * T - n  # the unit-law cells, counted together and first
+    if assignments > max_assignments:
+        return OracleResult("unknown", max_assignments)
+    # table[g][f] = g.f, with the unit-law cells g.id = id.g = g written in.
+    table: list[list[int | None]] = [[None] * T for _ in range(T)]
+    for m in range(T):
+        table[m][id_of[src[m]]] = table[id_of[tgt[m]]][m] = m
     assigned_to: list[list[tuple[int, int]]] = [[] for _ in range(T)]
     uses = [0] * T
     trail: list[tuple[int, int]] = []  # every placed cell, in placement order
-    assignments = 0
 
     def put(g: int, f: int, val: int) -> None:
         table[g][f] = val
@@ -191,7 +222,9 @@ def oracle_decide(M: HomMatrix, budget: SearchBudget | int | None = None) -> Ora
         """Place val and every composite it forces; False on a clash.
 
         The four loops take each cell placed here, a.b = c, as (g, f),
-        (h, g), (h, p) and (q, f) of h.p = q.f.  Of two cells that must be
+        (h, g), (h, p) and (q, f) of h.p = q.f, over the h and f that are
+        not identities and the cells on the trail: a triple with an identity
+        needs no check (see Unit laws above).  Of two cells that must be
         equal, a known value is copied into an empty one, and two different
         values are a clash.  Placements stay on the trail for the caller to
         undo.

@@ -1,4 +1,6 @@
 import contextlib
+import errno
+import itertools
 import json
 import os
 import resource
@@ -674,6 +676,31 @@ def test_batch_child_without_a_whole_share_is_an_internal_error(tmp_path, capsys
     assert (code, out, forks) == (4, "", 1)
     assert err.startswith("internal error: RuntimeError: batch worker ")
     assert err.endswith(f" ended with status {status} without sending its share\n")
+
+
+def test_batch_decides_a_share_it_cannot_fork_for_itself(tmp_path, capsys, monkeypatch):
+    d = str(batch_dir(tmp_path))
+    real_fork, real_pipe = os.fork, os.pipe
+    calls = []
+    pipes = []
+
+    def fork():
+        calls.append(1)
+        if len(calls) == 2:
+            raise OSError(errno.EAGAIN, "Resource temporarily unavailable")
+        return real_fork()
+
+    monkeypatch.setattr(os, "fork", fork)
+    monkeypatch.setattr(os, "pipe", lambda: pipes.append(real_pipe()) or pipes[-1])
+    parallel = batch_run(["decide", "--batch", d], capsys, 4)
+    serial = batch_run(["decide", "--batch", d], capsys, 1)
+    assert parallel[3] == 3 and len(calls) == 3
+    assert parallel[:3] == serial[:3]
+    # Both ends of every pipe are closed, the failed fork's included.
+    assert len(pipes) == 3
+    for fd in itertools.chain(*pipes):
+        with pytest.raises(OSError):
+            os.fstat(fd)
 
 
 def test_interrupted_batch_kills_and_reaps_its_children(tmp_path, capsys, monkeypatch):

@@ -79,12 +79,33 @@ def test_oracle_probes_count_against_the_budget():
 
 def test_oracle_spends_exactly_its_budget_wherever_it_runs_out():
     """Every budget short of 3,174 stops the search with exactly that many
-    assignments spent.  Of these 86 budgets, 1 runs out among the forced
-    cells, 68 at a decision and 17 inside a lookahead probe."""
+    assignments spent.  Of these 86 budgets, 1 (budget 0) runs out on the
+    2T - n = 31 unit-law cells, 68 at a decision and 17 inside a lookahead
+    probe; the 4 one-member cells end at 35, so none runs out among them."""
     M = HomMatrix.from_rows([[2, 2, 2], [2, 2, 2], [2, 1, 2]])
     for budget in range(0, 3174, 37):
         result = oracle_decide(M, budget)
         assert (result.decision, result.assignments) == ("unknown", budget)
+
+
+def test_oracle_counts_a_forced_no_from_the_unit_cells_up():
+    # Numbered as the oracle numbers them (object 1, then 0, then 2), the
+    # first one-member cells in cell order are 1.11 = 1.12 = 13 and
+    # 2.11 = 2.12 = 13 (hom(2, 0) = {13}), then 5.1 = 0, the identity of
+    # object 1 (hom(1, 1) = {0}).  The fifth clashes: 11 = (5.1).11 =
+    # 5.(1.11) = 5.13 = 5.(1.12) = (5.1).12 = 12.  So the "no" costs the
+    # 2T - n unit-law cells, counted together and first, plus 5.
+    rows = [[2, 2, 2], [2, 1, 2], [1, 2, 2]]
+    units = 2 * sum(map(sum, rows)) - len(rows)
+    count = units + 5
+    M = HomMatrix.from_rows(rows)
+    assert (units, count) == (29, 34)
+    for budget in range(count):
+        result = oracle_decide(M, budget)
+        assert (result.decision, result.assignments) == ("unknown", budget)
+    for budget in (count, None):
+        result = oracle_decide(M, budget)
+        assert (result.decision, result.assignments) == ("no", count)
 
 
 def test_oracle_is_deterministic():
@@ -172,18 +193,41 @@ def acceptable_3x3(top):
             yield M
 
 
+def forced_cells(M):
+    """What the oracle places before its first decision: the 2T - n unit-law
+    cells and the composable cells with no identity whose hom-set has one
+    member."""
+    e = M.entries
+    n = M.n
+    plain = [[e[x][y] - (x == y) for y in range(n)] for x in range(n)]  # non-identities
+    one = sum(plain[x][y] * plain[y][z] for x, y, z in itertools.product(range(n), repeat=3)
+              if e[x][z] == 1)
+    return 2 * sum(map(sum, e)) - n + one
+
+
 def test_oracle_agrees_with_decide_on_every_acceptable_3x3():
     cases = list(acceptable_3x3(2))
     assert len(cases) == 2056
     searched = hashlib.sha256()
+    forced_noes = hashlib.sha256()
     tables = hashlib.sha256()
+    kinds = Counter()
     for M in cases:
         result = oracle_decide(M)
         assert result.decision == decide(M).decision, M.entries
         if result.exists:
             assert verify_category(result.category, M).passed, M.entries
             tables.update(repr((M.entries, sorted(result.category.rows()))).encode())
-        searched.update(repr((M.entries, result.decision, result.assignments)).encode())
+        record = repr((M.entries, result.decision, result.assignments)).encode()
+        forced = forced_cells(M)
+        if result.decision == "no" and result.assignments <= forced:
+            forced_noes.update(record)
+            kinds["forced no"] += 1
+        else:
+            assert result.assignments >= forced, M.entries
+            searched.update(record)
+            kinds["searched"] += 1
+    assert kinds == {"searched": 1414, "forced no": 642}
     # The first table of every yes, as found before the lookahead existed:
     # pruning may cut only subtrees without a completion, so no search may
     # find another table first.
@@ -191,8 +235,13 @@ def test_oracle_agrees_with_decide_on_every_acceptable_3x3():
     # The search itself is pinned, not just its verdicts: sha256 over
     # (entries, decision, assignments) of every case, so a kernel change
     # that tries cells, candidates, propagations or probes in another order
-    # fails here once it moves any assignment count.
-    assert searched.hexdigest() == "9dba3b0fcb0d8ace151506ffd7fb14856b6bdb81f8054a433870b8debc969003"
+    # fails here once it moves any assignment count.  The "no"s found among
+    # the forced cells are pinned apart, since only their counts depend on
+    # the order the forced cells are counted in: the first digest, over
+    # every yes and every "no" found by the search, is the same whether the
+    # unit-law cells count together and first or one by one in cell order.
+    assert searched.hexdigest() == "decb9317a8003e56c069686f2d077bc6fd1eded6bf0a6617cc95b261d550c14d"
+    assert forced_noes.hexdigest() == "f658903e059598e725dd72ac7dcf9856f1ad018502110a544365a2453f4490cd"
 
 
 def test_oracle_agrees_with_decide_on_sampled_3x3_up_to_3():
