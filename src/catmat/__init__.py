@@ -4,53 +4,37 @@ Given a square matrix of nonnegative integers, decide whether some finite
 category has exactly those hom-set cardinalities, build an explicit witness
 category when one exists, verify witnesses exhaustively, and cross-check the
 decision procedure with an independent brute-force search.
+
+Each exported name is imported from its module on first access, so
+`import catmat` loads no submodule and a program loads only what it uses.
 """
 
-from .category import FiniteCategory
-from .certificate import build_certificate, dump_certificate, load_certificate
-from .decider import Reason, Verdict, condition_report, decide, decide_by_submatrices
-from .errors import (
-    CardinalityError,
-    CertificateError,
-    NotAcceptable,
-    ParseError,
-    Rejected,
-    ShapeError,
-    TripleBudgetError,
-)
-from .matrix import HomMatrix, parse_matrix
-from .oracle import OracleResult, oracle_decide
-from .partition import Partition
-from .reduction import ReductionMap, inflate, reduce
-from .verifier import VerificationReport, verify_category
-from .witness import build_witness
+import importlib
 
-__all__ = [
-    "CardinalityError",
-    "CertificateError",
-    "FiniteCategory",
-    "HomMatrix",
-    "NotAcceptable",
-    "OracleResult",
-    "ParseError",
-    "Partition",
-    "Reason",
-    "ReductionMap",
-    "Rejected",
-    "ShapeError",
-    "TripleBudgetError",
-    "VerificationReport",
-    "Verdict",
-    "build_certificate",
-    "build_witness",
-    "condition_report",
-    "decide",
-    "decide_by_submatrices",
-    "dump_certificate",
-    "inflate",
-    "load_certificate",
-    "oracle_decide",
-    "parse_matrix",
-    "reduce",
-    "verify_category",
-]
+_NAMES = {  # module: the names exported from it
+    "category": ("FiniteCategory",),
+    "certificate": ("build_certificate", "dump_certificate", "load_certificate"),
+    "decider": ("Reason", "Verdict", "condition_report", "decide", "decide_by_submatrices"),
+    "errors": ("CardinalityError", "CertificateError", "NotAcceptable", "ParseError",
+               "Rejected", "ShapeError", "TripleBudgetError"),
+    "matrix": ("HomMatrix", "parse_matrix"),
+    "oracle": ("OracleResult", "oracle_decide"),
+    "partition": ("Partition",),
+    "reduction": ("ReductionMap", "inflate", "reduce"),
+    "verifier": ("VerificationReport", "verify_category"),
+    "witness": ("build_witness",),
+}
+_HOME = {name: module for module, names in _NAMES.items() for name in names}
+__all__ = sorted(_HOME)
+
+
+def __getattr__(name):
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{_HOME[name]}"), name)
+    globals()[name] = value  # later reads find it without this hook
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

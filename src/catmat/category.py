@@ -30,10 +30,11 @@ from itertools import repeat
 from operator import itemgetter
 from typing import Hashable, Iterable, Iterator, Mapping, Sequence
 
-from .verifier import BYTE_HOLE, require_triple_budget
+from .errors import require_triple_budget
 
 Blocks = dict[tuple[int, int, int], list[list[int]]]
 BAD_ROW = "every table row must be three label strings"
+BYTE_HOLE = 255  # the hole of a byte row, and the widest Out(x) it allows
 
 
 class FiniteCategory:

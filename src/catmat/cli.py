@@ -16,6 +16,9 @@ mask (`taskset` limits them), in forked workers, and decides a worker's share
 itself when the fork fails; it prints once every file is decided, in the
 order and with the text of a one-CPU run, and its peak memory is up to one
 file's per worker.
+
+Each command imports the modules it runs when it starts, so importing this
+module, or building its parser, loads no package module but catmat.errors.
 """
 
 from __future__ import annotations
@@ -27,14 +30,8 @@ import os
 import sys
 import threading
 
-from .certificate import dump_certificate, load_certificate
-from .decider import condition_report, decide, decide_by_submatrices, explain
-from .errors import CertificateError, ParseError, Rejected, ShapeError, TripleBudgetError
-from .matrix import HomMatrix, parse_matrix, too_long
-from .oracle import DEFAULT_MAX_ASSIGNMENTS, oracle_decide
-from .reduction import reduce
-from .verifier import verify_category
-from .witness import build_witness
+from .errors import (DEFAULT_MAX_ASSIGNMENTS, CertificateError, ParseError, Rejected,
+                     ShapeError, TripleBudgetError)
 
 EXIT_EXISTS = 0
 EXIT_ABSENT = 1
@@ -61,7 +58,9 @@ def _budget(text: str) -> int:
     return value
 
 
-def _load_matrix(path: str) -> HomMatrix:
+def _load_matrix(path: str):
+    from .matrix import parse_matrix
+
     return parse_matrix(_read_text(path))
 
 
@@ -103,6 +102,9 @@ def _print_verdict(verdict, as_json: bool, report: list[dict] | None) -> None:
 
 
 def cmd_decide(args) -> int:
+    # Imported before --batch forks, so that no worker imports them again.
+    from .decider import condition_report, decide, decide_by_submatrices, explain
+
     if args.batch and (args.explain or args.matrix is not None):
         clash = "--explain" if args.explain else "a matrix file"
         print(f"decide: --batch cannot be combined with {clash}", file=sys.stderr)
@@ -166,6 +168,8 @@ def _batch_record(args, name: str) -> list:
     """[name, exists, line, fields] of one batch file. exists is None, and
     line an ERROR line, when the file cannot be read or parsed or its window
     scan is over the budget."""
+    from .decider import decide, decide_by_submatrices
+
     try:
         M = _load_matrix(os.path.join(args.batch, name))
         verdict = decide_by_submatrices(M) if args.via_submatrices else decide(M)
@@ -241,6 +245,8 @@ def _decide_shares(args, names: list[str], k: int) -> list[list[list]]:
 
 
 def cmd_report(args) -> int:
+    from .decider import explain
+
     M = _load_matrix(args.matrix)
     verdict, report = explain(M)
     if args.json:
@@ -251,6 +257,10 @@ def cmd_report(args) -> int:
 
 
 def cmd_witness(args) -> int:
+    from .certificate import dump_certificate
+    from .reduction import reduce
+    from .witness import build_witness
+
     M = _load_matrix(args.matrix)
     try:
         C = build_witness(M)
@@ -270,6 +280,10 @@ def cmd_witness(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from .certificate import load_certificate
+    from .matrix import too_long
+    from .verifier import verify_category
+
     text = _read_text(args.certificate)
     try:
         data = json.loads(text)
@@ -301,6 +315,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_oracle(args) -> int:
+    from .oracle import oracle_decide
+
     M = _load_matrix(args.matrix)
     result = oracle_decide(M, args.budget)
     if args.json:

@@ -37,10 +37,10 @@ from math import comb
 from operator import itemgetter, or_
 from typing import Iterator
 
+from .errors import require_triple_budget
 from .matrix import HomMatrix, Rows
 from .partition import Partition, acceptability_failures, structure
 from .reduction import ReductionMap, reduce_rows, reduced_pair
-from .verifier import require_triple_budget
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,16 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the budgets behind them.
+
+Every count of work that could outgrow a run is charged against
+CATMAT_TRIPLE_BUDGET, the one budget setting (an environment variable;
+default DEFAULT_TRIPLE_BUDGET).  DEFAULT_MAX_ASSIGNMENTS is the oracle's
+default search budget, kept here so the CLI's parser needs no other module.
+"""
+
+import os
+
+DEFAULT_TRIPLE_BUDGET = 10**8
+TRIPLE_BUDGET_ENV = "CATMAT_TRIPLE_BUDGET"
+DEFAULT_MAX_ASSIGNMENTS = 10_000_000
 
 
 class ParseError(ValueError):
@@ -41,3 +53,15 @@ class CertificateError(ValueError):
 
 class TripleBudgetError(RuntimeError):
     """Exhaustive verification would exceed the associativity triple budget."""
+
+
+def require_triple_budget(triples: int, what: str = "associativity triples") -> None:
+    """Raise TripleBudgetError naming `triples` as `what` if it exceeds the budget:
+    CATMAT_TRIPLE_BUDGET if set, else DEFAULT_TRIPLE_BUDGET."""
+    raw = os.environ.get(TRIPLE_BUDGET_ENV)
+    try:
+        budget = int(raw) if raw else DEFAULT_TRIPLE_BUDGET
+    except ValueError:
+        raise TripleBudgetError(f"{TRIPLE_BUDGET_ENV}={raw!r} is not an integer") from None
+    if triples > budget:
+        raise TripleBudgetError(f"{triples} {what} exceed the budget of {budget}")

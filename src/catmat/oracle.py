@@ -107,12 +107,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import TYPE_CHECKING
 
-from .category import FiniteCategory, composable
+from .errors import DEFAULT_MAX_ASSIGNMENTS, require_triple_budget
 from .matrix import HomMatrix
-from .verifier import require_triple_budget
 
-DEFAULT_MAX_ASSIGNMENTS = 10_000_000
+if TYPE_CHECKING:
+    from .category import FiniteCategory
+
 PROBE_AFTER_BACKTRACKS = 256  # failed decisions in the call before any probe
 PROBE_DEPTH = 8  # open decisions, the new one included, at most for a probe
 
@@ -368,6 +370,8 @@ def oracle_decide(M: HomMatrix, budget: SearchBudget | int | None = None) -> Ora
 def _category(n: int, homs: dict, table: list[list[int]]) -> FiniteCategory:
     """The category of a filled table.  Each hom-set's ids are contiguous, so
     row g of block (x, y, z) is table[g] over hom(x, y), less hom(x, z)'s first id."""
+    from .category import FiniteCategory, composable
+
     blocks = {}
     for x, y, z in composable(homs):
         fs, h0 = homs[x, y], homs[x, z][0]

@@ -9,10 +9,13 @@ and restricting a category to representatives goes the other way.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-from .category import FiniteCategory, composable
 from .errors import CardinalityError
 from .matrix import HomMatrix, Rows
+
+if TYPE_CHECKING:
+    from .category import FiniteCategory
 
 
 def duplicate_relation(rows: Rows) -> list[tuple[int, ...]]:
@@ -87,6 +90,8 @@ def inflate(
     same rows.  The sizes are M's by the reduction's definition; only the
     benchmark's replay passes `expected`, to check them against it.
     """
+    from .category import FiniteCategory, composable
+
     if B.n != rmap.m:
         raise CardinalityError(f"category has {B.n} objects, map expects {rmap.m}")
     if expected is not None and expected.n != rmap.n:

@@ -7,8 +7,7 @@ every composable triple.  Nothing here trusts the construction: labels are
 opaque tokens that are only hashed and compared, so the verifier doubles as
 the replay half of the certificate format.  `verify_category(C, M)` keeps
 at most DEFAULT_FAILURE_CAP failures of each kind.  Every count of work is
-charged against CATMAT_TRIPLE_BUDGET, the one budget setting (an
-environment variable; default DEFAULT_TRIPLE_BUDGET).
+charged against the triple budget (`errors.require_triple_budget`).
 
 All but the cardinality pass read C.filled, one row per morphism, which C
 fills from its table rows (load_certificate's as it reads them, a built
@@ -51,21 +50,17 @@ reports is counted but not compared.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from operator import itemgetter
 from typing import TYPE_CHECKING
 
-from .errors import TripleBudgetError
+from .errors import require_triple_budget
 from .matrix import HomMatrix
 
 if TYPE_CHECKING:
     from .category import FiniteCategory
 
 DEFAULT_FAILURE_CAP = 32
-DEFAULT_TRIPLE_BUDGET = 10**8
-BYTE_HOLE = 255  # the hole of a byte row, and the widest Out(x) it allows
-TRIPLE_BUDGET_ENV = "CATMAT_TRIPLE_BUDGET"
 # (kind, report field) for each failure list, in the order the checks run.
 FAILURE_KINDS = (
     ("cardinality", "cardinality_mismatches"),
@@ -93,18 +88,6 @@ class VerificationReport:
             return f"passed ({self.triples_checked} triples checked)"
         bits = [f"{len(entries)} {kind}" for kind, _, entries in self.failures() if entries]
         return f"failed: {', '.join(bits)} ({self.triples_checked} triples checked)"
-
-
-def require_triple_budget(triples: int, what: str = "associativity triples") -> None:
-    """Raise TripleBudgetError naming `triples` as `what` if it exceeds the budget:
-    CATMAT_TRIPLE_BUDGET if set, else DEFAULT_TRIPLE_BUDGET."""
-    raw = os.environ.get(TRIPLE_BUDGET_ENV)
-    try:
-        budget = int(raw) if raw else DEFAULT_TRIPLE_BUDGET
-    except ValueError:
-        raise TripleBudgetError(f"{TRIPLE_BUDGET_ENV}={raw!r} is not an integer") from None
-    if triples > budget:
-        raise TripleBudgetError(f"{triples} {what} exceed the budget of {budget}")
 
 
 def count_triples(rows) -> int:

@@ -25,11 +25,11 @@ from __future__ import annotations
 
 from .category import FiniteCategory, composable
 from .decider import decide
-from .errors import CountError, Rejected
+from .errors import CountError, Rejected, require_triple_budget
 from .matrix import HomMatrix
 from .partition import Partition
 from .reduction import inflate
-from .verifier import count_triples, require_triple_budget
+from .verifier import count_triples
 
 
 def cross_part_sizes(N: HomMatrix, part: Partition, x: int, y: int) -> tuple[int, int, int, int]:

@@ -544,7 +544,7 @@ def test_internal_error_is_not_a_verdict(tmp_path, capsys, monkeypatch):
     def crash(M):
         raise KeyError("lost")
 
-    monkeypatch.setattr("catmat.cli.decide", crash)
+    monkeypatch.setattr("catmat.decider.decide", crash)
     path = write(tmp_path, "m.txt", "1 2\n3 7\n")
     assert main(["decide", path]) == 4
     out = capsys.readouterr()
@@ -637,14 +637,14 @@ def test_parallel_batch_with_more_cpus_than_files(tmp_path, capsys, monkeypatch)
 def test_batch_crash_in_any_share_is_the_serial_internal_error(tmp_path, capsys, monkeypatch, crash):
     d = batch_dir(tmp_path)
     rows = (d / crash).read_text()
-    real = catmat.cli.decide
+    real = catmat.decider.decide
 
     def decide(M):
         if "".join(" ".join(map(str, row)) + "\n" for row in M.entries) == rows:
             raise ValueError("boom")
         return real(M)
 
-    monkeypatch.setattr(catmat.cli, "decide", decide)
+    monkeypatch.setattr(catmat.decider, "decide", decide)
     code, out, err = assert_batch_equivalent(["decide", "--batch", str(d)], capsys, 3, 2)
     assert code == 4 and err == "internal error: ValueError: boom\n"
     before = sorted(name for name in os.listdir(d) if name < crash)
@@ -753,11 +753,47 @@ def test_batch_skips_subdirectories_and_follows_symlinks(tmp_path, capsys, monke
     assert out == "a.txt: EXISTS\nlink.txt: ABSENT (UDiagonalFail objects=[1] required>=7 actual=6)\n"
 
 
-def test_importing_the_cli_loads_no_process_pool_module(tmp_path):
-    # --batch forks with os alone: importing the CLI stays as cheap as it was.
-    code = ("import sys, catmat.cli; print(sorted(set(sys.modules) & "
-            "{'pickle', 'multiprocessing', 'concurrent.futures', 'signal', 'subprocess'}))")
-    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-    out = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+POOL_MODULES = {"pickle", "multiprocessing", "concurrent.futures", "signal", "subprocess"}
+BASE = ["catmat", "catmat.cli", "catmat.errors"]
+
+
+def loaded(code, *argv):
+    """The catmat modules and process-pool modules a fresh interpreter
+    holds after running `code` (with sys.argv[1:] = argv)."""
+    code += ("\nimport sys; print(sorted(m for m in sys.modules if m.split('.')[0] == 'catmat'));"
+             f" print(sorted(set(sys.modules) & {POOL_MODULES!r}))")
+    out = subprocess.run([sys.executable, "-c", code, *argv], env=dict(os.environ, PYTHONPATH=SRC),
                          capture_output=True, text=True, check=True).stdout
-    assert out == "[]\n"
+    return [eval(line) for line in out.splitlines()[-2:]]
+
+
+def test_importing_the_cli_loads_no_process_pool_module():
+    # --batch forks with os alone, and the parser needs no decision module.
+    assert loaded("import catmat.cli") == [BASE, []]
+    assert loaded("import catmat.cli; catmat.cli.build_parser()") == [BASE, []]
+
+
+def test_each_command_loads_only_its_modules(tmp_path):
+    path = write(tmp_path, "m.txt", "1 2\n3 7\n")
+    cert = str(tmp_path / "c.json")
+    run = ("import contextlib, io, sys, catmat.cli\n"
+           "with contextlib.redirect_stdout(io.StringIO()): catmat.cli.main(sys.argv[1:])\n")
+    decide = ["decider", "matrix", "partition", "reduction"]
+    verify = ["category", "certificate", "matrix", "partition", "reduction", "verifier"]
+    for argv, modules in [
+        (["decide", path], decide),
+        (["decide", "--explain", "--via-submatrices", path], decide),
+        (["decide", "--batch", str(tmp_path)], decide),
+        (["report", path], decide),
+        (["oracle", path], ["matrix", "oracle"]),
+        (["witness", path, "--out", cert], [*verify, "decider", "witness"]),
+        (["verify", cert, path], verify),
+    ]:
+        assert loaded(run, *argv) == [sorted(BASE + [f"catmat.{m}" for m in modules]), []], argv
+    # The oracle builds its category, and loads that module, only when asked.
+    found = "result = catmat.oracle.oracle_decide(catmat.matrix.parse_matrix('1'))\n"
+    oracle = BASE + ["catmat.matrix", "catmat.oracle"]
+    assert loaded(run + found, "oracle", path) == [sorted(oracle), []]
+    assert loaded(run + found + "result.category", "oracle", path) == [
+        sorted(oracle + ["catmat.category"]), []]

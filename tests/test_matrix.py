@@ -186,6 +186,31 @@ def test_parse_calls_int_only_past_the_table(monkeypatch):
     assert lines == [f"1 {token}" for token in ("007", "00", "-0", "256", "0256", "-1")]
 
 
+@pytest.mark.parametrize("text, error", [
+    ("1 2\n3", (ShapeError, "row 1 has 1 entries, expected 2")),
+    ("1 2\n3 4\n5 6", (ShapeError, "row 0 has 2 entries, expected 3")),
+    ("1 2 3\n4 5 6", (ShapeError, "row 0 has 3 entries, expected 2")),
+    ("1 -3\n0 1", (ParseError, "entry (0,1) is negative: -3")),
+    (f"1 {LONG}\n0 1", (ParseError, f"row 0 has an integer longer than the limit of "
+                                    f"{sys.get_int_max_str_digits()} digits")),
+])
+def test_parse_keeps_the_full_check_off_the_table(text, error):
+    assert outcome(parse_matrix, text) == error
+
+
+def test_parse_skips_the_check_only_for_square_tabled_rows(monkeypatch):
+    checked = []
+    real = HomMatrix.__post_init__
+    monkeypatch.setattr(HomMatrix, "__post_init__", lambda M: checked.append(M) or real(M))
+    M = parse_matrix("1 2\n3 255")
+    assert checked == [] and M == HomMatrix.from_rows([[1, 2], [3, 255]])
+    assert type(M.entries) is tuple and all(type(row) is tuple for row in M.entries)
+    checked.clear()
+    for text, rows in (("1 007\n0 1", [[1, 7], [0, 1]]), ("1 256\n0 1", [[1, 256], [0, 1]])):
+        assert parse_matrix(text) == HomMatrix.from_rows(rows)
+    assert len(checked) == 4  # each parse, and each matrix it is compared with
+
+
 def test_principal_submatrix():
     M = HomMatrix.from_rows([[1, 2], [3, 7]])
     assert principal_submatrix(M, (0,)) == HomMatrix.from_rows([[1]])
