@@ -64,17 +64,20 @@ class FiniteCategory:
 
     def _set_homs(self, n: int, homs: Mapping) -> None:
         self.n = n
-        self.homs = {pair: tuple(labels) for pair, labels in homs.items() if labels}
-        self.out, self.successors, self.offset, self.place = {}, {}, {}, {}
-        for (x, z), labels in sorted(self.homs.items()):
+        self.homs = {}
+        for (x, z), labels in homs.items():  # empty ones dropped, but checked
             if not (0 <= x < n and 0 <= z < n):
                 raise ValueError(f"hom key {(x, z)!r} is outside objects 0..{n - 1}")
+            if labels:
+                self.homs[x, z] = tuple(labels)
+        self.out, self.successors, self.offset, self.place = {}, {}, {}, {}
+        for (x, z), labels in sorted(self.homs.items()):
             self.successors.setdefault(x, []).append((z, labels))
             out_x = self.out.setdefault(x, [])
             self.offset[(x, z)] = len(out_x)
             for label in labels:
                 if label in self.place:
-                    raise ValueError(f"label appears in two hom-sets: {label!r}")
+                    raise ValueError(f"label appears twice in the hom-sets: {label!r}")
                 self.place[label] = (x, z, len(out_x))
                 out_x.append(label)
 

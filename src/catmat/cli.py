@@ -195,6 +195,8 @@ def _decide_shares(args, names: list[str], k: int) -> list[list[list]]:
     share it cannot fork a child for; a forked child decides each other share
     and sends its records back as JSON through a pipe. Every child is reaped
     before this returns or raises."""
+    from .matrix import read_json
+
     children = []  # (w, pid, read end of its pipe), for each child not yet reaped
     try:
         here = [0]  # the shares this process decides
@@ -228,8 +230,8 @@ def _decide_shares(args, names: list[str], k: int) -> list[list[list]]:
             status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
             children.pop(0)
             try:  # a child that failed may have sent nothing, or part of its share
-                shares[w] = json.loads(data if status == 0 else b"")
-            except ValueError:
+                shares[w] = read_json(data if status == 0 else b"", "a batch share")
+            except ParseError:
                 raise RuntimeError(
                     f"batch worker {pid} ended with status {status} without sending its share"
                 ) from None
@@ -258,7 +260,6 @@ def cmd_report(args) -> int:
 
 def cmd_witness(args) -> int:
     from .certificate import dump_certificate
-    from .reduction import reduce
     from .witness import build_witness
 
     M = _load_matrix(args.matrix)
@@ -267,7 +268,7 @@ def cmd_witness(args) -> int:
     except Rejected as exc:
         print(f"ABSENT ({exc.verdict.reason})", file=sys.stderr)
         return EXIT_ABSENT
-    chunks = dump_certificate(C, M, reduce(M)[1])
+    chunks = dump_certificate(C, M)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.writelines(chunks)
@@ -281,18 +282,10 @@ def cmd_witness(args) -> int:
 
 def cmd_verify(args) -> int:
     from .certificate import load_certificate
-    from .matrix import too_long
+    from .matrix import read_json
     from .verifier import verify_category
 
-    text = _read_text(args.certificate)
-    try:
-        data = json.loads(text)
-    except (json.JSONDecodeError, RecursionError) as exc:
-        print(f"certificate is not valid JSON: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except ValueError:  # an integer over the digit limit
-        raise too_long("certificate") from None
-    claimed, C = load_certificate(data)
+    claimed, C = load_certificate(read_json(_read_text(args.certificate), "certificate"))
     M = _load_matrix(args.matrix) if args.matrix else claimed
     report = verify_category(C, M)
     if args.json:

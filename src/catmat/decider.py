@@ -39,7 +39,7 @@ from typing import Iterator
 
 from .errors import require_triple_budget
 from .matrix import HomMatrix, Rows
-from .partition import Partition, acceptability_failures, structure
+from .partition import Partition, acceptability_failures, broken_chains, structure
 from .reduction import ReductionMap, reduce_rows, reduced_pair
 
 
@@ -245,6 +245,10 @@ def explain(M: HomMatrix) -> tuple[Verdict, list[dict]]:
             if first is None:
                 first = reason
             shown[kind].append(_KINDS[kind][1].format(o=list(reason.objects), r=reason))
+        if kind == "NotAcceptable" and failed[kind] == _SHOWN:
+            # Only broken chains are left, and there can be n^3 of them: count them by masks.
+            failed[kind] = sum(ks.bit_count() for _, _, ks in broken_chains(walk.rows))
+            break
 
     report = []
     for kind, (condition, _, _) in _KINDS.items():

@@ -93,7 +93,7 @@ def parse_matrix(text: str) -> HomMatrix:
     """
     stripped = text.strip()
     if stripped.startswith("{"):
-        return _parse_json(stripped)
+        return from_json(read_json(stripped, "JSON matrix"))
     rows = []
     tabled = True  # every row was read through _ENTRY
     entry = _ENTRY.__getitem__
@@ -138,13 +138,18 @@ def too_long(where: str) -> ParseError:
     return ParseError(f"{where} has an integer longer than the limit of {limit} digits")
 
 
-def _parse_json(text: str) -> HomMatrix:
+def read_json(text: str | bytes, where: str):
+    """json.loads(text), with its failures as ParseError naming `where`."""
     try:
-        data = json.loads(text)
+        return json.loads(text)
     except (json.JSONDecodeError, RecursionError) as exc:
-        raise ParseError(f"invalid JSON: {exc}") from None
+        raise ParseError(f"{where} is not valid JSON: {exc}") from None
     except ValueError:  # an integer over the digit limit
-        raise too_long("JSON matrix") from None
+        raise too_long(where) from None
+
+
+def from_json(data) -> HomMatrix:
+    """The matrix of a decoded JSON object {"n": ..., "entries": [[...], ...]}."""
     if not isinstance(data, dict) or "n" not in data or "entries" not in data:
         raise ParseError('JSON matrix needs keys "n" and "entries"')
     n = data["n"]

@@ -119,9 +119,9 @@ PROBE_AFTER_BACKTRACKS = 256  # failed decisions in the call before any probe
 PROBE_DEPTH = 8  # open decisions, the new one included, at most for a probe
 
 
-@dataclass
-class SearchBudget:
-    max_assignments: int = DEFAULT_MAX_ASSIGNMENTS
+def SearchBudget(max_assignments: int = DEFAULT_MAX_ASSIGNMENTS) -> int:
+    """The budget `oracle_decide` takes, an int; kept for the benchmark's replay."""
+    return max_assignments
 
 
 @dataclass
@@ -141,14 +141,8 @@ class OracleResult:
         return _category(*self._solution) if self._solution else None
 
 
-def oracle_decide(M: HomMatrix, budget: SearchBudget | int | None = None) -> OracleResult:
+def oracle_decide(M: HomMatrix, max_assignments: int = DEFAULT_MAX_ASSIGNMENTS) -> OracleResult:
     """Search all composition tables over M; "unknown" only on budget exhaustion."""
-    if budget is None:
-        budget = SearchBudget()
-    elif isinstance(budget, int):
-        budget = SearchBudget(budget)
-    max_assignments = budget.max_assignments
-
     n = M.n
     if n == 0:
         return OracleResult("yes", 0, (0, {}, []))
@@ -164,42 +158,41 @@ def oracle_decide(M: HomMatrix, budget: SearchBudget | int | None = None) -> Ora
     tgt = []
     homs: dict[tuple[int, int], tuple[int, ...]] = {}
     homs_to = [[()] * n for _ in range(n)]  # homs_to[y][x]: the ids of hom(x, y)
+    # The morphisms other than identities, by source and by target, ascending.
+    leaving: list[list[int]] = [[] for _ in range(n)]
+    entering: list[list[int]] = [[] for _ in range(n)]
     order = sorted(range(n), key=lambda x: (M[x][x] != 1, -M[x][x]))
     for x in order:
         for y in order:
             k = M[x][y]
             if k:
-                homs[(x, y)] = homs_to[y][x] = tuple(range(len(src), len(src) + k))
+                ids = homs[(x, y)] = homs_to[y][x] = tuple(range(len(src), len(src) + k))
                 src += [x] * k
                 tgt += [y] * k
+                if x == y:
+                    ids = ids[1:]
+                leaving[x] += ids
+                entering[y] += ids
     id_of = [homs_to[x][x][0] for x in range(n)]
-
-    # The morphisms other than identities, by source and by target.
-    leaving: list[list[int]] = [[] for _ in range(n)]
-    entering: list[list[int]] = [[] for _ in range(n)]
-    for m in range(T):
-        if m != id_of[src[m]]:
-            leaving[src[m]].append(m)
-            entering[tgt[m]].append(m)
 
     # Composable cells with no identity in them, in (g, f) order: those with
     # a one-member hom-set are forced, (g, f, value), and the rest are free,
-    # (g, f, candidates).  An empty hom-set is an immediate rejection (a
-    # composite has nowhere to go).
+    # (g, f, candidates).  The objects are numbered in `order`, so the g
+    # leaving each in turn ascend.  An empty hom-set is an immediate
+    # rejection (a composite has nowhere to go).
     forced = []
     free = []
-    for g in range(T):
-        if g == id_of[src[g]]:
-            continue
-        into = homs_to[tgt[g]]
-        for f in entering[src[g]]:
-            options = into[src[f]]
-            if not options:
-                return OracleResult("no", 0)
-            if len(options) == 1:
-                forced.append((g, f, options[0]))
-            else:
-                free.append((g, f, options))
+    for x in order:
+        for g in leaving[x]:
+            into = homs_to[tgt[g]]
+            for f in entering[x]:
+                options = into[src[f]]
+                if not options:
+                    return OracleResult("no", 0)
+                if len(options) == 1:
+                    forced.append((g, f, options[0]))
+                else:
+                    free.append((g, f, options))
 
     assignments = 2 * T - n  # the unit-law cells, counted together and first
     if assignments > max_assignments:

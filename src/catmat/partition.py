@@ -41,8 +41,17 @@ def acceptability_failures(rows: Rows) -> Iterator[tuple[str, tuple[int, ...]]]:
     for i, row in enumerate(rows):
         if row[i] == 0:
             yield "diag", (i,)
-    # reach[j] has bit k set when j -> k; i -> j -> k fails transitivity
-    # exactly for the bits of reach[j] outside reach[i].
+    for i, j, ks in broken_chains(rows):
+        for k in range(len(rows)):
+            if ks >> k & 1:
+                yield "chain", (i, j, k)
+
+
+def broken_chains(rows: Rows) -> Iterator[tuple[int, int, int]]:
+    """(i, j, ks) for each i -> j, lexicographically, such that j reaches
+    some k that i does not: ks has bit k set for each such k, so the broken
+    chains i -> j -> k number ks.bit_count()."""
+    # reach[j] has bit k set when j -> k.
     bits = [1 << k for k in range(len(rows))]
     reach = [sum(compress(bits, row)) for row in rows]
     for i, row in enumerate(rows):
@@ -51,9 +60,7 @@ def acceptability_failures(rows: Rows) -> Iterator[tuple[str, tuple[int, ...]]]:
         out = ~reach[i]
         for j, v in enumerate(row):
             if v and reach[j] & out:
-                for k, w in enumerate(rows[j]):
-                    if w and not row[k]:
-                        yield "chain", (i, j, k)
+                yield i, j, reach[j] & out
 
 
 def check_acceptable(M: HomMatrix) -> AcceptabilityCounterexample | None:

@@ -1,6 +1,7 @@
 import functools
 import hashlib
 import json
+import random
 import re
 
 import pytest
@@ -27,7 +28,7 @@ from catmat.cli import main
 def make_certificate(rows):
     M = HomMatrix.from_rows(rows)
     C = build_witness(M)
-    return build_certificate(C, M, reduce(M)[1]), M
+    return build_certificate(C, M), M
 
 
 def test_round_trip_verifies():
@@ -213,11 +214,11 @@ def reference_rows(C):
 
 
 def dumped(C, M):
-    return "".join(dump_certificate(C, M, reduce(M)[1]))
+    return "".join(dump_certificate(C, M))
 
 
 def assert_dump_is_json_dumps(C, M):
-    data = build_certificate(C, M, reduce(M)[1])
+    data = build_certificate(C, M)
     assert data["table"] == reference_rows(C)
     text = dumped(C, M)
     assert text == json.dumps(data, indent=2)
@@ -250,7 +251,7 @@ def test_dump_certificate_quotes_as_json_dumps():
     M = HomMatrix.from_rows([[1, 2, 2], [3, 7, 7], [3, 7, 7]])
     C = relabeled(build_witness(M))
     assert_dump_is_json_dumps(C, M)
-    table = build_certificate(C, M, reduce(M)[1])["table"]
+    table = build_certificate(C, M)["table"]
     for position in range(3):  # every odd label kind as g, as f and as g.f
         assert {row[position][0] for row in table} == {odd[0] for odd in ODD}
 
@@ -260,7 +261,7 @@ def test_dump_certificate_sorts_table_by_label_not_by_quote():
     # writes it, not the order of their quotes, which differs here.
     M = HomMatrix.from_rows([[1, 2], [3, 7]])
     C = relabeled(build_witness(M))
-    table = build_certificate(C, M, reduce(M)[1])["table"]
+    table = build_certificate(C, M)["table"]
     assert sorted(table, key=lambda row: [json.dumps(l) for l in row]) != table
     assert_dump_is_json_dumps(C, M)
 
@@ -278,6 +279,16 @@ def test_dump_certificate_on_random_accepted(rng, copies):
     assert_dump_is_json_dumps(C, M)
 
 
+def test_certificate_derives_its_reduction_from_the_matrix():
+    # The reduction map argument is kept for the benchmark's replay and not read.
+    rng = random.Random(3)
+    for rows, _ in GOLDEN:
+        M = helpers.duplicate_objects(rng, HomMatrix.from_rows(rows), 2)
+        C = build_witness(M)
+        assert reduce(M)[1].m < M.n
+        assert build_certificate(C, M) == build_certificate(C, M, reduce(M)[1])
+
+
 def test_label_built_category_certificate_round_trip():
     # An oracle category relabeled "m0", "m1", ... with the same blocks: the
     # certificate's rows must follow label order, and "m10" < "m2" sorts
@@ -292,7 +303,7 @@ def test_label_built_category_certificate_round_trip():
     )
     assert C.identity == {x: name[e] for x, e in D.identity.items()}
     assert C.table == {(name[g], name[f]): name[h] for (g, f), h in D.table.items()}
-    data = build_certificate(C, M, reduce(M)[1])
+    data = build_certificate(C, M)
     assert data["table"] == sorted([g, f, h] for (g, f), h in C.table.items())
     assert data["table"] != [[name[g], name[f], name[h]] for (g, f), h in sorted(D.table.items())]
     claimed, L = load_certificate(json.loads(assert_dump_is_json_dumps(C, M)))

@@ -327,6 +327,18 @@ def mutate_certificate(data, how):
         data["matrix"]["entries"][1].pop()
     elif how == "not acceptable":
         data["matrix"]["entries"][0][0] = 0
+    elif how == "negative n":
+        data["matrix"]["n"] = -1
+    elif how == "no entries":
+        del data["matrix"]["entries"]
+    elif how == "rows not lists":
+        data["matrix"]["entries"] = [1, 2]
+    elif how == "hom key out of range":
+        data["homs"]["2,0"] = ["x"]
+    elif how == "empty hom key out of range":
+        data["homs"]["2,2"] = []
+    elif how == "label twice in one hom-set":
+        data["homs"]["1,1"].append(data["homs"]["1,1"][0])
     else:
         data["homs"]["1,1"][0] = data["homs"]["0,1"][0]
 
@@ -336,7 +348,13 @@ def mutate_certificate(data, how):
     [
         ("ragged", "bad matrix in certificate: row 1 has 1 entries, expected 2"),
         ("not acceptable", '"matrix" is not acceptable, so it has no classes'),
-        ("one label in two hom-sets", "label appears in two hom-sets"),
+        ("one label in two hom-sets", "label appears twice in the hom-sets"),
+        ("negative n", 'bad matrix in certificate: "n" must be a nonnegative integer, got -1'),
+        ("no entries", 'bad matrix in certificate: JSON matrix needs keys "n" and "entries"'),
+        ("rows not lists", 'bad matrix in certificate: "entries" must be a list of rows'),
+        ("hom key out of range", "hom key (2, 0) is outside objects 0..1"),
+        ("empty hom key out of range", "hom key (2, 2) is outside objects 0..1"),
+        ("label twice in one hom-set", "label appears twice in the hom-sets"),
     ],
 )
 def test_structurally_broken_certificate_is_bad_input(tmp_path, capsys, how, message):
@@ -362,7 +380,8 @@ def test_certificate_size_that_is_not_an_integer_is_bad_input(tmp_path, capsys, 
     capsys.readouterr()
     assert main(["verify", str(cert)]) == 2
     captured = capsys.readouterr()
-    assert captured.err == f"error: bad matrix in certificate: size is not an integer: {n!r}\n"
+    message = f'bad matrix in certificate: "n" must be a nonnegative integer, got {n!r}'
+    assert captured.err == f"error: {message}\n"
     assert captured.out == ""
 
 
@@ -402,7 +421,7 @@ def test_deeply_nested_json_is_bad_input(tmp_path, capsys):
     assert "certificate is not valid JSON" in capsys.readouterr().err
     matrix = write(tmp_path, "m.json", '{"n": 1, "entries": ' + "[" * 100_000)
     assert main(["decide", matrix]) == 2
-    assert "invalid JSON" in capsys.readouterr().err
+    assert "JSON matrix is not valid JSON" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

@@ -433,6 +433,35 @@ def test_least_chain_is_the_least_broken_chain_triple():
     assert found >= 300
 
 
+def test_report_counts_every_broken_chain():
+    """The transitivity line's count, shown plus "+N more", is the number of
+    broken chains i -> j -> k of the reduced rows, counted here by brute force;
+    `explain` counts those past the eighth from reach masks."""
+    rng = random.Random(32)
+    over = 0
+    for t in range(200):
+        n = rng.randint(3, 16)
+        p = rng.random()
+        rows = [[rng.randint(1, 3) if i == j or rng.random() < p else 0 for j in range(n)]
+                for i in range(n)]
+        if t % 4 == 0:
+            rows[rng.randrange(n)][rng.randrange(n)] = 0  # maybe a zero diagonal too
+        M = HomMatrix.from_rows(rows)
+        R = reduce(M)[0].entries
+        m = len(R)
+        want = sum(1 for i in range(m) for j in range(m) for k in range(m)
+                   if R[i][j] and R[j][k] and not R[i][k])
+        line = next(e for e in explain(M)[1] if e["condition"] == "transitivity")
+        shown, _, more = line["details"].partition("; +")
+        count = len(shown.split("; ")) if shown else 0
+        if more:
+            assert count == 8 and more.endswith(" more")
+            count += int(more.removesuffix(" more"))
+        assert (line["status"], count) == ("fail" if want else "pass", want), rows
+        over += want > 8
+    assert over >= 50
+
+
 @given(small_matrices, small_matrices, st.randoms(use_true_random=False))
 def test_walk_of_disjoint_union_fails_exactly_when_a_block_fails(A, B, rng):
     """A disjoint union fails exactly when one of its blocks fails, zero

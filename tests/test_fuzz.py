@@ -11,7 +11,7 @@ import sys
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from catmat import HomMatrix, build_witness, reduce
+from catmat import HomMatrix, build_witness
 from catmat.certificate import build_certificate, load_certificate
 from catmat.cli import main
 from catmat.errors import CertificateError, ParseError, ShapeError
@@ -41,7 +41,7 @@ matrix_texts = st.one_of(
 )
 
 CERTS = [
-    build_certificate(build_witness(M), M, reduce(M)[1])
+    build_certificate(build_witness(M), M)
     for M in (HomMatrix.from_rows([[1, 2, 2], [3, 7, 7], [3, 7, 7]]), HomMatrix.from_rows([[1]]))
 ]
 LABELS = sorted({label for cert in CERTS for labels in cert["homs"].values() for label in labels})

@@ -11,6 +11,7 @@ import pytest
 import catmat.oracle
 from catmat import HomMatrix, decide, oracle_decide, reduce, verify_category
 from catmat.cli import main
+from catmat.errors import DEFAULT_MAX_ASSIGNMENTS
 from catmat.oracle import SearchBudget
 from catmat.partition import check_acceptable
 from helpers import permute, quadrant_family
@@ -67,6 +68,12 @@ def test_oracle_budget_exhaustion_returns_unknown():
     assert oracle_decide(HomMatrix.from_rows([[4, 4], [4, 4]]), 100).decision == "unknown"
 
 
+def test_search_budget_is_the_default_int():
+    # Only the benchmark's replay still spells the budget this way.
+    assert SearchBudget() == DEFAULT_MAX_ASSIGNMENTS
+    assert SearchBudget(100) == 100
+
+
 def test_oracle_probes_count_against_the_budget():
     # This search is probed; it takes 3,174 assignments, probes included, so
     # one fewer must stop it.  Without probes it would take 17,311.
@@ -103,8 +110,7 @@ def test_oracle_counts_a_forced_no_from_the_unit_cells_up():
     for budget in range(count):
         result = oracle_decide(M, budget)
         assert (result.decision, result.assignments) == ("unknown", budget)
-    for budget in (count, None):
-        result = oracle_decide(M, budget)
+    for result in (oracle_decide(M, count), oracle_decide(M)):
         assert (result.decision, result.assignments) == ("no", count)
 
 
