@@ -67,7 +67,8 @@ class FiniteCategory:
         self.homs = {}
         for (x, z), labels in homs.items():  # empty ones dropped, but checked
             if not (0 <= x < n and 0 <= z < n):
-                raise ValueError(f"hom key {(x, z)!r} is outside objects 0..{n - 1}")
+                objects = f"0..{n - 1}" if n else "(there are none)"
+                raise ValueError(f"hom key {(x, z)!r} is outside objects {objects}")
             if labels:
                 self.homs[x, z] = tuple(labels)
         self.out, self.successors, self.offset, self.place = {}, {}, {}, {}

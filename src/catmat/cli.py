@@ -41,11 +41,15 @@ EXIT_INTERNAL = 4
 
 
 def _read_text(path: str) -> str:
+    """The UTF-8 text of a file, or of stdin for "-", read as bytes and
+    decoded once, its line endings kept: the parsers take LF, CRLF and CR."""
     try:
         if path == "-":
-            return sys.stdin.buffer.read().decode("utf-8")
-        with open(path, "r", encoding="utf-8") as fh:
-            return fh.read()
+            data = sys.stdin.buffer.read()
+        else:
+            with open(path, "rb") as fh:
+                data = fh.read()
+        return data.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path!r} is not UTF-8 text: {exc}") from None
 
@@ -325,9 +329,14 @@ def cmd_oracle(args) -> int:
     return EXIT_EXISTS if result.exists else EXIT_ABSENT
 
 
-@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The process's one parser; each `parse_args` call returns a fresh namespace."""
+    return _parsers()[0]
+
+
+@functools.cache
+def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The process's one parser and its map from command name to subparser."""
     parser = argparse.ArgumentParser(
         prog="catmat",
         description="Decide whether a matrix of hom-set sizes is realized by a "
@@ -369,12 +378,22 @@ def build_parser() -> argparse.ArgumentParser:
                    help="assignment budget before giving up (default %(default)s)")
     p.add_argument("--json", action="store_true")
     p.set_defaults(fn=cmd_oracle)
-    return parser
+    return parser, sub.choices
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one command: argv that starts with a command name is parsed by that
+    command's subparser alone, any other argv (none, -h, no command) by the whole parser."""
+    parser, commands = _parsers()
+    if argv is None:
+        argv = sys.argv[1:]
+    command = commands.get(argv[0]) if argv else None
+    if command is None:
+        args = parser.parse_args(argv)
+    else:
+        args, extras = command.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+        if extras:  # the text and exit code of argparse's own top-level pass
+            parser.error("unrecognized arguments: " + " ".join(extras))
     try:
         return args.fn(args)
     except (ParseError, ShapeError, CertificateError, TripleBudgetError, OSError) as exc:

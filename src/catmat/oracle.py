@@ -144,14 +144,15 @@ class OracleResult:
 def oracle_decide(M: HomMatrix, max_assignments: int = DEFAULT_MAX_ASSIGNMENTS) -> OracleResult:
     """Search all composition tables over M; "unknown" only on budget exhaustion."""
     n = M.n
+    rows = M.entries
     if n == 0:
         return OracleResult("yes", 0, (0, {}, []))
     for x in range(n):
-        if M[x][x] == 0:
+        if rows[x][x] == 0:
             return OracleResult("no", 0)
 
     # The table has T * T cells; refuse before allocating any over the triple budget.
-    T = sum(map(sum, M.entries))
+    T = sum(map(sum, rows))
     require_triple_budget(T * T, what="oracle table cells")
 
     src = []
@@ -161,10 +162,11 @@ def oracle_decide(M: HomMatrix, max_assignments: int = DEFAULT_MAX_ASSIGNMENTS) 
     # The morphisms other than identities, by source and by target, ascending.
     leaving: list[list[int]] = [[] for _ in range(n)]
     entering: list[list[int]] = [[] for _ in range(n)]
-    order = sorted(range(n), key=lambda x: (M[x][x] != 1, -M[x][x]))
+    order = sorted(range(n), key=lambda x: (rows[x][x] != 1, -rows[x][x]))
     for x in order:
+        row = rows[x]
         for y in order:
-            k = M[x][y]
+            k = row[y]
             if k:
                 ids = homs[(x, y)] = homs_to[y][x] = tuple(range(len(src), len(src) + k))
                 src += [x] * k
@@ -325,7 +327,8 @@ def oracle_decide(M: HomMatrix, max_assignments: int = DEFAULT_MAX_ASSIGNMENTS) 
             frames.append([i, candidates(*free[i]), 0, len(trail)])
         frame = frames[-1]
         i, options, k, mark = frame
-        undo(mark)
+        if len(trail) > mark:
+            undo(mark)
         if k == len(options):
             frames.pop()
             if not frames:

@@ -339,6 +339,15 @@ def mutate_certificate(data, how):
         data["homs"]["2,2"] = []
     elif how == "label twice in one hom-set":
         data["homs"]["1,1"].append(data["homs"]["1,1"][0])
+    elif how == "hom key with no objects":
+        data.update(
+            matrix={"n": 0, "entries": []},
+            reduction={"class_of": [], "representative": []},
+            objects=[],
+            homs={"0,0": ["x"]},
+            identities={},
+            table=[],
+        )
     else:
         data["homs"]["1,1"][0] = data["homs"]["0,1"][0]
 
@@ -355,6 +364,7 @@ def mutate_certificate(data, how):
         ("hom key out of range", "hom key (2, 0) is outside objects 0..1"),
         ("empty hom key out of range", "hom key (2, 2) is outside objects 0..1"),
         ("label twice in one hom-set", "label appears twice in the hom-sets"),
+        ("hom key with no objects", "hom key (0, 0) is outside objects (there are none)"),
     ],
 )
 def test_structurally_broken_certificate_is_bad_input(tmp_path, capsys, how, message):
@@ -557,6 +567,146 @@ def test_negative_oracle_budget_is_a_usage_error(tmp_path, capsys):
     assert exc.value.code == 2
     assert "must be nonnegative, got -5" in capsys.readouterr().err
     assert main(["oracle", "--budget", "0", path]) == 3
+
+
+# Every command and flag form: main dispatches to the subparser in one pass,
+# and must agree with argparse's own two-pass parse of the same argv.
+DISPATCH_ARGVS = [
+    [],
+    ["-h"],
+    ["--help"],
+    ["nope", "m.txt"],
+    ["decide", "m.txt"],
+    ["decide"],
+    ["decide", "m.txt", "--explain", "--via-submatrices", "--json"],
+    ["decide", "--batch", "d", "--via-submatrices"],
+    ["decide", "--batch=d", "--jso"],
+    ["decide", "--", "m.txt"],
+    ["decide", "--", "-m"],
+    ["decide", "--explain", "--", "-"],
+    ["decide", "m.txt", "extra"],
+    ["decide", "m.txt", "extra", "more"],
+    ["decide", "-h"],
+    ["decide", "m.txt", "--help"],
+    ["report", "m.txt", "--jso"],
+    ["report"],
+    ["report", "--", "-m"],
+    ["report", "m.txt", "extra"],
+    ["report", "--help"],
+    ["witness", "m.txt", "--o", "c.json"],
+    ["witness", "--out=c.json", "-"],
+    ["witness"],
+    ["witness", "m.txt", "extra", "more"],
+    ["witness", "-h"],
+    ["verify", "c.json"],
+    ["verify", "c.json", "m.txt", "--jso"],
+    ["verify"],
+    ["verify", "--", "c.json", "-m"],
+    ["verify", "c.json", "m.txt", "extra"],
+    ["verify", "--help"],
+    ["oracle", "m.txt", "--budget=0"],
+    ["oracle", "--budget", "7", "--jso", "m.txt"],
+    ["oracle", "m.txt", "--budget", "-5"],
+    ["oracle", "m.txt", "--budget", "abc"],
+    ["oracle", "m.txt", "--budget"],
+    ["oracle", "--", "-m"],
+    ["oracle", "m.txt", "--o"],
+    ["oracle", "m.txt", "extra"],
+    ["oracle", "m.txt", "extra", "more"],
+    ["oracle"],
+    ["oracle", "-h"],
+]
+
+
+@pytest.fixture
+def recorded_commands():
+    """Every command's `fn` replaced by one that records its namespace."""
+    seen = []
+
+    def record(args):
+        seen.append(args)
+        return 0
+
+    commands = catmat.cli._parsers()[1]
+    original = {name: p.get_default("fn") for name, p in commands.items()}
+    for p in commands.values():
+        p.set_defaults(fn=record)
+    try:
+        yield seen
+    finally:
+        for name, p in commands.items():
+            p.set_defaults(fn=original[name])
+
+
+def parse_outcome(parse, argv, capsys):
+    """The namespace `parse` returns, or the code, stdout and stderr of its exit."""
+    try:
+        args = parse(argv)
+    except SystemExit as exc:
+        out = capsys.readouterr()
+        return ("exit", exc.code, out.out, out.err)
+    return ("namespace", args)
+
+
+@pytest.mark.parametrize("argv", DISPATCH_ARGVS, ids=" ".join)
+def test_one_pass_dispatch_matches_argparse(capsys, recorded_commands, argv):
+    def dispatched(argv):
+        assert main(list(argv)) == 0
+        return recorded_commands.pop()
+
+    want = parse_outcome(build_parser().parse_args, list(argv), capsys)
+    got = parse_outcome(dispatched, argv, capsys)
+    assert got == want
+    assert not recorded_commands
+
+
+def newline_forms(text):
+    """text with LF, CRLF and CR line endings, as bytes."""
+    data = text.encode()
+    return [data, data.replace(b"\n", b"\r\n"), data.replace(b"\n", b"\r")]
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "1 2\n3 7\n",
+        "1 2\n3 6\n",
+        '{"n": 2,\n "entries": [[1, 2],\n  [3, 7]]}\n',
+        '{"n": 3,\n "entries": [[2, 0, 0], [0, 1, 2],\n  [0, 3, 6]]}\n',
+    ],
+)
+def test_crlf_and_cr_input_reads_as_lf(tmp_path, capsys, monkeypatch, text):
+    import io
+
+    def outcome(argv, data):
+        path = tmp_path / "m"
+        path.write_bytes(data)
+        code = main(argv + [str(path)])
+        by_file = (code, capsys.readouterr().out)
+        monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(data)))
+        code = main(argv + ["-"])
+        assert (code, capsys.readouterr().out) == by_file
+        return by_file
+
+    for argv in (["decide", "--explain"], ["decide", "--json"], ["report"], ["witness"], ["oracle"]):
+        lf, crlf, cr = (outcome(argv, data) for data in newline_forms(text))
+        assert crlf == lf and cr == lf
+
+
+def test_crlf_certificate_verifies(tmp_path, capsys, monkeypatch):
+    import io
+
+    cert = tmp_path / "cert.json"
+    assert main(["witness", write(tmp_path, "m.txt", "1 2 2\n3 7 7\n3 7 7\n"), "--out", str(cert)]) == 0
+    data = cert.read_bytes().replace(b"\n", b"\r\n")
+    cert.write_bytes(data)
+    capsys.readouterr()
+    assert main(["verify", str(cert)]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("VERIFIED")
+    monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(data)))
+    assert main(["verify", "-"]) == 0
+    assert capsys.readouterr().out == out
 
 
 def test_internal_error_is_not_a_verdict(tmp_path, capsys, monkeypatch):
