@@ -11,24 +11,20 @@ Exit codes: 0 category exists / certificate verified, 1 no category / failed
 verification, 2 bad input or usage, 3 oracle budget exhausted, 4 internal
 error (any other exception, reported on stderr and never read as a verdict).
 
-`decide --batch` decides its files on every CPU in the process's affinity
-mask (`taskset` limits them), in forked workers, and decides a worker's share
-itself when the fork fails; it prints once every file is decided, in the
-order and with the text of a one-CPU run, and its peak memory is up to one
-file's per worker.
+`decide --batch` is run by catmat.batch, which decides its files on every
+CPU in the process's affinity mask, in forked workers.
 
 Each command imports the modules it runs when it starts, so importing this
-module, or building its parser, loads no package module but catmat.errors.
+module, or building its parser, loads no package module but catmat.errors
+and no json: only `decide --batch` loads catmat.batch, and only --json
+output and JSON input load json.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
-import json
-import os
 import sys
-import threading
 
 from .errors import (DEFAULT_MAX_ASSIGNMENTS, CertificateError, ParseError, Rejected,
                      ShapeError, TripleBudgetError)
@@ -42,14 +38,15 @@ EXIT_INTERNAL = 4
 
 def _read_text(path: str) -> str:
     """The UTF-8 text of a file, or of stdin for "-", read as bytes and
-    decoded once, its line endings kept: the parsers take LF, CRLF and CR."""
+    decoded once, its line endings kept: the parsers take LF, CRLF and CR.
+    One leading byte-order mark is dropped, as the utf-8-sig codec would."""
     try:
         if path == "-":
             data = sys.stdin.buffer.read()
         else:
             with open(path, "rb") as fh:
                 data = fh.read()
-        return data.decode("utf-8")
+        return data.removeprefix(b"\xef\xbb\xbf").decode("utf-8")
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path!r} is not UTF-8 text: {exc}") from None
 
@@ -66,6 +63,13 @@ def _load_matrix(path: str):
     from .matrix import parse_matrix
 
     return parse_matrix(_read_text(path))
+
+
+def _print_json(value, indent: int | None = None) -> None:
+    """Print `value` as JSON. Only --json output needs json, so only it loads it."""
+    import json
+
+    print(json.dumps(value, indent=indent))
 
 
 def _print_report(entries: list[dict]) -> None:
@@ -98,7 +102,7 @@ def _print_verdict(verdict, as_json: bool, report: list[dict] | None) -> None:
     if as_json:
         if report is not None:
             fields["conditions"] = report
-        print(json.dumps(fields, indent=2))
+        _print_json(fields, indent=2)
         return
     print(line)
     if report is not None:
@@ -114,7 +118,9 @@ def cmd_decide(args) -> int:
         print(f"decide: --batch cannot be combined with {clash}", file=sys.stderr)
         return EXIT_USAGE
     if args.batch:
-        return _decide_batch(args)
+        from .batch import decide_batch
+
+        return decide_batch(args)
     if args.matrix is None:
         print("decide: a matrix file or --batch is required", file=sys.stderr)
         return EXIT_USAGE
@@ -128,135 +134,13 @@ def cmd_decide(args) -> int:
     return EXIT_EXISTS if verdict.exists else EXIT_ABSENT
 
 
-def _decide_batch(args) -> int:
-    try:
-        names = sorted(
-            name
-            for name in os.listdir(args.batch)
-            if os.path.isfile(os.path.join(args.batch, name))
-        )
-    except OSError as exc:
-        print(f"cannot read batch directory: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    k = _batch_workers(len(names))
-    shares = _decide_shares(args, names, k)
-    verdicts = set()
-    entries = []
-    for i, name in enumerate(names):
-        # A share ends before its first file whose decision raised an
-        # unexpected error; deciding that file again here lets main report it.
-        share = shares[i % k]
-        _, exists, line, fields = share[i // k] if i // k < len(share) else _batch_record(args, name)
-        verdicts.add(exists)
-        entries.append({"file": name, **fields})
-        if not args.json:
-            print(f"{name}: {line}")
-    if args.json:
-        print(json.dumps(entries, indent=2))
-    if None in verdicts:
-        return EXIT_USAGE
-    return EXIT_ABSENT if False in verdicts else EXIT_EXISTS
-
-
-def _batch_workers(count: int) -> int:
-    """One worker per CPU in the process's affinity mask, at most one per
-    file. One, with no fork, where fork is missing or another thread runs,
-    since a forked child gets only the thread that forked it."""
-    if not hasattr(os, "fork") or threading.active_count() > 1:
-        return 1
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    return max(1, min(count, cpus or 1))
-
-
-def _batch_record(args, name: str) -> list:
-    """[name, exists, line, fields] of one batch file. exists is None, and
-    line an ERROR line, when the file cannot be read or parsed or its window
-    scan is over the budget."""
-    from .decider import decide, decide_by_submatrices
-
-    try:
-        M = _load_matrix(os.path.join(args.batch, name))
-        verdict = decide_by_submatrices(M) if args.via_submatrices else decide(M)
-    except (ParseError, ShapeError, TripleBudgetError, OSError) as exc:
-        return [name, None, f"ERROR {exc}", {"error": str(exc)}]
-    return [name, verdict.exists, *_verdict(verdict)]
-
-
-def _decide_share(args, names: list[str]) -> list[list]:
-    """The records of `names` in order, up to the first file whose decision
-    raises an unexpected error."""
-    records = []
-    for name in names:
-        try:
-            records.append(_batch_record(args, name))
-        except Exception:
-            break
-    return records
-
-
-def _decide_shares(args, names: list[str], k: int) -> list[list[list]]:
-    """Share w of k is names[w::k]. This process decides share 0, and each
-    share it cannot fork a child for; a forked child decides each other share
-    and sends its records back as JSON through a pipe. Every child is reaped
-    before this returns or raises."""
-    from .matrix import read_json
-
-    children = []  # (w, pid, read end of its pipe), for each child not yet reaped
-    try:
-        here = [0]  # the shares this process decides
-        for w in range(1, k):
-            r, wr = os.pipe()
-            try:
-                pid = os.fork()
-            except OSError:  # EAGAIN or ENOMEM, say: decide this share here
-                os.close(r)
-                os.close(wr)
-                here.append(w)
-                continue
-            if pid == 0:  # the child: send its share, and never return
-                status = 1
-                try:
-                    os.close(r)
-                    with open(wr, "wb") as pipe:
-                        pipe.write(json.dumps(_decide_share(args, names[w::k])).encode())
-                    status = 0
-                finally:
-                    os._exit(status)
-            os.close(wr)
-            children.append((w, pid, open(r, "rb")))
-        shares = [None] * k
-        for w in here:
-            shares[w] = _decide_share(args, names[w::k])
-        while children:
-            w, pid, pipe = children[0]
-            with pipe:
-                data = pipe.read()
-            status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-            children.pop(0)
-            try:  # a child that failed may have sent nothing, or part of its share
-                shares[w] = read_json(data if status == 0 else b"", "a batch share")
-            except ParseError:
-                raise RuntimeError(
-                    f"batch worker {pid} ended with status {status} without sending its share"
-                ) from None
-        return shares
-    finally:
-        if children:
-            from signal import SIGKILL
-
-            for _, pid, pipe in children:
-                pipe.close()
-                os.kill(pid, SIGKILL)
-                os.waitpid(pid, 0)
-
-
 def cmd_report(args) -> int:
     from .decider import explain
 
     M = _load_matrix(args.matrix)
     verdict, report = explain(M)
     if args.json:
-        print(json.dumps(report, indent=2))
+        _print_json(report, indent=2)
     else:
         _print_report(report)
     return EXIT_EXISTS if verdict.exists else EXIT_ABSENT
@@ -297,7 +181,7 @@ def cmd_verify(args) -> int:
         for _, name, entries in report.failures():
             payload[name] = [list(map(str, e)) for e in entries]
         payload["triples_checked"] = report.triples_checked
-        print(json.dumps(payload))
+        _print_json(payload)
     elif report.passed:
         print(
             f"VERIFIED ({C.n} objects, {C.morphism_count()} morphisms, "
@@ -317,7 +201,7 @@ def cmd_oracle(args) -> int:
     M = _load_matrix(args.matrix)
     result = oracle_decide(M, args.budget)
     if args.json:
-        print(json.dumps({"decision": result.decision, "assignments": result.assignments}))
+        _print_json({"decision": result.decision, "assignments": result.assignments})
     elif result.decision == "yes":
         print(f"EXISTS (assignments={result.assignments})")
     elif result.decision == "no":

@@ -57,11 +57,14 @@ class TripleBudgetError(RuntimeError):
 
 def require_triple_budget(triples: int, what: str = "associativity triples") -> None:
     """Raise TripleBudgetError naming `triples` as `what` if it exceeds the budget:
-    CATMAT_TRIPLE_BUDGET if set, else DEFAULT_TRIPLE_BUDGET."""
+    CATMAT_TRIPLE_BUDGET if set, else DEFAULT_TRIPLE_BUDGET.  A setting that
+    is not a nonnegative integer is an error of its own."""
     raw = os.environ.get(TRIPLE_BUDGET_ENV)
     try:
         budget = int(raw) if raw else DEFAULT_TRIPLE_BUDGET
     except ValueError:
-        raise TripleBudgetError(f"{TRIPLE_BUDGET_ENV}={raw!r} is not an integer") from None
+        budget = -1  # refused below, as a negative setting is
+    if budget < 0:
+        raise TripleBudgetError(f"{TRIPLE_BUDGET_ENV}={raw!r} is not a nonnegative integer")
     if triples > budget:
         raise TripleBudgetError(f"{triples} {what} exceed the budget of {budget}")

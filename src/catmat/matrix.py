@@ -1,12 +1,12 @@
 """Square nonnegative integer matrices of hom-set sizes.
 
 Entry (i, j) is the number of morphisms from object i to object j.
-Matrices are immutable.
+Matrices are immutable.  Only JSON input loads the json module: read_json
+imports it, so parsing a text matrix does not.
 """
 
 from __future__ import annotations
 
-import json
 import sys
 from dataclasses import dataclass
 from typing import Iterable
@@ -140,6 +140,8 @@ def too_long(where: str) -> ParseError:
 
 def read_json(text: str | bytes, where: str):
     """json.loads(text), with its failures as ParseError naming `where`."""
+    import json
+
     try:
         return json.loads(text)
     except (json.JSONDecodeError, RecursionError) as exc:

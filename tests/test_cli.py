@@ -13,6 +13,7 @@ import types
 
 import pytest
 
+import catmat.batch
 import catmat.cli
 import catmat.decider
 from catmat.cli import build_parser, main
@@ -666,6 +667,24 @@ def newline_forms(text):
     return [data, data.replace(b"\n", b"\r\n"), data.replace(b"\n", b"\r")]
 
 
+MATRIX_ARGVS = (["decide", "--explain"], ["decide", "--json"], ["report"], ["witness"], ["oracle"])
+
+
+def input_outcome(tmp_path, capsys, monkeypatch, argv, data):
+    """(exit code, stdout) of main(argv) on `data` as its last argument's
+    file, checked to be the same as on `data` through stdin."""
+    import io
+
+    path = tmp_path / "input"
+    path.write_bytes(data)
+    code = main(argv + [str(path)])
+    by_file = (code, capsys.readouterr().out)
+    monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(data)))
+    code = main(argv + ["-"])
+    assert (code, capsys.readouterr().out) == by_file
+    return by_file
+
+
 @pytest.mark.parametrize(
     "text",
     [
@@ -676,21 +695,38 @@ def newline_forms(text):
     ],
 )
 def test_crlf_and_cr_input_reads_as_lf(tmp_path, capsys, monkeypatch, text):
-    import io
-
-    def outcome(argv, data):
-        path = tmp_path / "m"
-        path.write_bytes(data)
-        code = main(argv + [str(path)])
-        by_file = (code, capsys.readouterr().out)
-        monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(data)))
-        code = main(argv + ["-"])
-        assert (code, capsys.readouterr().out) == by_file
-        return by_file
-
-    for argv in (["decide", "--explain"], ["decide", "--json"], ["report"], ["witness"], ["oracle"]):
-        lf, crlf, cr = (outcome(argv, data) for data in newline_forms(text))
+    for argv in MATRIX_ARGVS:
+        lf, crlf, cr = (input_outcome(tmp_path, capsys, monkeypatch, argv, data)
+                        for data in newline_forms(text))
         assert crlf == lf and cr == lf
+
+
+BOM = b"\xef\xbb\xbf"  # the UTF-8 byte-order mark
+
+
+@pytest.mark.parametrize("text", ["1 2\n3 7\n", "1 2\n3 6\n", '{"n": 2, "entries": [[1, 2], [3, 7]]}\n'])
+def test_a_byte_order_mark_is_dropped_from_a_matrix(tmp_path, capsys, monkeypatch, text):
+    for argv in MATRIX_ARGVS:
+        plain = input_outcome(tmp_path, capsys, monkeypatch, argv, text.encode())
+        assert input_outcome(tmp_path, capsys, monkeypatch, argv, BOM + text.encode()) == plain
+    outcomes = []
+    for data in (text.encode(), BOM + text.encode()):
+        d = tmp_path / ("bom" if data.startswith(BOM) else "plain")
+        d.mkdir()
+        (d / "m").write_bytes(data)
+        outcomes.append((main(["decide", "--batch", str(d)]), capsys.readouterr().out))
+    assert outcomes[1] == outcomes[0]
+    assert outcomes[0][0] in (0, 1)
+
+
+def test_a_byte_order_mark_is_dropped_from_a_certificate(tmp_path, capsys, monkeypatch):
+    cert = tmp_path / "cert.json"
+    assert main(["witness", write(tmp_path, "m.txt", "1 2 2\n3 7 7\n3 7 7\n"), "--out", str(cert)]) == 0
+    capsys.readouterr()
+    data = cert.read_bytes()
+    plain = input_outcome(tmp_path, capsys, monkeypatch, ["verify"], data)
+    assert plain[0] == 0 and plain[1].startswith("VERIFIED")
+    assert input_outcome(tmp_path, capsys, monkeypatch, ["verify"], BOM + data) == plain
 
 
 def test_crlf_certificate_verifies(tmp_path, capsys, monkeypatch):
@@ -824,7 +860,7 @@ def test_batch_crash_in_any_share_is_the_serial_internal_error(tmp_path, capsys,
 def test_batch_child_without_a_whole_share_is_an_internal_error(tmp_path, capsys, monkeypatch, fault):
     d = str(batch_dir(tmp_path))
     parent = os.getpid()
-    real = catmat.cli._decide_share
+    real = catmat.batch._decide_share
 
     def share(args, names):
         if os.getpid() != parent and fault == "exit":
@@ -833,12 +869,12 @@ def test_batch_child_without_a_whole_share_is_an_internal_error(tmp_path, capsys
             os.kill(os.getpid(), signal.SIGKILL)
         return real(args, names)
 
-    monkeypatch.setattr(catmat.cli, "_decide_share", share)
+    monkeypatch.setattr(catmat.batch, "_decide_share", share)
     if fault == "late":  # the whole share is sent, then the child fails
         real_exit = os._exit
         monkeypatch.setattr(os, "_exit", lambda status: real_exit(5))
     if fault == "truncated":
-        monkeypatch.setattr(catmat.cli, "json", types.SimpleNamespace(
+        monkeypatch.setattr(catmat.batch, "json", types.SimpleNamespace(
             dumps=lambda obj: json.dumps(obj)[:-1], loads=json.loads))
     code, out, err, forks = batch_run(["decide", "--batch", d], capsys, 2)
     status = {"exit": 3, "signal": -signal.SIGKILL, "truncated": 0, "late": 5}[fault]
@@ -875,7 +911,7 @@ def test_batch_decides_a_share_it_cannot_fork_for_itself(tmp_path, capsys, monke
 def test_interrupted_batch_kills_and_reaps_its_children(tmp_path, capsys, monkeypatch):
     d = str(batch_dir(tmp_path))
     parent = os.getpid()
-    real = catmat.cli._decide_share
+    real = catmat.batch._decide_share
 
     def share(args, names):
         if os.getpid() == parent:
@@ -883,7 +919,7 @@ def test_interrupted_batch_kills_and_reaps_its_children(tmp_path, capsys, monkey
         time.sleep(60)
         return real(args, names)
 
-    monkeypatch.setattr(catmat.cli, "_decide_share", share)
+    monkeypatch.setattr(catmat.batch, "_decide_share", share)
     t = time.perf_counter()
     with pytest.raises(KeyboardInterrupt):
         batch_run(["decide", "--batch", d], capsys, 3)
@@ -894,18 +930,18 @@ def test_interrupted_batch_kills_and_reaps_its_children(tmp_path, capsys, monkey
 
 def test_batch_forks_no_child_while_another_thread_runs(monkeypatch):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
-    assert catmat.cli._batch_workers(10) == 4
-    assert catmat.cli._batch_workers(2) == 2
+    assert catmat.batch._batch_workers(10) == 4
+    assert catmat.batch._batch_workers(2) == 2
     stop = threading.Event()
     thread = threading.Thread(target=stop.wait)
     thread.start()
     try:
-        assert catmat.cli._batch_workers(10) == 1
+        assert catmat.batch._batch_workers(10) == 1
     finally:
         stop.set()
         thread.join()
     monkeypatch.delattr(os, "fork")
-    assert catmat.cli._batch_workers(10) == 1
+    assert catmat.batch._batch_workers(10) == 1
 
 
 def test_batch_skips_subdirectories_and_follows_symlinks(tmp_path, capsys, monkeypatch):
@@ -923,43 +959,67 @@ def test_batch_skips_subdirectories_and_follows_symlinks(tmp_path, capsys, monke
 
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-POOL_MODULES = {"pickle", "multiprocessing", "concurrent.futures", "signal", "subprocess"}
+# The process-pool modules --batch does without, and json, which only --json
+# output and JSON input need.
+WATCHED = {"pickle", "multiprocessing", "concurrent.futures", "signal", "subprocess", "json"}
 BASE = ["catmat", "catmat.cli", "catmat.errors"]
 
 
 def loaded(code, *argv):
-    """The catmat modules and process-pool modules a fresh interpreter
-    holds after running `code` (with sys.argv[1:] = argv)."""
-    code += ("\nimport sys; print(sorted(m for m in sys.modules if m.split('.')[0] == 'catmat'));"
-             f" print(sorted(set(sys.modules) & {POOL_MODULES!r}))")
+    """The catmat modules and watched modules a fresh interpreter loads while
+    it runs `code` (with sys.argv[1:] = argv). Modules it held before, such as
+    a json that a site hook imported, are not counted."""
+    code = ("import sys; before = set(sys.modules)\n" + code +
+            "\nnew = set(sys.modules) - before; print(sorted(m for m in new if m.split('.')[0] == 'catmat'));"
+            f" print(sorted(new & {WATCHED!r}))")
     out = subprocess.run([sys.executable, "-c", code, *argv], env=dict(os.environ, PYTHONPATH=SRC),
                          capture_output=True, text=True, check=True).stdout
     return [eval(line) for line in out.splitlines()[-2:]]
 
 
 def test_importing_the_cli_loads_no_process_pool_module():
-    # --batch forks with os alone, and the parser needs no decision module.
+    # --batch forks with os alone, and the parser needs no decision module,
+    # no batch code and no json.
     assert loaded("import catmat.cli") == [BASE, []]
     assert loaded("import catmat.cli; catmat.cli.build_parser()") == [BASE, []]
 
 
+def test_importing_the_cli_loads_only_the_parser_and_the_errors():
+    # argparse, and the __future__ module each `from __future__` import
+    # loads, are loaded first; the CLI adds only its package and errors.
+    code = ("import sys, argparse, __future__; before = set(sys.modules); import catmat.cli; "
+            "print(sorted(set(sys.modules) - before))")
+    out = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=SRC),
+                         capture_output=True, text=True, check=True).stdout
+    assert eval(out) == BASE
+
+
 def test_each_command_loads_only_its_modules(tmp_path):
     path = write(tmp_path, "m.txt", "1 2\n3 7\n")
+    json_path = write(tmp_path, "m.json", '{"n": 2, "entries": [[1, 2], [3, 7]]}')
+    batch = tmp_path / "batch"
+    batch.mkdir()
+    write(batch, "a.txt", "1 2\n3 7\n")
+    write(batch, "b.txt", "1 2\n3 6\n")
     cert = str(tmp_path / "c.json")
     run = ("import contextlib, io, sys, catmat.cli\n"
            "with contextlib.redirect_stdout(io.StringIO()): catmat.cli.main(sys.argv[1:])\n")
     decide = ["decider", "matrix", "partition", "reduction"]
     verify = ["category", "certificate", "matrix", "partition", "reduction", "verifier"]
-    for argv, modules in [
-        (["decide", path], decide),
-        (["decide", "--explain", "--via-submatrices", path], decide),
-        (["decide", "--batch", str(tmp_path)], decide),
-        (["report", path], decide),
-        (["oracle", path], ["matrix", "oracle"]),
-        (["witness", path, "--out", cert], [*verify, "decider", "witness"]),
-        (["verify", cert, path], verify),
+    for argv, modules, watched in [
+        (["decide", path], decide, []),
+        (["decide", "--explain", "--via-submatrices", path], decide, []),
+        (["decide", "--json", path], decide, ["json"]),
+        (["decide", json_path], decide, ["json"]),
+        (["decide", "--batch", str(batch)], ["batch", *decide], ["json"]),
+        (["report", path], decide, []),
+        (["oracle", path], ["matrix", "oracle"], []),
+        (["oracle", "--json", path], ["matrix", "oracle"], ["json"]),
+        (["witness", path, "--out", cert], [*verify, "decider", "witness"], ["json"]),
+        (["verify", cert, path], verify, ["json"]),
     ]:
-        assert loaded(run, *argv) == [sorted(BASE + [f"catmat.{m}" for m in modules]), []], argv
+        want = [sorted(BASE + [f"catmat.{m}" for m in modules]), watched]
+        assert loaded(run, *argv) == want, argv
     # The oracle builds its category, and loads that module, only when asked.
     found = "result = catmat.oracle.oracle_decide(catmat.matrix.parse_matrix('1'))\n"
     oracle = BASE + ["catmat.matrix", "catmat.oracle"]

@@ -401,7 +401,15 @@ def test_triple_budget_guard(monkeypatch):
     assert verify_category(C, HomMatrix.from_rows([[4]])).passed
     # A value that is not an integer is an error, not a silent default.
     monkeypatch.setenv("CATMAT_TRIPLE_BUDGET", "abc")
-    with pytest.raises(TripleBudgetError, match="CATMAT_TRIPLE_BUDGET='abc'"):
+    with pytest.raises(TripleBudgetError, match="CATMAT_TRIPLE_BUDGET='abc' is not a nonnegative integer"):
+        verify_category(C, HomMatrix.from_rows([[4]]))
+    # Nor is a negative one read as a budget that every count exceeds.
+    monkeypatch.setenv("CATMAT_TRIPLE_BUDGET", "-1")
+    with pytest.raises(TripleBudgetError, match="CATMAT_TRIPLE_BUDGET='-1' is not a nonnegative integer"):
+        verify_category(C, HomMatrix.from_rows([[4]]))
+    # A budget of 0 is a budget: the 64 triples exceed it.
+    monkeypatch.setenv("CATMAT_TRIPLE_BUDGET", "0")
+    with pytest.raises(TripleBudgetError, match="64 associativity triples exceed the budget of 0"):
         verify_category(C, HomMatrix.from_rows([[4]]))
 
 
