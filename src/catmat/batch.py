@@ -15,8 +15,7 @@ import os
 import sys
 import threading
 
-from .cli import EXIT_ABSENT, EXIT_EXISTS, EXIT_USAGE, _load_matrix, _verdict
-from .errors import ParseError, ShapeError, TripleBudgetError
+from .errors import EXIT_ABSENT, EXIT_EXISTS, EXIT_USAGE, ParseError, ShapeError, TripleBudgetError
 
 
 def decide_batch(args) -> int:
@@ -64,13 +63,14 @@ def _batch_record(args, name: str) -> list:
     line an ERROR line, when the file cannot be read or parsed or its window
     scan is over the budget."""
     from .decider import decide, decide_by_submatrices
+    from .matrix import load_matrix
 
     try:
-        M = _load_matrix(os.path.join(args.batch, name))
+        M = load_matrix(os.path.join(args.batch, name))
         verdict = decide_by_submatrices(M) if args.via_submatrices else decide(M)
     except (ParseError, ShapeError, TripleBudgetError, OSError) as exc:
         return [name, None, f"ERROR {exc}", {"error": str(exc)}]
-    return [name, verdict.exists, *_verdict(verdict)]
+    return [name, verdict.exists, *verdict.render()]
 
 
 def _decide_share(args, names: list[str]) -> list[list]:

@@ -26,15 +26,15 @@ Instances are immutable by convention.
 from __future__ import annotations
 
 from functools import cached_property
-from itertools import repeat
-from operator import itemgetter
+from itertools import chain, repeat
+from operator import attrgetter, itemgetter
 from typing import Hashable, Iterable, Iterator, Mapping, Sequence
 
 from .errors import require_triple_budget
 
 Blocks = dict[tuple[int, int, int], list[list[int]]]
 BAD_ROW = "every table row must be three label strings"
-BYTE_HOLE = 255  # the hole of a byte row, and the widest Out(x) it allows
+BYTE_HOLE = 255  # the widest Out(x) that byte rows take; 255 is their hole
 
 
 class FiniteCategory:
@@ -129,15 +129,30 @@ class FiniteCategory:
         return self._fill(self.rows())
 
     def _fill(self, rows: Iterable) -> tuple:
-        """(hole, post, stray, foreign), as verifier.py reads them, from rows
-        [g, f, g.f]; a row with a label in no hom-set must be three strings.
-        With every hom(z, z) nonempty, the pairs charged against the triple
-        budget first are no more than triples."""
+        """(hole, pad, gather, join, post, stray, foreign), as verifier.py
+        reads them, from rows [g, f, g.f]; a row with a label in no hom-set
+        must be three strings.  With every hom(z, z) nonempty, the pairs
+        charged against the triple budget first are no more than triples.
+
+        The row format is chosen here, once, and nothing else knows it.
+        When every Out(x) has at most BYTE_HOLE morphisms, rows are bytes
+        and the hole is 255, which no position takes; when one is wider,
+        rows are tuples and the hole is -1.  pad(row) is f's table, f's row
+        read at the hole giving the hole: the row padded with holes to the
+        256 bytes of a translate table, or with one hole appended, which
+        index -1 reads.  gather(r) maps a table t to the row of t[q] for
+        each q in r in one C call: r.translate, or itemgetter(*r).
+        join(rows) sets rows end to end as one row.
+        """
         width = {x: len(out_x) for x, out_x in self.out.items()}
         pairs = sum(len(fs) * width.get(y, 0) for (_, y), fs in self.homs.items())
         require_triple_budget(pairs, what="composable pairs")
-        wide = any(w > BYTE_HOLE for w in width.values())
-        hole, new, freeze = (None, list, tuple) if wide else (BYTE_HOLE, bytearray, bytes)
+        if any(w > BYTE_HOLE for w in width.values()):
+            hole, new, freeze, pad = -1, list, tuple, lambda row: row + (-1,)
+            gather, join = _tuple_gather, lambda rows: tuple(chain.from_iterable(rows))
+        else:
+            hole, new, freeze, pad = 255, bytearray, bytes, lambda row: row.ljust(256, b"\xff")
+            gather, join = attrgetter("translate"), b"".join
         post = {x: [new([hole] * width.get(z, 0)) for z, fs in zs for _ in fs]
                 for x, zs in self.successors.items()}
         place, stray, foreign = self.place, {}, {}
@@ -166,7 +181,14 @@ class FiniteCategory:
         for rows_x in post.values():  # one at a time, so each list is freed
             for i, cells in enumerate(rows_x):
                 rows_x[i] = freeze(cells)
-        return hole, post, stray, foreign
+        return hole, pad, gather, join, post, stray, foreign
+
+
+def _tuple_gather(r: tuple):
+    """itemgetter(*r), which returns a tuple for rows of 0 or 1 entries too."""
+    if len(r) > 1:
+        return itemgetter(*r)
+    return (lambda t: (t[r[0]],)) if r else (lambda t: ())
 
 
 def composable(homs: Mapping[tuple[int, int], Sequence]) -> Iterator[tuple[int, int, int]]:

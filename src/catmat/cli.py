@@ -26,29 +26,9 @@ import argparse
 import functools
 import sys
 
-from .errors import (DEFAULT_MAX_ASSIGNMENTS, CertificateError, ParseError, Rejected,
+from .errors import (DEFAULT_MAX_ASSIGNMENTS, EXIT_ABSENT, EXIT_EXISTS, EXIT_INTERNAL,
+                     EXIT_UNKNOWN, EXIT_USAGE, CertificateError, ParseError, Rejected,
                      ShapeError, TripleBudgetError)
-
-EXIT_EXISTS = 0
-EXIT_ABSENT = 1
-EXIT_USAGE = 2
-EXIT_UNKNOWN = 3
-EXIT_INTERNAL = 4
-
-
-def _read_text(path: str) -> str:
-    """The UTF-8 text of a file, or of stdin for "-", read as bytes and
-    decoded once, its line endings kept: the parsers take LF, CRLF and CR.
-    One leading byte-order mark is dropped, as the utf-8-sig codec would."""
-    try:
-        if path == "-":
-            data = sys.stdin.buffer.read()
-        else:
-            with open(path, "rb") as fh:
-                data = fh.read()
-        return data.removeprefix(b"\xef\xbb\xbf").decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise ParseError(f"{path!r} is not UTF-8 text: {exc}") from None
 
 
 def _budget(text: str) -> int:
@@ -57,12 +37,6 @@ def _budget(text: str) -> int:
     if value < 0:
         raise argparse.ArgumentTypeError(f"must be nonnegative, got {value}")
     return value
-
-
-def _load_matrix(path: str):
-    from .matrix import parse_matrix
-
-    return parse_matrix(_read_text(path))
 
 
 def _print_json(value, indent: int | None = None) -> None:
@@ -78,27 +52,8 @@ def _print_report(entries: list[dict]) -> None:
         print(f"{entry['status'].upper():7s} {entry['condition']}{details}")
 
 
-def _verdict(verdict) -> tuple[str, dict]:
-    """The text line and the JSON fields of a verdict, for one file or a batch."""
-    fields = {
-        "decision": "exists" if verdict.exists else "absent",
-        "reason": verdict.reason.to_json() if verdict.reason else None,
-    }
-    if verdict.subset is not None:
-        fields["subset"] = list(verdict.subset)
-    if verdict.rmap is not None:
-        fields["reduced_size"] = verdict.rmap.m
-    if verdict.exists:
-        line = "EXISTS"
-    elif verdict.subset is not None:
-        line = f"ABSENT ({verdict.reason}; submatrix {fields['subset']})"
-    else:
-        line = f"ABSENT ({verdict.reason})"
-    return line, fields
-
-
 def _print_verdict(verdict, as_json: bool, report: list[dict] | None) -> None:
-    line, fields = _verdict(verdict)
+    line, fields = verdict.render()
     if as_json:
         if report is not None:
             fields["conditions"] = report
@@ -112,6 +67,7 @@ def _print_verdict(verdict, as_json: bool, report: list[dict] | None) -> None:
 def cmd_decide(args) -> int:
     # Imported before --batch forks, so that no worker imports them again.
     from .decider import condition_report, decide, decide_by_submatrices, explain
+    from .matrix import load_matrix
 
     if args.batch and (args.explain or args.matrix is not None):
         clash = "--explain" if args.explain else "a matrix file"
@@ -124,7 +80,7 @@ def cmd_decide(args) -> int:
     if args.matrix is None:
         print("decide: a matrix file or --batch is required", file=sys.stderr)
         return EXIT_USAGE
-    M = _load_matrix(args.matrix)
+    M = load_matrix(args.matrix)
     if args.explain and not args.via_submatrices:
         verdict, report = explain(M)
     else:
@@ -136,8 +92,9 @@ def cmd_decide(args) -> int:
 
 def cmd_report(args) -> int:
     from .decider import explain
+    from .matrix import load_matrix
 
-    M = _load_matrix(args.matrix)
+    M = load_matrix(args.matrix)
     verdict, report = explain(M)
     if args.json:
         _print_json(report, indent=2)
@@ -148,9 +105,10 @@ def cmd_report(args) -> int:
 
 def cmd_witness(args) -> int:
     from .certificate import dump_certificate
+    from .matrix import load_matrix
     from .witness import build_witness
 
-    M = _load_matrix(args.matrix)
+    M = load_matrix(args.matrix)
     try:
         C = build_witness(M)
     except Rejected as exc:
@@ -170,11 +128,11 @@ def cmd_witness(args) -> int:
 
 def cmd_verify(args) -> int:
     from .certificate import load_certificate
-    from .matrix import read_json
+    from .matrix import load_matrix, read_json, read_text
     from .verifier import verify_category
 
-    claimed, C = load_certificate(read_json(_read_text(args.certificate), "certificate"))
-    M = _load_matrix(args.matrix) if args.matrix else claimed
+    claimed, C = load_certificate(read_json(read_text(args.certificate), "certificate"))
+    M = load_matrix(args.matrix) if args.matrix else claimed
     report = verify_category(C, M)
     if args.json:
         payload = {"passed": report.passed}
@@ -196,9 +154,10 @@ def cmd_verify(args) -> int:
 
 
 def cmd_oracle(args) -> int:
+    from .matrix import load_matrix
     from .oracle import oracle_decide
 
-    M = _load_matrix(args.matrix)
+    M = load_matrix(args.matrix)
     result = oracle_decide(M, args.budget)
     if args.json:
         _print_json({"decision": result.decision, "assignments": result.assignments})

@@ -102,6 +102,25 @@ class Verdict:
     def exists(self) -> bool:
         return self.decision == "yes"
 
+    def render(self) -> tuple[str, dict]:
+        """The CLI's text line and JSON fields for this verdict, for one file
+        or a batch."""
+        fields = {
+            "decision": "exists" if self.exists else "absent",
+            "reason": self.reason.to_json() if self.reason else None,
+        }
+        if self.subset is not None:
+            fields["subset"] = list(self.subset)
+        if self.rmap is not None:
+            fields["reduced_size"] = self.rmap.m
+        if self.exists:
+            line = "EXISTS"
+        elif self.subset is not None:
+            line = f"ABSENT ({self.reason}; submatrix {fields['subset']})"
+        else:
+            line = f"ABSENT ({self.reason})"
+        return line, fields
+
 
 # Reason kind -> (report condition, report details, Reason.detail), in report
 # order.  Templates see the Reason as r and its objects as the list o.

@@ -1,4 +1,5 @@
-"""Exception types shared across the package, and the budgets behind them.
+"""Exception types shared across the package, the budgets behind them, and
+the exit codes of the CLI and its --batch module.
 
 Every count of work that could outgrow a run is charged against
 CATMAT_TRIPLE_BUDGET, the one budget setting (an environment variable;
@@ -11,6 +12,12 @@ import os
 DEFAULT_TRIPLE_BUDGET = 10**8
 TRIPLE_BUDGET_ENV = "CATMAT_TRIPLE_BUDGET"
 DEFAULT_MAX_ASSIGNMENTS = 10_000_000
+
+EXIT_EXISTS = 0
+EXIT_ABSENT = 1
+EXIT_USAGE = 2
+EXIT_UNKNOWN = 3
+EXIT_INTERNAL = 4
 
 
 class ParseError(ValueError):

@@ -1,8 +1,9 @@
 """Square nonnegative integer matrices of hom-set sizes.
 
 Entry (i, j) is the number of morphisms from object i to object j.
-Matrices are immutable.  Only JSON input loads the json module: read_json
-imports it, so parsing a text matrix does not.
+Matrices are immutable.  `load_matrix` reads one from a file or stdin.
+Only JSON input loads the json module: read_json imports it, so parsing a
+text matrix does not.
 """
 
 from __future__ import annotations
@@ -78,6 +79,26 @@ class HomMatrix:
 
 # Every entry in plain decimal form up to 255: "007", "-3" and "256" miss.
 _ENTRY = {str(k): k for k in range(256)}
+
+
+def read_text(path: str) -> str:
+    """The UTF-8 text of a file, or of stdin for "-", read as bytes and
+    decoded once, its line endings kept: the parsers take LF, CRLF and CR.
+    One leading byte-order mark is dropped, as the utf-8-sig codec would."""
+    try:
+        if path == "-":
+            data = sys.stdin.buffer.read()
+        else:
+            with open(path, "rb") as fh:
+                data = fh.read()
+        return data.removeprefix(b"\xef\xbb\xbf").decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path!r} is not UTF-8 text: {exc}") from None
+
+
+def load_matrix(path: str) -> HomMatrix:
+    """The matrix in a file, or in stdin for "-"."""
+    return parse_matrix(read_text(path))
 
 
 def parse_matrix(text: str) -> HomMatrix:

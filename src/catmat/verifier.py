@@ -12,35 +12,31 @@ charged against the triple budget (`errors.require_triple_budget`).
 All but the cardinality pass read C.filled, one row per morphism, which C
 fills from its table rows (load_certificate's as it reads them, a built
 category's when first read), each label looked up once in C.place, after
-charging the composable pairs against the triple budget.  Out(x) lists the
-morphisms leaving x, the nonempty hom(x, z) in order of z.  For f: x -> y,
-post[f] holds for each q in Out(y) the position of q.f in Out(x), or a hole
-when the table has no entry for (q, f) ("missing"), or its entry, kept in
-`stray`, lies in another hom-set ("wrong-hom") or in none ("unknown").  Rows
-for pairs that are not composable are kept in `foreign`, and a second row
-for one pair is an error.  For each composable pair (g, f) with p = g.f,
-associativity checks h.p == (h.g).f for every h leaving z in one comparison
-of post[p] with post[f] gathered at post[g].
+charging the composable pairs against the triple budget.  C also chooses
+the rows' format and hands it over as hole, pad, gather and join
+(category.FiniteCategory._fill); nothing here depends on which it is.
+Out(x) lists the morphisms leaving x, the nonempty hom(x, z) in order of
+z.  For f: x -> y, post[f] holds for each q in Out(y) the position of q.f
+in Out(x), or the hole when the table has no entry for (q, f) ("missing"),
+or its entry, kept in `stray`, lies in another hom-set ("wrong-hom") or in
+none ("unknown").  Rows for pairs that are not composable are kept in
+`foreign`, and a second row for one pair is an error.
 
-When every Out(x) has at most 255 morphisms, the rows are bytes with the
-hole 255, which no position takes, and each f has a 256-byte translate
-table, its row padded with holes: the gather is post[g].translate(table[f]),
-one C call, and a hole in post[g] reads the padding.  At each h, either
-post[g] holds the position q of h.g, and then h.p and q.f = (h.g).f are one
-position or one hole, which the walk skips, or post[g] holds a hole, and
-the triple goes through a composite that closure reports; so a pair whose
-two rows are equal has no failure.
-
-On byte rows, one comparison covers every pair through f: x -> y whose
-row has no hole: the rows of g.f for each g in Out(y), end to end, against
-the rows of Out(y), end to end (one string per y, made once), translated
-by f's table.  Each g.f then lies in hom(x, z) for g: y -> z, so the c-th
-segment of either side has |Out(z)| bytes, and the strings are equal
-exactly when every pair (g, f) is.  A hom-set whose every f passes is done;
-any other goes through the pair walk below.  Wider inputs keep tuple rows
-with the hole None, gathered by operator.itemgetter, and walk every
-hom-set by pairs; a row with a hole gathers to None, which equals no row,
-so every pair through it is walked.
+For each composable pair (g, f) with p = g.f, associativity checks h.p ==
+(h.g).f for every h leaving z in one comparison of post[p] with
+gather(post[g]) applied to f's table pad(post[f]).  At each h, either
+post[g] holds the position q of h.g, and then h.p and q.f = (h.g).f are
+one position or one hole, which the walk skips, or post[g] holds the hole,
+which reads the hole in f's table, and the triple goes through a composite
+that closure reports; so a pair whose two rows are equal has no failure.
+One comparison covers every pair through an f: x -> y whose row has no
+hole: the rows of g.f for each g in Out(y), joined, against the rows of
+Out(y), joined (one row per y, with its gather, made once), gathered at
+f's table.  Each g.f then lies in hom(x, z) for g: y -> z, so the c-th
+segment of either side has |Out(z)| entries, and the two are equal
+exactly when every pair (g, f) is.  A hom-set whose every f passes is
+done; any other goes through the pair walk, each g's gather made once per
+hom-set.
 
 Closure names failures by (x, y) sorted, then z, g, f.  Associativity goes by
 block (x, y, z) in the order of C.homs and walks a block's differing pairs
@@ -51,7 +47,6 @@ reports is counted but not compared.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from operator import itemgetter
 from typing import TYPE_CHECKING
 
 from .errors import require_triple_budget
@@ -99,17 +94,6 @@ def count_triples(rows) -> int:
     return sum(into[y] * m * out[z] for y, row in enumerate(rows) for z, m in enumerate(row))
 
 
-def _gather(row: tuple):
-    """A function taking r to tuple(r[i] for i in row), or to None, which
-    equals no row, if row has a hole."""
-    if None in row:
-        return lambda r: None
-    if len(row) > 1:
-        return itemgetter(*row)
-    # itemgetter of one index returns the item, not a 1-tuple.
-    return itemgetter(slice(row[0], row[0] + 1) if row else slice(0))
-
-
 def verify_category(C: FiniteCategory, M: HomMatrix) -> VerificationReport:
     """Check every axiom of C against M; each failure list keeps at most
     DEFAULT_FAILURE_CAP entries."""
@@ -133,8 +117,8 @@ def verify_category(C: FiniteCategory, M: HomMatrix) -> VerificationReport:
             if expected != actual:
                 push(report.cardinality_mismatches, (i, j, expected, actual))
 
-    hole, post, stray, foreign = C.filled  # post[x][i]: the row of the i-th of Out(x)
-    wide = hole is None
+    # post[x][i] is the row of the i-th of Out(x).
+    hole, pad, gather, join, post, stray, foreign = C.filled
     at = {}  # x -> the position in Out(x) of x's identity, if it lies in hom(x, x)
     for x in range(C.n):
         e = C.identity.get(x)
@@ -161,51 +145,38 @@ def verify_category(C: FiniteCategory, M: HomMatrix) -> VerificationReport:
     for g, f in foreign:
         push(closure, ("foreign", g, f))
 
-    # gather[y][j] maps post[f] to the row of (h.g).f, g the j-th of Out(y).
-    # Byte rows need none: post[g].translate maps f's translate table there;
-    # they keep joined[y], the rows of Out(y) end to end.
-    if wide:
-        gather = {y: [_gather(row) for row in rows] for y, rows in post.items()}
-    else:
-        joined = {y: b"".join(rows) for y, rows in post.items()}
-
+    # joined[y] maps f's table to the rows of (h.g).f, h after g, for each g
+    # in Out(y), joined: to the rows of g.f, joined, when f associates.
+    joined = {y: gather(join(post.get(y, ()))) for y in range(C.n)}
     failures = report.associativity_failures
     for (x, y), fs in homs.items():
         px = post[x]
         first = offset[(x, y)]
         rows = px[first : first + len(fs)]
-        if not wide:
-            # Every pair through a hole-free f at once: the rows of g.f for
-            # each g in Out(y), end to end, against joined[y] gathered at f.
-            w = joined.get(y, b"")
-            if all(
-                hole not in row
-                and b"".join(map(px.__getitem__, row)) == w.translate(row.ljust(256, b"\xff"))
-                for row in rows
-            ):
-                continue
+        # Every pair through a hole-free f at once.
+        joined_y = joined[y]
+        if all(hole not in row and join(map(px.__getitem__, row)) == joined_y(pad(row))
+               for row in rows):
+            continue
         # For g.f = p, h.p == (h.g).f for every h leaving z is one comparison.
-        # What f's gather reads: its row, or its translate table.
-        args = rows if wide else [row.ljust(256, b"\xff") for row in rows]
+        tables = [*map(pad, rows)]
         for z, gs in successors.get(y, ()):
             o = offset[(y, z)]
             bad = []
             for c in range(o, o + len(gs)):
-                g_of = gather[y][c] if wide else post[y][c].translate
-                for i, (row, arg) in enumerate(zip(rows, args)):
+                g_of = gather(post[y][c])
+                for i, (row, table) in enumerate(zip(rows, tables)):
                     p = row[c]
-                    if p != hole and px[p] != g_of(arg):
+                    if p != hole and px[p] != g_of(table):
                         bad.append((c, i))
             if not bad:
                 continue
             # Name this block's failures in the order w, g, f, h.
             for w, hs in successors.get(z, ()):
                 for c, i in bad:
-                    row = rows[i]
-                    left, qs = px[row[c]], post[y][c]
+                    left, qs, table = px[rows[i][c]], post[y][c], tables[i]
                     for k, h in enumerate(hs, offset[(z, w)]):
-                        a, q = left[k], qs[k]
-                        b = hole if q == hole else row[q]
+                        a, b = left[k], table[qs[k]]
                         if a != hole and b != hole and a != b:
                             push(failures, (h, gs[c - o], fs[i], out[x][a], out[x][b]))
     report.triples_checked = total_triples

@@ -994,6 +994,25 @@ def test_importing_the_cli_loads_only_the_parser_and_the_errors():
     assert eval(out) == BASE
 
 
+def test_running_the_cli_module_loads_it_once(tmp_path, capsys):
+    # `python -m catmat.cli` runs cli.py as __main__, and --batch must not
+    # load it a second time as catmat.cli.
+    batch = tmp_path / "two"
+    batch.mkdir()
+    write(batch, "a.txt", "1 2\n3 7\n")
+    write(batch, "b.txt", "1 2\n3 6\n")
+    argv = ["decide", "--batch", str(batch)]
+    code = ("import runpy, sys\n"
+            "try:\n    runpy.run_module('catmat.cli', run_name='__main__')\n"
+            "except SystemExit as exc:\n    print(exc.code)\n"
+            "print('catmat.cli' in sys.modules)\n")
+    run = subprocess.run([sys.executable, "-c", code, *argv], env=dict(os.environ, PYTHONPATH=SRC),
+                         capture_output=True, text=True, check=True)
+    assert main(argv) == 1
+    assert run.stdout == capsys.readouterr().out + "1\nFalse\n"
+    assert run.stderr == ""
+
+
 def test_each_command_loads_only_its_modules(tmp_path):
     path = write(tmp_path, "m.txt", "1 2\n3 7\n")
     json_path = write(tmp_path, "m.json", '{"n": 2, "entries": [[1, 2], [3, 7]]}')

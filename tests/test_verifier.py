@@ -14,7 +14,7 @@ from catmat import (
     load_certificate,
     verify_category,
 )
-from catmat import verifier
+from catmat import category, verifier
 from catmat.verifier import DEFAULT_FAILURE_CAP
 from catmat.cli import main
 
@@ -225,19 +225,53 @@ def random_mutants(seed, count):
         yield M, C, table
 
 
+def mutant_categories(M, W, table):
+    """The claimed category of `table`, its rows filled from the table's
+    items, and the same table loaded as a certificate's [g, f, h] rows."""
+    data = build_certificate(W, M)
+    data["table"] = [[g, f, h] for (g, f), h in table.items()]
+    loaded = load_certificate(json.loads(json.dumps(data)))[1]
+    return helpers.claimed(W.n, W.homs, W.identity, table), loaded
+
+
 @pytest.mark.parametrize("cap", [3, 10**6])
 def test_report_matches_reference_walk(cap, monkeypatch):
-    # The rows are filled from the table's items, and again from the same
-    # table as a certificate's [g, f, h] rows through the loader.
     monkeypatch.setattr(verifier, "DEFAULT_FAILURE_CAP", cap)
     for M, W, table in random_mutants(seed=cap, count=60):
-        C = helpers.claimed(W.n, W.homs, W.identity, table)
+        C, loaded = mutant_categories(M, W, table)
         want = reference_report(C, table, M, cap)
         assert verify_category(C, M) == want
-        data = build_certificate(W, M)
-        data["table"] = [[g, f, h] for (g, f), h in table.items()]
-        _, loaded = load_certificate(json.loads(json.dumps(data)))
         assert verify_category(loaded, M) == want
+
+
+@pytest.mark.parametrize("cap", [3, 10**6])
+def test_tuple_rows_report_as_byte_rows(cap, monkeypatch):
+    # With no Out(x) allowed on byte rows, every category takes tuple rows,
+    # whose reports must be the byte rows' and the reference walk's.
+    monkeypatch.setattr(verifier, "DEFAULT_FAILURE_CAP", cap)
+    for M, W, table in random_mutants(seed=cap, count=60):
+        byte_rows = mutant_categories(M, W, table)
+        with monkeypatch.context() as m:
+            m.setattr(category, "BYTE_HOLE", 0)
+            tuple_rows = mutant_categories(M, W, table)
+        assert [C.filled[0] for C in tuple_rows] == [-1, -1]  # the tuple rows' hole
+        want = reference_report(byte_rows[0], table, M, cap)
+        reports = [verify_category(C, M) for C in byte_rows]
+        assert reports == [want, want]
+        assert [verify_category(C, M) for C in tuple_rows] == reports
+
+
+@pytest.mark.parametrize("widest", [255, 0])
+def test_row_formats_gather_at_a_padded_row(widest, monkeypatch):
+    # On byte rows (255) and tuple rows (0): gather(r) reads f's table at
+    # each entry of r, and the hole at a hole, for r of every length.
+    monkeypatch.setattr(category, "BYTE_HOLE", widest)
+    hole, pad, gather, join, post = small_monoid(3).filled[:5]
+    row = post[0][1]  # m1's row: m_q.m1 = m_(q+1 mod 3)
+    assert list(row) == [1, 2, 0] and join([row, row]) == row + row
+    for r in ([], [2], [hole], [2, hole, 0]):
+        want = [hole if q == hole else row[q] for q in r]
+        assert gather(type(row)(r))(pad(row)) == type(row)(want)
 
 
 def test_wrong_hom_composite_through_a_hole_free_row():
